@@ -32,22 +32,24 @@ from .scalar import (
     RationalLike,
     Scalar,
     ScalarConfig,
-    _SyncedCache,
     _as_fraction,
     factorial,
     iv_cos,
     iv_e,
     iv_sin,
     make_scalar,
+    refine,
 )
 from .seqcore import (
+    FAILS,
+    INCONCLUSIVE,
     SequenceError,
     Trend,
     Verdict,
     WeightSequence,
     Witness,
     _log_convex_global_oracle,
-    compare_products,
+    is_log_convex,
 )
 
 
@@ -66,21 +68,28 @@ def _ceil_log2_inverse(tau: Fraction) -> int:
 
 
 def _cp_series_interval(p: int, n: int, x: Fraction, bits: int) -> Interval:
-    """Enclosure of the n-th derivative of C_p at x in [-1, 1]: the series
-    sum over j with j p >= n of x**(jp-n) / (jp-n)!, with a factorial tail
-    majorant for the truncation."""
+    """Enclosure of the n-th derivative of C_p at x: the series sum over j
+    with j p >= n of x**(jp-n) / (jp-n)!, truncated before the term of
+    degree m once the factorial tail majorant 2 X**m / m! with
+    X = max(1, |x|) is small enough.  The majorant bounds the sum of
+    |x|**l / l! over l >= m, which is valid once m + 1 >= 2 X."""
     target = Fraction(1, 2 ** (bits + 8))
+    X = max(Fraction(1), abs(x))
     total = Fraction(0)
     j = -(-n // p)  # first index with jp - n >= 0
     while True:
         m = j * p - n
         total += x ** m / factorial(m) if m else Fraction(1)
         j += 1
-        tail = Fraction(2, factorial(j * p - n))
-        if tail <= target:
+        m = j * p - n
+        tail = 2 * X ** m / factorial(m)
+        if tail <= target and m + 1 >= 2 * X:
             break
-    if x >= 0 or p % 2 == 0:
+    if x >= 0 or (p % 2 == 0 and n % 2 == 0):
         return Interval(total, total + tail)
+    if p % 2 == 0:
+        # even p, x < 0, odd n: every term x**(jp-n) is negative
+        return Interval(total - tail, total)
     return Interval(total - tail, total + tail)
 
 
@@ -131,21 +140,22 @@ def cp_bound_check(
         return Verdict.fails(window, Witness(0, ("x > 1 in grid",)))
     for n in range(n_max + 1):
         for x in xs:
-            bits = cfg.bits
-            decided = False
-            for _ in range(cfg.max_doublings + 1):
-                if x == 0:
-                    decided = True
-                    break
+            if x == 0:
+                continue
+
+            def decide(bits: int) -> Optional[bool]:
                 enc = abs(_cp_series_interval(p, n, x, bits))
                 e = iv_e(bits)
                 if enc.hi <= e.lo:
-                    decided = True
-                    break
+                    return True
                 if enc.lo > e.hi:
-                    return Verdict.fails(window, Witness(n, (f"x={x}",)))
-                bits *= 2
-            if not decided:
+                    return False
+                return None
+
+            holds = refine(decide, cfg)
+            if holds is False:
+                return Verdict.fails(window, Witness(n, (f"x={x}",)))
+            if holds is None:
                 return Verdict.inconclusive(
                     window, Trend(note=f"n={n}, x={x} unresolved at the precision cap")
                 )
@@ -224,55 +234,46 @@ class BangFunction:
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
         self._cfg = cfg
-        self._enc_cache = _SyncedCache()
-        self._trig_cache = _SyncedCache()
-        self._verify_ratio_monotone(cfg)
-        oracle = _log_convex_global_oracle(seq)
-        self.tail_scope = "global" if oracle is not None else "window"
-        self.tail_provenance = oracle
-
-    def _verify_ratio_monotone(self, cfg: ScalarConfig):
-        seq = self.seq
-        for k in range(self.K):
-            sign = compare_products(
-                [(seq, k + 1, 2)],
-                [(seq, k, 1), (seq, k + 2, 1)],
-                cfg,
-                lhs_scale=k + 1,
-                rhs_scale=k + 2,
-            )
-            if sign is None:
-                raise PrecisionError(
-                    f"ratio monotonicity at k={k} unresolved at the precision cap"
-                )
-            if sign > 0:
+        self._enc_cache = {}
+        self._trig_cache = {}
+        if self.K > 0:
+            # m_k nondecreasing on [0, K] is M' log-convex on [1, K]
+            gate = is_log_convex(seq, (1, self.K), "derived", cfg)
+            if gate.outcome == INCONCLUSIVE:
+                raise PrecisionError(f"ratio monotonicity unresolved: {gate.trend.note}")
+            if gate.outcome == FAILS:
+                k = gate.witness.index - 1
                 raise SequenceError(
                     f"derived sequence is not log-convex: m_{k} > m_{k + 1}; "
                     "the truncation tail bound needs nondecreasing ratios"
                 )
+        oracle = _log_convex_global_oracle(seq)
+        self.tail_scope = "global" if oracle is not None else "window"
+        self.tail_provenance = oracle
 
     # -- cached enclosures -------------------------------------------------------
 
     def _mprime(self, k: int, bits: int) -> Interval:
-        return self._enc_cache.get_or_compute(
-            ("mp", k, bits), lambda: self.seq.enclosure(k, bits) * factorial(k)
-        )
+        key = ("mp", k, bits)
+        if key not in self._enc_cache:
+            self._enc_cache[key] = self.seq.enclosure(k, bits) * factorial(k)
+        return self._enc_cache[key]
 
     def _ratio(self, k: int, bits: int) -> Interval:
-        def compute():
+        key = ("m", k, bits)
+        if key not in self._enc_cache:
             iv = self.seq.enclosure(k + 1, bits) * (k + 1) / self.seq.enclosure(k, bits)
             if not iv.strictly_positive():
                 raise PrecisionError(f"ratio m_{k} not certified positive at {bits} bits")
-            return iv.outward(bits + 8)
-
-        return self._enc_cache.get_or_compute(("m", k, bits), compute)
+            self._enc_cache[key] = iv.outward(bits + 8)
+        return self._enc_cache[key]
 
     def _trig(self, k: int, xi: Fraction, bits: int) -> Tuple[Interval, Interval]:
-        def compute():
+        key = (k, xi, bits)
+        if key not in self._trig_cache:
             arg = self._ratio(k, bits) * (2 * xi)
-            return iv_cos(arg, bits), iv_sin(arg, bits)
-
-        return self._trig_cache.get_or_compute((k, xi, bits), compute)
+            self._trig_cache[key] = iv_cos(arg, bits), iv_sin(arg, bits)
+        return self._trig_cache[key]
 
     def relative_tail(self, n: int) -> Fraction:
         """Certified relative tail margin 2**(n-K+1) at derivative order n."""
@@ -290,12 +291,12 @@ class BangFunction:
 def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Interval:
     """M'_k (2 m_k)**(n-k), compressed; independent of the evaluation point."""
 
-    def compute():
+    key = ("coef", n, k, bits)
+    if key not in B._enc_cache:
         # compress after the power: (2 m_k)**(n-k) has k-scaled denominators
         powed = (B._ratio(k, bits) * 2).pow_int(n - k).outward(bits + 8)
-        return (B._mprime(k, bits) * powed).outward(bits + 8)
-
-    return B._enc_cache.get_or_compute(("coef", n, k, bits), compute)
+        B._enc_cache[key] = (B._mprime(k, bits) * powed).outward(bits + 8)
+    return B._enc_cache[key]
 
 
 def _bang_sum(B: BangFunction, n: int, xi: Fraction, bits: int) -> Interval:
@@ -344,16 +345,19 @@ def bang_derivative(
     elif not -1 <= xq <= 1:
         raise ValueError("evaluation is supported on [-1, 1]")
 
+    def attempt(bits: int) -> Optional[Interval]:
+        try:
+            total = _bang_sum(B, n, xq, bits)
+            tail = Fraction(2) ** (n - B.K + 1) * B._mprime(n, bits).hi
+        except PrecisionError:
+            return None
+        return total.widen(tail)
+
     def enclosure(bits: int) -> Interval:
-        attempt = bits
-        for _ in range(cfg.max_doublings + 1):
-            try:
-                total = _bang_sum(B, n, xq, attempt)
-                tail = Fraction(2) ** (n - B.K + 1) * B._mprime(n, attempt).hi
-                return total.widen(tail)
-            except PrecisionError:
-                attempt *= 2
-        raise PrecisionError(f"term enclosures at order {n} stayed unresolved")
+        iv = refine(attempt, cfg.with_bits(bits))
+        if iv is None:
+            raise PrecisionError(f"term enclosures at order {n} stayed unresolved")
+        return iv
 
     return make_scalar(cfg, None, enclosure)
 
@@ -373,23 +377,24 @@ def bang_lower_bound_certify(
     if q > B.K:
         raise ValueError(f"need truncation K >= {q}")
     window = (n, n)
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
+
+    def decide(bits: int) -> Optional[Verdict]:
         try:
             total = abs(_bang_sum(B, q, Fraction(0), bits))
             target = B._mprime(q, bits)
-            if total.lo >= target.hi:
-                return Verdict.holds(
-                    window,
-                    provenance=(
-                        "same-sign terms at 0: the partial sum bounds |F| from "
-                        "below and contains the k = pn term M'_{pn} itself"
-                    ),
-                )
         except PrecisionError:
-            pass
-        bits *= 2
-    return Verdict.inconclusive(
+            return None
+        if total.lo >= target.hi:
+            return Verdict.holds(
+                window,
+                provenance=(
+                    "same-sign terms at 0: the partial sum bounds |F| from "
+                    "below and contains the k = pn term M'_{pn} itself"
+                ),
+            )
+        return None
+
+    return refine(decide, cfg) or Verdict.inconclusive(
         window, Trend(note=f"lower bound at order {q} unresolved at the precision cap")
     )
 
@@ -459,21 +464,23 @@ def bang_envelope_check(
     env = GrowthEnvelope(Fraction(2), Fraction(2), Fraction(1), (Fraction(-1), Fraction(1)))
     for n in range(n_max + 1):
         for x in xs:
-            bits = cfg.bits
-            decided = False
-            for _ in range(cfg.max_doublings + 1):
+
+            def decide(bits: int) -> Optional[bool]:
                 enc = abs(
                     bang_derivative(B, n, x, cfg.with_mode("interval").with_bits(bits)).interval()
                 )
                 # 2**(n+1) M'_n == C R**n n! M_n with C = R = 2
                 rhs = env.bound(B.seq, n, bits)
                 if enc.hi <= rhs.lo:
-                    decided = True
-                    break
+                    return True
                 if enc.lo > rhs.hi:
-                    return Verdict.fails(window, Witness(n, (f"xi={x}",)))
-                bits *= 2
-            if not decided:
+                    return False
+                return None
+
+            holds = refine(decide, cfg)
+            if holds is False:
+                return Verdict.fails(window, Witness(n, (f"xi={x}",)))
+            if holds is None:
                 return Verdict.inconclusive(
                     window, Trend(note=f"n={n}, xi={x} unresolved at the precision cap")
                 )

@@ -3,8 +3,10 @@ series combinatorics, extremal-series synthesis, and the full verification
 suite with JSON/CSV report emission.
 
 Exit codes: 0 when every emitted verdict holds, 1 on any failure, 2 on an
-inconclusive verdict where a resolution was expected, 3 and up for usage
-and configuration errors.
+inconclusive verdict where a resolution was expected or a precision ladder
+exhausted at its cap, 3 and up for usage and configuration errors and for
+inputs the arithmetic refuses (a non-rational value in exact mode, a float
+outside the exponent range).
 
 Report determinism: identical configuration and seed produce byte-identical
 CSV output.  Wall-clock timings therefore live in the JSON records and the
@@ -46,7 +48,14 @@ from .criteria import (
     inclusion_estimate,
     quasianalytic_verdict,
 )
-from .scalar import PrecisionError, Scalar, ScalarConfig, decimal_str
+from .scalar import (
+    ExactUnavailableError,
+    PrecisionError,
+    RangeError,
+    Scalar,
+    ScalarConfig,
+    decimal_str,
+)
 from .seqcore import (
     Analytic,
     Custom,
@@ -737,9 +746,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SequenceError, ValueError) as exc:
+    except (SequenceError, ValueError, ExactUnavailableError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except PrecisionError as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

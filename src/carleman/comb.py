@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .scalar import (
     DEFAULT_CONFIG,
@@ -34,6 +34,7 @@ from .scalar import (
     iv_pow,
     iv_sqrt,
     make_scalar,
+    refine,
 )
 from .seqcore import Trend, Verdict, Witness
 
@@ -173,44 +174,63 @@ def _two_e_powers(n_max: int, bits: int) -> Tuple[list, list]:
     return lows, highs
 
 
-def lemma1_check(
-    k_max: int, n_max: int, cfg: ScalarConfig = DEFAULT_CONFIG
+def _scaled_power_sweep(
+    base: TruncatedPowerSeries,
+    k_max: int,
+    n_max: int,
+    cfg: ScalarConfig,
+    witness: Callable[[int, int, Fraction, Fraction], Witness],
 ) -> Verdict:
-    """Certified sweep of c_{k,n} <= (2e)**n * k! / n**k over the bounds."""
+    """Certified |P**k [n]| / k! <= (2e)**n / n**k for 1 <= k <= k_max,
+    1 <= n <= n_max, where P is ``base``.
+
+    ``witness(k, n, lhs, bound_hi)`` builds the Fails evidence from the
+    violating pair, its exact left side and the upper bound of the right.
+    """
     window = (1, n_max)
-    bits = cfg.bits
-    for attempt in range(cfg.max_doublings + 1):
+    # the exact left sides do not depend on the working precision
+    lhs = []
+    power = base
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = power * base
+        inv_kfact = Fraction(1, factorial(k))
+        lhs.append([abs(power.coeff(n) * inv_kfact) for n in range(1, n_max + 1)])
+    unresolved = None
+
+    def decide(bits: int) -> Optional[Verdict]:
+        nonlocal unresolved
         lows, highs = _two_e_powers(n_max, bits)
-        series = _log_series(n_max)
-        power = series
-        unresolved = None
-        witness = None
-        for k in range(1, k_max + 1):
-            if k > 1:
-                power = power * series
-            kfact = factorial(k)
-            for n in range(1, n_max + 1):
-                c = power.coeff(n)
-                rhs_lo = lows[n] * kfact / n ** k
-                if c <= rhs_lo:
+        for k, row in enumerate(lhs, 1):
+            for n, c in enumerate(row, 1):
+                if c <= lows[n] / n ** k:
                     continue
-                rhs_hi = highs[n] * kfact / n ** k
-                if c > rhs_hi:
-                    witness = Witness(n, (f"k={k}", f"c={c}", f"bound<{rhs_hi}"))
-                    break
+                bound_hi = highs[n] / n ** k
+                if c > bound_hi:
+                    return Verdict.fails(window, witness(k, n, c, bound_hi))
                 unresolved = (k, n)
-                break
-            if witness or unresolved:
-                break
-        if witness:
-            return Verdict.fails(window, witness)
-        if unresolved is None:
-            return Verdict.holds(window)
-        bits *= 2
+                return None
+        return Verdict.holds(window)
+
+    verdict = refine(decide, cfg)
+    if verdict is not None:
+        return verdict
     k, n = unresolved
     return Verdict.inconclusive(
         window, Trend(note=f"pair k={k}, n={n} unresolved at the precision cap")
     )
+
+
+def lemma1_check(
+    k_max: int, n_max: int, cfg: ScalarConfig = DEFAULT_CONFIG
+) -> Verdict:
+    """Certified sweep of c_{k,n} <= (2e)**n * k! / n**k over the bounds."""
+
+    def witness(k, n, c, bound_hi):
+        kfact = factorial(k)
+        return Witness(n, (f"k={k}", f"c={c * kfact}", f"bound<{bound_hi * kfact}"))
+
+    return _scaled_power_sweep(_log_series(n_max), k_max, n_max, cfg, witness)
 
 
 def root_series_coefficients(p: int, order: int) -> TruncatedPowerSeries:
@@ -247,37 +267,9 @@ def b_coefficient_bound_check(
     p: int, k_max: int, n_max: int, cfg: ScalarConfig = DEFAULT_CONFIG
 ) -> Verdict:
     """Certified |b_n| <= (2e)**n / n**k for 1 <= k <= k_max, n <= n_max."""
-    window = (1, n_max)
-    bits = cfg.bits
-    for attempt in range(cfg.max_doublings + 1):
-        lows, highs = _two_e_powers(n_max, bits)
-        root = _binomial_root_series(p, n_max)
-        power = root
-        unresolved = None
-        witness = None
-        for k in range(1, k_max + 1):
-            if k > 1:
-                power = power * root
-            inv_kfact = Fraction(1, factorial(k))
-            for n in range(1, n_max + 1):
-                b = abs(power.coeff(n) * inv_kfact)
-                if b <= lows[n] / n ** k:
-                    continue
-                if b > highs[n] / n ** k:
-                    witness = Witness(n, (f"k={k}", f"|b|={b}"))
-                    break
-                unresolved = (k, n)
-                break
-            if witness or unresolved:
-                break
-        if witness:
-            return Verdict.fails(window, witness)
-        if unresolved is None:
-            return Verdict.holds(window)
-        bits *= 2
-    k, n = unresolved
-    return Verdict.inconclusive(
-        window, Trend(note=f"pair k={k}, n={n} unresolved at the precision cap")
+    return _scaled_power_sweep(
+        _binomial_root_series(p, n_max), k_max, n_max, cfg,
+        lambda k, n, b, bound_hi: Witness(n, (f"k={k}", f"|b|={b}")),
     )
 
 
@@ -369,20 +361,21 @@ def lemma2_check(
             for n in range(k, n_max + 1):
                 b_n = power.coeff(n) * inv_kfact
                 for x in xs:
-                    bits = cfg.bits
-                    verdict = None
-                    for _ in range(cfg.max_doublings + 1):
+
+                    def decide(bits: int) -> Optional[bool]:
                         lhs, rhs = _alpha_bound_pair(p, k, n, b_n, x, bits)
                         if lhs.hi <= rhs.lo:
-                            verdict = True
-                            break
+                            return True
                         if lhs.lo > rhs.hi:
-                            return Verdict.fails(
-                                window,
-                                Witness(n, (f"p={p}", f"k={k}", f"x={x}")),
-                            )
-                        bits *= 2
-                    if verdict is None:
+                            return False
+                        return None
+
+                    holds = refine(decide, cfg)
+                    if holds is False:
+                        return Verdict.fails(
+                            window, Witness(n, (f"p={p}", f"k={k}", f"x={x}"))
+                        )
+                    if holds is None:
                         return Verdict.inconclusive(
                             window,
                             Trend(
@@ -407,15 +400,16 @@ def stirling_ineq_check(
     m = p * n - k
     lhs = n ** m  # cleared form: n**m <= m! * e**(p n)
     fact = factorial(m)
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
+
+    def decide(bits: int) -> Optional[Verdict]:
         e = iv_e(bits)
         if lhs <= fact * e.lo ** (p * n):
             return Verdict.holds(window)
         if lhs > fact * e.hi ** (p * n):
             return Verdict.fails(window, Witness(n, (f"p={p}", f"k={k}")))
-        bits *= 2
-    return Verdict.inconclusive(
+        return None
+
+    return refine(decide, cfg) or Verdict.inconclusive(
         window, Trend(note=f"p={p}, n={n}, k={k} unresolved at the precision cap")
     )
 
@@ -465,11 +459,12 @@ def stirling_factorial_bounds_check(
     if n_max < 2:
         raise ValueError("two-sided factorial sweep needs n_max >= 2")
     window = (2, n_max)
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
+    unresolved = None
+
+    def decide(bits: int) -> Optional[Verdict]:
+        nonlocal unresolved
         e = iv_e(bits)
         pi = iv_pi(bits)
-        ok = True
         for n in range(2, n_max + 1):
             fact = factorial(n)
             nn = Fraction(n ** n)
@@ -477,13 +472,12 @@ def stirling_factorial_bounds_check(
             # upper side written as sqrt(n) n**n e**(1-n) to cancel one e
             upper_lo = iv_sqrt(Interval.point(n), bits).lo * nn / e.hi ** (n - 1)
             if not (lower_hi < fact < upper_lo):
-                ok = False
-                break
-        if ok:
-            return Verdict.holds(window)
-        bits *= 2
-    return Verdict.inconclusive(
-        window, Trend(note=f"factorial bounds unresolved near n={n}")
+                unresolved = n
+                return None
+        return Verdict.holds(window)
+
+    return refine(decide, cfg) or Verdict.inconclusive(
+        window, Trend(note=f"factorial bounds unresolved near n={unresolved}")
     )
 
 

@@ -106,8 +106,7 @@ def quasianalytic_verdict(
             provenance="constant weights: the Carleman sum is the divergent harmonic series",
         )
     if isinstance(base, Gevrey):
-        return Verdict(
-            "fails",
+        return Verdict.fails(
             window,
             scope="global",
             provenance=(
@@ -131,8 +130,7 @@ def quasianalytic_verdict(
                     "keep a divergent Carleman sum"
                 ),
             )
-        return Verdict(
-            "fails",
+        return Verdict.fails(
             window,
             scope="global",
             provenance=(

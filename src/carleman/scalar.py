@@ -16,11 +16,10 @@ representations; floats never feed a certified comparison.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 import mpmath
 from mpmath import libmp
@@ -435,6 +434,24 @@ def make_scalar(
 
 EnclosureFn = Callable[[int], Interval]
 
+T = TypeVar("T")
+
+
+def refine(decide: Callable[[int], Optional[T]], cfg: ScalarConfig) -> Optional[T]:
+    """The precision-refinement ladder behind every certified decision.
+
+    Calls ``decide(bits)`` at bits = cfg.bits, 2 cfg.bits, 4 cfg.bits, ...,
+    doubling at most ``max_doublings`` times, and returns the first result
+    that is not None; None when every attempt stayed undecided.
+    """
+    bits = cfg.bits
+    for _ in range(cfg.max_doublings + 1):
+        result = decide(bits)
+        if result is not None:
+            return result
+        bits *= 2
+    return None
+
 
 def refine_sign(diff: EnclosureFn, cfg: ScalarConfig) -> Optional[int]:
     """Certified sign of a quantity given by enclosures, refining precision.
@@ -442,8 +459,8 @@ def refine_sign(diff: EnclosureFn, cfg: ScalarConfig) -> Optional[int]:
     Returns -1, 0 (only for an exact zero-width enclosure) or +1; None when
     the sign stays unresolved after ``max_doublings`` refinements.
     """
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
+
+    def decide(bits: int) -> Optional[int]:
         d = diff(bits)
         if d.hi < 0:
             return -1
@@ -451,52 +468,9 @@ def refine_sign(diff: EnclosureFn, cfg: ScalarConfig) -> Optional[int]:
             return 1
         if d.lo == d.hi == 0:
             return 0
-        bits *= 2
-    return None
+        return None
 
-
-def certified_le(lhs: EnclosureFn, rhs: EnclosureFn, cfg: ScalarConfig) -> Optional[bool]:
-    """Certified `lhs <= rhs`; None when unresolved at the precision cap."""
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
-        a = lhs(bits)
-        b = rhs(bits)
-        if a.hi <= b.lo:
-            return True
-        if a.lo > b.hi:
-            return False
-        bits *= 2
-    return None
-
-
-def certified_lt(lhs: EnclosureFn, rhs: EnclosureFn, cfg: ScalarConfig) -> Optional[bool]:
-    """Certified strict `lhs < rhs`; None when unresolved."""
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
-        a = lhs(bits)
-        b = rhs(bits)
-        if a.hi < b.lo:
-            return True
-        if a.lo >= b.hi:
-            return False
-        bits *= 2
-    return None
-
-
-class _SyncedCache:
-    """A tiny thread-safe memo table (results must be deterministic)."""
-
-    def __init__(self):
-        self._data = {}
-        self._lock = threading.Lock()
-
-    def get_or_compute(self, key, compute):
-        with self._lock:
-            if key in self._data:
-                return self._data[key]
-        value = compute()
-        with self._lock:
-            return self._data.setdefault(key, value)
+    return refine(decide, cfg)
 
 
 def decimal_str(q: Fraction, digits: int, direction: str) -> str:

@@ -30,13 +30,13 @@ from .scalar import (
     RationalLike,
     Scalar,
     ScalarConfig,
-    _SyncedCache,
     _as_fraction,
     factorial,
     iv_e,
     iv_exp,
     iv_log,
     make_scalar,
+    refine,
     refine_sign,
 )
 
@@ -91,8 +91,10 @@ class Verdict:
     """Three-valued certified outcome over an index window.
 
     A Holds with scope ``global`` was established by a family oracle; scope
-    ``window`` covers only the checked range.  Fails always carries a witness
-    reproducible by re-evaluation.
+    ``window`` covers only the checked range.  A Fails built by ``fails``
+    carries either a witness reproducible by re-evaluation or, for a Fails
+    established by a family oracle, scope ``global`` with the oracle's
+    provenance.
     """
 
     outcome: str
@@ -107,8 +109,12 @@ class Verdict:
         return cls(HOLDS, tuple(window), scope, provenance=provenance)
 
     @classmethod
-    def fails(cls, window, witness: Witness, provenance=None) -> "Verdict":
-        return cls(FAILS, tuple(window), SCOPE_WINDOW, witness=witness, provenance=provenance)
+    def fails(
+        cls, window, witness: Optional[Witness] = None, provenance=None, scope=SCOPE_WINDOW
+    ) -> "Verdict":
+        if witness is None and not (scope == SCOPE_GLOBAL and provenance):
+            raise ValueError("a Fails needs a witness, or global scope with a provenance")
+        return cls(FAILS, tuple(window), scope, witness=witness, provenance=provenance)
 
     @classmethod
     def inconclusive(cls, window, trend: Optional[Trend] = None, provenance=None) -> "Verdict":
@@ -149,8 +155,8 @@ class WeightSequence:
     one exists (used for exact certified comparisons)."""
 
     def __init__(self):
-        self._exact_cache = _SyncedCache()
-        self._enclosure_cache = _SyncedCache()
+        self._exact_cache = {}
+        self._enclosure_cache = {}
 
     # -- representation hooks ------------------------------------------------
 
@@ -171,7 +177,10 @@ class WeightSequence:
 
     def exact(self, n: int) -> Optional[Fraction]:
         self._validate_index(n)
-        return self._exact_cache.get_or_compute(n, lambda: self._exact(n))
+        cache = self._exact_cache
+        if n not in cache:
+            cache[n] = self._exact(n)
+        return cache[n]
 
     def as_root(self, n: int) -> Optional[RootRep]:
         self._validate_index(n)
@@ -179,9 +188,10 @@ class WeightSequence:
 
     def enclosure(self, n: int, bits: int) -> Interval:
         self._validate_index(n)
-        return self._enclosure_cache.get_or_compute(
-            (n, bits), lambda: self._enclosure(n, bits)
-        )
+        cache = self._enclosure_cache
+        if (n, bits) not in cache:
+            cache[n, bits] = self._enclosure(n, bits)
+        return cache[n, bits]
 
     def _validate_index(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -261,14 +271,18 @@ def default_shift(k: int, cfg: ScalarConfig = DEFAULT_CONFIG) -> int:
         raise SequenceError(
             "the tower value for k > 3 has millions of digits; pass an explicit offset"
         )
-    bits = cfg.bits
-    for _ in range(cfg.max_doublings + 1):
+
+    def decide(bits: int) -> Optional[int]:
         enc = _tetration_e(k, bits)
         m = math.floor(enc.lo)
         if enc.lo > m and enc.hi < m + 1:
             return m + 1
-        bits *= 2
-    raise SequenceError(f"could not certify the integer part of the k={k} tower")
+        return None
+
+    shift = refine(decide, cfg)
+    if shift is None:
+        raise SequenceError(f"could not certify the integer part of the k={k} tower")
+    return shift
 
 
 class IteratedLog(WeightSequence):
@@ -295,24 +309,23 @@ class IteratedLog(WeightSequence):
         self._validate_shift(cfg)
 
     def _validate_shift(self, cfg: ScalarConfig):
-        bits = cfg.bits
-        for _ in range(cfg.max_doublings + 1):
+        def decide(bits: int) -> Optional[bool]:
             try:
                 base = _log_chain(self.shift, self.k, bits)
             except ValueError as exc:
                 raise SequenceError(
                     f"offset {self.shift} leaves the {self.k}-fold log undefined"
                 ) from exc
-            if base.lo > 0:
-                return
             if base.hi <= 0:
                 raise SequenceError(
                     f"offset {self.shift} makes the {self.k}-fold log nonpositive"
                 )
-            bits *= 2
-        raise SequenceError(
-            f"could not certify positivity of the {self.k}-fold log at offset {self.shift}"
-        )
+            return True if base.lo > 0 else None
+
+        if refine(decide, cfg) is None:
+            raise SequenceError(
+                f"could not certify positivity of the {self.k}-fold log at offset {self.shift}"
+            )
 
     def has_default_shift(self) -> bool:
         return self._default_shift
@@ -562,11 +575,8 @@ def is_log_convex(
         raise ValueError("which must be 'base' or 'derived'")
     a, b = _check_window(window, min_start=1)
     for n in range(a, b + 1):
-        if which == "base":
-            ls, rs = Fraction(1), Fraction(1)
-        else:
-            ls = Fraction(factorial(n)) ** 2
-            rs = Fraction(factorial(n - 1)) * factorial(n + 1)
+        # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
+        ls, rs = (1, 1) if which == "base" else (n, n + 1)
         sign = compare_products(
             [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], cfg, ls, rs
         )

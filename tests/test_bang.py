@@ -58,6 +58,14 @@ def test_cp_at_zero_is_exact():
             assert cp_derivative(p, 1, 0, ScalarConfig(mode="exact")).fraction() == 0
 
 
+def test_cp_tail_points_with_the_term_signs():
+    # even p, x < 0, odd n: every series term is negative
+    mpmath.mp.prec = 1024
+    for bits in (16, 64, 256):
+        enc = CpModel(2).derivative_enclosure(1, F(-1, 2), bits)
+        assert _contains_mpf(enc, mpmath.sinh(mpmath.mpf(-1) / 2))
+
+
 def test_cp_derivative_periodicity():
     # C_p^(n+p) == C_p^(n) within combined enclosure widths
     for p in (2, 3):
@@ -230,6 +238,15 @@ def test_class_norm_exp_model():
     e = iv_e(128)
     assert out.overlaps(e)
     assert out.hi <= e.hi * F(101, 100)
+
+
+def test_class_norm_cp_model_beyond_unit_interval():
+    # cp(2) = cosh on [0, 3], unit weights, r = 1: the sup is cosh(3) at n = 0
+    mpmath.mp.prec = 1024
+    for bits in (16, 128):
+        cfg = ScalarConfig(mode="interval", bits=bits)
+        out = class_norm(CpModel(2), Gevrey(0), (F(0), F(3)), F(1), 2, 4, cfg).interval()
+        assert _contains_mpf(out, mpmath.cosh(3))
 
 
 def test_class_norm_bang_model_bounded_by_two():

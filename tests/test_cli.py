@@ -182,6 +182,13 @@ def test_main_bad_spec_exit_code(capsys):
     assert rc == 3
 
 
+def test_main_arithmetic_refusal_exit_code(capsys):
+    rc = main(["seq", "show", "--seq", "iterlog(2)", "--mode", "exact"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_main_verify_subset_and_emit(tmp_path, capsys):
     out = tmp_path / "r.csv"
     rc = main([

@@ -10,8 +10,6 @@ from carleman.scalar import (
     RangeError,
     Scalar,
     ScalarConfig,
-    certified_le,
-    certified_lt,
     decimal_str,
     exact_nth_root,
     int_nth_root_floor,
@@ -23,6 +21,7 @@ from carleman.scalar import (
     iv_pow,
     iv_sin,
     make_scalar,
+    refine,
     refine_sign,
 )
 
@@ -126,11 +125,24 @@ def test_refine_sign_and_comparisons():
     target = F(2718281828459045, 10 ** 15)
     sign = refine_sign(lambda bits: iv_e(bits) - target, cfg)
     assert sign == 1
-    assert certified_le(lambda b: Interval.point(1), lambda b: iv_e(b), cfg) is True
-    assert certified_lt(lambda b: iv_e(b), lambda b: Interval.point(3), cfg) is True
-    assert certified_le(lambda b: iv_e(b), lambda b: Interval.point(2), cfg) is False
+    assert refine_sign(lambda b: Interval.point(1) - iv_e(b), cfg) == -1
+    assert refine_sign(lambda b: iv_e(b) - Interval.point(3), cfg) == -1
+    assert refine_sign(lambda b: iv_e(b) - Interval.point(2), cfg) == 1
+    assert refine_sign(lambda b: Interval.point(F(1, 3)) - F(1, 3), cfg) == 0
     # identical transcendental quantities never resolve: None at the cap
-    assert certified_lt(lambda b: iv_e(b), lambda b: iv_e(b), cfg) is None
+    assert refine_sign(lambda b: iv_e(b) - iv_e(b), cfg) is None
+
+
+def test_refine_doubles_until_decided_or_capped():
+    for d in (0, 3):
+        seen = []
+        assert refine(lambda bits: seen.append(bits), ScalarConfig(bits=64, max_doublings=d)) is None
+        assert seen == [64 * 2 ** i for i in range(d + 1)]
+    # the first result that is not None wins, falsy ones included
+    seen = []
+    assert refine(lambda bits: seen.append(bits) or (False if bits == 256 else None),
+                  ScalarConfig(bits=64, max_doublings=5)) is False
+    assert seen == [64, 128, 256]
 
 
 def test_scalar_modes():

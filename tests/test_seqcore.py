@@ -12,6 +12,8 @@ from carleman.seqcore import (
     IteratedLog,
     PowerSub,
     SequenceError,
+    Verdict,
+    Witness,
     build_iterated_log,
     default_shift,
     derived_value,
@@ -100,6 +102,16 @@ def test_log_convex_base_implies_derived():
         win = (1, 2) if isinstance(seq, Custom) else (1, 16)
         if is_log_convex(seq, win, "base").ok:
             assert is_log_convex(seq, win, "derived").ok
+
+
+def test_verdict_fails_requires_witness_or_global_provenance():
+    assert Verdict.fails((0, 3), Witness(2)).witness.index == 2
+    oracle = Verdict.fails((0, 3), scope="global", provenance="family oracle")
+    assert oracle.outcome == "fails" and oracle.witness is None
+    with pytest.raises(ValueError):
+        Verdict.fails((0, 3))
+    with pytest.raises(ValueError):
+        Verdict.fails((0, 3), scope="global")
 
 
 def test_build_iterated_log_shifts():
