@@ -34,9 +34,8 @@ from .scalar import (
     ScalarConfig,
     _as_fraction,
     factorial,
-    iv_cos,
+    iv_cos_sin,
     iv_e,
-    iv_sin,
     make_scalar,
     refine,
 )
@@ -162,6 +161,58 @@ def cp_bound_check(
     return Verdict.holds(window)
 
 
+# -- exact dyadic term arithmetic -------------------------------------------------
+
+Dyadic = Tuple[int, int, int]  # the interval [lo * 2**exp, hi * 2**exp], lo <= hi
+
+
+def _dyadic(iv: Interval) -> Dyadic:
+    """Integer mantissas at a common binary exponent for an interval whose
+    endpoints are dyadic rationals; any other endpoint raises."""
+    ends = []
+    for q in (iv.lo, iv.hi):
+        d = q.denominator
+        if d & (d - 1):
+            raise ValueError(f"interval endpoint {q} is not a dyadic rational")
+        ends.append((q.numerator, 1 - d.bit_length()))
+    (lo, elo), (hi, ehi) = ends
+    e = min(elo, ehi)
+    return lo << (elo - e), hi << (ehi - e), e
+
+
+def _dyadic_interval(lo: int, hi: int, e: int) -> Interval:
+    if e >= 0:
+        return Interval(Fraction(lo << e), Fraction(hi << e))
+    return Interval(Fraction(lo, 1 << -e), Fraction(hi, 1 << -e))
+
+
+def _dyadic_neg(x: Dyadic) -> Dyadic:
+    lo, hi, e = x
+    return -hi, -lo, e
+
+
+def _dyadic_mul(x: Dyadic, y: Dyadic) -> Dyadic:
+    """Exact product, with the endpoint cases of ``Interval.__mul__``."""
+    (a, b, e), (c, d, f) = x, y
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d, e + f
+        if d <= 0:
+            return b * c, a * d, e + f
+        return b * c, b * d, e + f
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c, e + f
+        if d <= 0:
+            return b * d, a * c, e + f
+        return a * d, a * c, e + f
+    if c >= 0:
+        return a * d, b * d, e + f
+    if d <= 0:
+        return b * c, a * c, e + f
+    return min(a * d, b * c), max(a * c, b * d), e + f
+
+
 # -- Bang-type series -------------------------------------------------------------
 
 
@@ -268,11 +319,13 @@ class BangFunction:
             self._enc_cache[key] = iv.outward(bits + 8)
         return self._enc_cache[key]
 
-    def _trig(self, k: int, xi: Fraction, bits: int) -> Tuple[Interval, Interval]:
-        key = (k, xi, bits)
+    def _trig(self, k: int, xi: Fraction, bits: int) -> Tuple[Dyadic, Dyadic]:
+        # integer key parts: hashing a Fraction costs a modular inverse
+        key = (k, xi.numerator, xi.denominator, bits)
         if key not in self._trig_cache:
             arg = self._ratio(k, bits) * (2 * xi)
-            self._trig_cache[key] = iv_cos(arg, bits), iv_sin(arg, bits)
+            c, s = iv_cos_sin(arg, bits)
+            self._trig_cache[key] = _dyadic(c), _dyadic(s)
         return self._trig_cache[key]
 
     def relative_tail(self, n: int) -> Fraction:
@@ -288,37 +341,46 @@ class BangFunction:
         )
 
 
-def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Interval:
+def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Dyadic:
     """M'_k (2 m_k)**(n-k), compressed; independent of the evaluation point."""
 
     key = ("coef", n, k, bits)
     if key not in B._enc_cache:
         # compress after the power: (2 m_k)**(n-k) has k-scaled denominators
         powed = (B._ratio(k, bits) * 2).pow_int(n - k).outward(bits + 8)
-        B._enc_cache[key] = (B._mprime(k, bits) * powed).outward(bits + 8)
+        B._enc_cache[key] = _dyadic((B._mprime(k, bits) * powed).outward(bits + 8))
     return B._enc_cache[key]
 
 
 def _bang_sum(B: BangFunction, n: int, xi: Fraction, bits: int) -> Interval:
+    """Exact sum of the term enclosures of order n at xi.
+
+    Every term is a product of dyadic endpoints, so the endpoint sums are
+    integer sums at the smallest exponent among the terms."""
     r = n % 4
-    total = Interval.point(0)
+    terms = []
     for k in range(B.K + 1):
         if B.variant == "cos":
             if xi == 0:
                 osc = (1, 0, -1, 0)[r]
                 if osc == 0:
                     continue
-                term = _bang_coef(B, n, k, bits) * osc
+                coef = _bang_coef(B, n, k, bits)
+                terms.append(coef if osc > 0 else _dyadic_neg(coef))
             else:
                 c, s = B._trig(k, xi, bits)
-                osc = (c, -s, -c, s)[r]
-                term = _bang_coef(B, n, k, bits) * osc
+                osc = (c, _dyadic_neg(s), _dyadic_neg(c), s)[r]
+                terms.append(_dyadic_mul(_bang_coef(B, n, k, bits), osc))
         else:
             if n % B.p != 0:
                 continue
-            term = _bang_coef(B, n, k, bits)
-        total = total + term
-    return total
+            terms.append(_bang_coef(B, n, k, bits))
+    if not terms:
+        return Interval.point(0)
+    e0 = min(e for _, _, e in terms)
+    lo = sum(t_lo << (e - e0) for t_lo, _, e in terms)
+    hi = sum(t_hi << (e - e0) for _, t_hi, e in terms)
+    return _dyadic_interval(lo, hi, e0)
 
 
 def bang_derivative(

@@ -190,7 +190,7 @@ def _parse_window(text: str) -> Tuple[int, int]:
 # -- RunConfig loading ---------------------------------------------------------------
 
 _INT_FIELDS = {
-    "precision", "k_max", "n_max", "seed", "digits",
+    "precision", "k_max", "n_max", "b_k_max", "b_n_max", "seed", "digits",
     "corollary_k_max", "corollary_n_max", "lemma2_n_max", "stirling_n_max",
     "bang_cos_n_max", "bang_cp_n_max", "bang_cp_p", "envelope_n_max",
     "envelope_grid", "cp_p_max", "cp_grid", "remainder_cases",
@@ -534,7 +534,10 @@ def _bang_from_args(args, config: RunConfig) -> BangFunction:
 def _cmd_bang_build(args, config: RunConfig) -> int:
     try:
         B = _bang_from_args(args, config)
-    except (SequenceError, PrecisionError) as exc:
+    except PrecisionError as exc:
+        print(f"INCONCLUSIVE   bang-build  (construction gate: {exc})")
+        return EXIT_INCONCLUSIVE
+    except SequenceError as exc:
         print(f"FAILS          bang-build  (construction gate: {exc})")
         return EXIT_FAILS
     print(f"HOLDS          bang-build  {B.describe()}")
@@ -559,10 +562,12 @@ def _cmd_bang_bounds(args, config: RunConfig) -> int:
     try:
         B = _bang_from_args(args, config)
     except (SequenceError, PrecisionError) as exc:
+        # an unresolved gate (PrecisionError) is no certified failure
+        verdict = "inconclusive" if isinstance(exc, PrecisionError) else "fails"
         records = [
             Record(
                 id="bang-lower-bound", anchor="|F^(pn)(0)| >= M'_pn",
-                verdict="fails", witness=f"construction gate: {exc}",
+                verdict=verdict, witness=f"construction gate: {exc}",
                 lower="", upper="", seconds=0.0,
             )
         ]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Optional, Tuple, TypeVar, Union
 
 import mpmath
 from mpmath import libmp
@@ -61,7 +61,8 @@ def _mp_ctx(bits: int) -> "mpmath.ctx_mp.MPContext":
 
 
 def _as_fraction(v: RationalLike) -> Fraction:
-    if isinstance(v, Fraction):
+    # the exact type test skips the ABC machinery behind isinstance(v, Fraction)
+    if type(v) is Fraction or isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
@@ -80,7 +81,27 @@ def _fraction_from_mpf_tuple(t) -> Fraction:
 
 
 def _rounded_tuple(q: Fraction, bits: int, rnd: str):
-    return libmp.from_rational(q.numerator, q.denominator, bits, rnd)
+    """q as an mpf tuple with a ``bits``-bit mantissa, rounded by ``rnd``.
+
+    Floor ('f') and ceiling ('c') are computed here in integer arithmetic:
+    the directed rounding is unique, so the tuple is the one mpmath returns,
+    without its byte-by-byte trailing-zero scan of the unrounded operands.
+    """
+    p, d = q.numerator, q.denominator
+    if rnd not in ("f", "c") or p == 0:
+        return libmp.from_rational(p, d, bits, rnd)
+    # |q| 2**s lies strictly between 2**(bits-1) and 2**(bits+1)
+    s = bits - abs(p).bit_length() + d.bit_length()
+    man, rem = divmod(abs(p) << s, d) if s >= 0 else divmod(abs(p), d << -s)
+    if man >> bits:
+        s -= 1
+        rem = rem or man & 1
+        man >>= 1
+    if rem and (p < 0) == (rnd == "f"):
+        man += 1  # away from zero: floor of a negative, ceiling of a positive
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (int(p < 0), libmp.MPZ(man), zeros - s, man.bit_length())
 
 
 def int_nth_root_floor(x: int, n: int) -> int:
@@ -287,6 +308,15 @@ iv_log = _unary("log")
 iv_cos = _unary("cos")
 iv_sin = _unary("sin")
 iv_sqrt = _unary("sqrt")
+
+
+def iv_cos_sin(x: Union[Interval, RationalLike], bits: int) -> Tuple[Interval, Interval]:
+    """``(iv_cos(x, bits), iv_sin(x, bits))`` from one argument reduction:
+    mpmath computes both parts of each in one ``mpi_cos_sin`` call."""
+    iv = x if isinstance(x, Interval) else Interval.point(x)
+    ctx = _iv_ctx(bits)
+    c, s = libmp.mpi_cos_sin(_to_iv(ctx, iv)._mpi_, ctx.prec)
+    return _from_iv(ctx.make_mpf(c)), _from_iv(ctx.make_mpf(s))
 
 
 def iv_e(bits: int) -> Interval:

@@ -156,6 +156,7 @@ class WeightSequence:
 
     def __init__(self):
         self._exact_cache = {}
+        self._root_cache = {}
         self._enclosure_cache = {}
 
     # -- representation hooks ------------------------------------------------
@@ -183,8 +184,14 @@ class WeightSequence:
         return cache[n]
 
     def as_root(self, n: int) -> Optional[RootRep]:
+        cache = self._root_cache
+        # only validated indices are stored; the type test keeps 1.0 off the
+        # entry for 1
+        if type(n) is int and n in cache:
+            return cache[n]
         self._validate_index(n)
-        return self._root(n)
+        rep = cache[n] = self._root(n)
+        return rep
 
     def enclosure(self, n: int, bits: int) -> Interval:
         self._validate_index(n)
@@ -426,11 +433,16 @@ class Custom(WeightSequence):
 Factor = Tuple[WeightSequence, int, int]  # (sequence, index, positive exponent)
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
+def _int_power_product(
+    scale: Fraction, den: int, factors: Sequence[Factor], roots: Sequence[RootRep]
+) -> Tuple[int, int]:
+    """Numerator and denominator of scale**den * prod q**(e den / d), unreduced."""
+    num, dnm = scale.numerator ** den, scale.denominator ** den
+    for (_, _, e), (q, d) in zip(factors, roots):
+        k = e * den // d
+        num *= q.numerator ** k
+        dnm *= q.denominator ** k
+    return num, dnm
 
 
 def compare_products(
@@ -449,18 +461,17 @@ def compare_products(
     """
     ls = _as_fraction(lhs_scale)
     rs = _as_fraction(rhs_scale)
-    if ls <= 0 or rs <= 0:
+    if ls.numerator <= 0 or rs.numerator <= 0:
         raise ValueError("comparison scales must be positive")
     roots_l = [seq.as_root(n) for seq, n, _ in lhs]
     roots_r = [seq.as_root(n) for seq, n, _ in rhs]
-    if all(r is not None for r in roots_l + roots_r):
-        den = _lcm([r[1] for r in roots_l + roots_r] or [1])
-        left = ls ** den
-        for (seq, n, e), (q, d) in zip(lhs, roots_l):
-            left *= q ** (e * den // d)
-        right = rs ** den
-        for (seq, n, e), (q, d) in zip(rhs, roots_r):
-            right *= q ** (e * den // d)
+    if None not in roots_l and None not in roots_r:
+        # raise both sides to the common root degree, then cross-multiply the
+        # integer numerators and denominators: no gcd reductions on the way
+        den = math.lcm(*[d for _, d in roots_l], *[d for _, d in roots_r])
+        ln, ld = _int_power_product(ls, den, lhs, roots_l)
+        rn, rd = _int_power_product(rs, den, rhs, roots_r)
+        left, right = ln * rd, rn * ld
         return (left > right) - (left < right)
 
     def diff(bits: int) -> Interval:

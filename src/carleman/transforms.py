@@ -120,7 +120,7 @@ class Regularized(WeightSequence):
     def _exact(self, n: int) -> Optional[Fraction]:
         if n in self._vertex_set:
             return self.base.exact(n)
-        rep = self._root(n)
+        rep = self.as_root(n)
         if rep is None:
             return None
         q, d = rep
@@ -141,7 +141,7 @@ class Regularized(WeightSequence):
     def _enclosure(self, n: int, bits: int) -> Interval:
         if n in self._vertex_set:
             return self.base.enclosure(n, bits)
-        rep = self._root(n)
+        rep = self.as_root(n)
         if rep is not None:
             q, d = rep
             exact = exact_nth_root(q, d) if d > 1 else q

@@ -61,6 +61,8 @@ class RunConfig:
     window: Tuple[int, int] = (1, 64)
     k_max: int = 40
     n_max: int = 40
+    b_k_max: int = 10
+    b_n_max: int = 30
     p_set: Tuple[int, ...] = (2, 3, 5)
     x_grid: Tuple[Fraction, ...] = (
         Fraction(1, 4),
@@ -177,10 +179,12 @@ def _a_bound(config: RunConfig) -> CheckOutcome:
 @_check("b-coefficient-bound", "|b_n| <= (2e)**n / n**k")
 def _b_bound(config: RunConfig) -> CheckOutcome:
     for p in config.p_set:
-        v = b_coefficient_bound_check(p, 10, 30, config.sweep_config())
+        v = b_coefficient_bound_check(
+            p, config.b_k_max, config.b_n_max, config.sweep_config()
+        )
         if not v.ok:
             return _outcome(v)
-    return _outcome(Verdict.holds((1, 30)))
+    return _outcome(Verdict.holds((1, config.b_n_max)))
 
 
 @_check(
@@ -554,7 +558,7 @@ def _clamp_to_window(config: RunConfig) -> RunConfig:
     clamped = {
         name: min(getattr(config, name), max(2, top))
         for name in (
-            "k_max", "n_max", "corollary_k_max", "corollary_n_max",
+            "k_max", "n_max", "b_k_max", "b_n_max", "corollary_k_max", "corollary_n_max",
             "lemma2_n_max", "stirling_n_max", "bang_cos_n_max",
             "bang_cp_n_max", "envelope_n_max", "transform_window", "germ_n_max",
         )

@@ -20,11 +20,13 @@ default configuration, which pins exactly these bounds:
 11. induced-germ lower bound n! M'_pn/(pn)! <= |f^(n)(0)| for n <= 8, p in {2,3}
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
 import pytest
 
+from carleman.cli import report_to_csv_text
 from carleman.comb import composition_sum_oracle, log_power_coefficients
 from carleman.verify import RunConfig, run_checks
 
@@ -32,11 +34,18 @@ F = Fraction
 
 CONFIG = RunConfig()
 
+# sha256 of `carleman verify --format csv` at the default configuration
+VERIFY_CSV_SHA256 = "b26925b771aa03c326f041e75e8d1bf4eeb4b52b09e33135026d42547a671882"
+
 
 @pytest.fixture(scope="module")
-def suite_records():
-    report = run_checks(CONFIG)
-    return {r.id: r for r in report.records}
+def suite_report():
+    return run_checks(CONFIG)
+
+
+@pytest.fixture(scope="module")
+def suite_records(suite_report):
+    return {r.id: r for r in suite_report.records}
 
 
 def _criterion(num, label, records, ids):
@@ -130,3 +139,14 @@ def test_criterion_11_induced_germ_bound(suite_records):
 
 def test_suite_exit_contract(suite_records):
     assert all(r.verdict == "holds" for r in suite_records.values())
+
+
+def test_verify_csv_is_byte_identical(suite_report):
+    """The default-config CSV report is pinned byte for byte.
+
+    A change that alters emitted bytes on purpose (a tighter enclosure, a new
+    check, a reworded witness) updates VERIFY_CSV_SHA256 and says in
+    CHANGES.md which records changed and why.
+    """
+    text = report_to_csv_text(suite_report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFY_CSV_SHA256

@@ -12,6 +12,8 @@ from carleman.bang import (
     GrowthEnvelope,
     PolynomialModel,
     PowerCompositeModel,
+    _bang_sum,
+    _dyadic,
     bang_derivative,
     bang_envelope_check,
     bang_lower_bound_certify,
@@ -22,7 +24,7 @@ from carleman.bang import (
     induced_f_derivative,
     theorem1_bound,
 )
-from carleman.scalar import Interval, ScalarConfig, factorial, iv_e
+from carleman.scalar import Interval, ScalarConfig, factorial, iv_cos, iv_e, iv_sin
 from carleman.seqcore import Custom, Gevrey, IteratedLog, SequenceError
 
 F = Fraction
@@ -286,3 +288,47 @@ def test_growth_envelope_validation():
     env = GrowthEnvelope(F(2), F(2), F(1), (F(-1), F(1)))
     b = env.bound(Gevrey(0), 3, 64)
     assert b.contains(2 * 8 * 6)
+
+
+# -- the exact integer term sum against the Interval reference ------------------------
+
+
+def _reference_bang_sum(B, n, xi, bits):
+    """The term sum in Fraction-endpoint Interval arithmetic, term by term."""
+    total = Interval.point(0)
+    for k in range(B.K + 1):
+        if B.variant == "cp" and n % B.p != 0:
+            continue
+        ratio_ = B._ratio(k, bits)
+        powed = (ratio_ * 2).pow_int(n - k).outward(bits + 8)
+        coef = (B._mprime(k, bits) * powed).outward(bits + 8)
+        if B.variant == "cp":
+            total = total + coef
+        elif xi == 0:
+            osc = (1, 0, -1, 0)[n % 4]
+            if osc:
+                total = total + coef * osc
+        else:
+            c, s = iv_cos(ratio_ * (2 * xi), bits), iv_sin(ratio_ * (2 * xi), bits)
+            total = total + coef * (c, -s, -c, s)[n % 4]
+    return total
+
+
+def test_bang_sum_endpoints_equal_the_interval_reference():
+    # a 2**-20 tail keeps K near 27, so the reference stays fast
+    tau = F(1, 2 ** 20)
+    cos_B = BangFunction(IteratedLog(2), p=2, max_order=5, tail_target=tau)
+    cp_B = BangFunction(IteratedLog(2), p=3, variant="cp", max_order=6, tail_target=tau)
+    cases = [(cos_B, n, xi) for n in range(6) for xi in (F(0), F(-1), F(-1, 3), F(1, 2), F(1))]
+    cases += [(cp_B, n, F(0)) for n in (0, 2, 3, 6)]
+    for bits in (128, 256):
+        for B, n, xi in cases:
+            got = _bang_sum(B, n, xi, bits)
+            ref = _reference_bang_sum(B, n, xi, bits)
+            assert (got.lo, got.hi) == (ref.lo, ref.hi), (B.variant, n, xi, bits)
+
+
+def test_dyadic_form_refuses_non_dyadic_endpoints():
+    assert _dyadic(Interval(F(-3, 4), F(5))) == (-3, 20, -2)
+    with pytest.raises(ValueError):
+        _dyadic(Interval(F(1, 3), F(1)))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from carleman import cli
 from carleman.cli import (
     ConfigError,
     build_run_config,
@@ -19,8 +20,9 @@ from carleman.cli import (
     report_to_csv_text,
     report_to_json_obj,
 )
+from carleman.scalar import PrecisionError
 from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub
-from carleman.verify import Record, Report, RunConfig, run_checks
+from carleman.verify import Record, Report, RunConfig, config_to_dict, run_checks
 
 F = Fraction
 
@@ -216,6 +218,30 @@ def test_main_bang_gate_failure_record(capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "construction gate" in out
+
+
+def test_main_bang_unresolved_gate_is_inconclusive(monkeypatch, capsys):
+    def unresolved(args, config):
+        raise PrecisionError("ratio monotonicity unresolved")
+
+    monkeypatch.setattr(cli, "_bang_from_args", unresolved)
+    for argv in (
+        ["bang", "build", "--seq", "iterlog(2)", "--p", "2"],
+        ["bang", "bounds", "--seq", "iterlog(2)", "--p", "2", "--n", "1"],
+    ):
+        rc = main(argv)
+        out = capsys.readouterr().out
+        assert rc == 2, argv
+        assert "INCONCLUSIVE" in out and "construction gate" in out
+        assert "FAILS" not in out
+
+
+def test_b_coefficient_bounds_are_configured():
+    cfg = config_to_dict(RunConfig())
+    assert (cfg["b_k_max"], cfg["b_n_max"]) == (10, 30)
+    small = run_checks(RunConfig(b_k_max=2, b_n_max=5), only=["b-coefficient-bound"])
+    assert small.records[0].verdict == "holds"
+    assert small.config["b_n_max"] == 5
 
 
 def test_main_criteria_inclusion_inconclusive_is_expected(capsys):

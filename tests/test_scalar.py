@@ -1,8 +1,10 @@
 """Interval/scalar arithmetic: exactness, soundness, directed rounding."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from mpmath import libmp
 
 from carleman.scalar import (
     ExactUnavailableError,
@@ -10,10 +12,12 @@ from carleman.scalar import (
     RangeError,
     Scalar,
     ScalarConfig,
+    _rounded_tuple,
     decimal_str,
     exact_nth_root,
     int_nth_root_floor,
     iv_cos,
+    iv_cos_sin,
     iv_e,
     iv_exp,
     iv_log,
@@ -189,3 +193,36 @@ def test_decimal_str_directed():
     assert decimal_str(F(-1, 3), 4, "up") == "-0.3333"
     assert decimal_str(F(5, 2), 1, "down") == "2.5"
     assert decimal_str(F(2), 0, "up") == "2"
+
+
+def test_iv_cos_sin_is_the_pair_of_iv_cos_and_iv_sin():
+    rng = random.Random(11)
+    args = [F(0), F(1, 3), Interval.point(0), Interval(F(-7), F(7))]
+    for _ in range(60):
+        lo = F(rng.randint(-4000, 4000), rng.randint(1, 500))
+        args.append(Interval(lo, lo + F(rng.randint(0, 3000), rng.randint(1, 500))))
+    for x in args:
+        for bits in (64, 128, 256):
+            assert iv_cos_sin(x, bits) == (iv_cos(x, bits), iv_sin(x, bits))
+
+
+def test_directed_rounding_matches_mpmath():
+    rng = random.Random(3)
+    values = [F(0), F(1), F(-1), F(1, 3), F(2 ** 300 - 1), F(-(2 ** 300 - 1), 7)]
+    # one bit too many, odd: the dropped last bit decides the rounding
+    values += [
+        s * F(2 ** b + 1, 2 ** e) for b in (8, 53, 137, 264) for s in (1, -1) for e in (0, 9)
+    ]
+    for _ in range(400):
+        sign = rng.choice((1, -1))
+        values += [
+            sign * F(rng.getrandbits(900) + 1, rng.getrandbits(rng.randint(1, 900)) + 1),
+            # integers and dyadics with long runs of trailing zero bits
+            sign * F(rng.getrandbits(400) << rng.randint(0, 1500), 1 << rng.randint(0, 1500)),
+            sign * F((1 << rng.randint(1, 300)) + rng.choice((-1, 1)), 3 ** rng.randint(0, 40)),
+        ]
+    for q in values:
+        for bits in (8, 53, 137, 264):
+            for rnd in ("f", "c"):
+                want = libmp.from_rational(q.numerator, q.denominator, bits, rnd)
+                assert _rounded_tuple(q, bits, rnd) == want, (q, bits, rnd)

@@ -1,5 +1,7 @@
 """Weight-sequence families, derived quantities, and certified predicates."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from carleman.seqcore import (
     Verdict,
     Witness,
     build_iterated_log,
+    compare_products,
     default_shift,
     derived_value,
     is_increasing,
@@ -22,6 +25,7 @@ from carleman.seqcore import (
     ratio,
     value,
 )
+from carleman.transforms import log_convex_regularization
 
 F = Fraction
 EXACT = ScalarConfig(mode="exact")
@@ -201,3 +205,61 @@ def test_interval_encloses_quadruple_precision_float():
 def test_value_index_validation():
     with pytest.raises(SequenceError):
         value(Analytic(), -1)
+
+
+def _reference_sign(lhs, rhs, ls=1, rs=1):
+    """The sign by Fraction products raised to the common root degree."""
+    roots_l = [seq.as_root(n) for seq, n, _ in lhs]
+    roots_r = [seq.as_root(n) for seq, n, _ in rhs]
+    den = 1
+    for _, d in roots_l + roots_r:
+        den = den * d // math.gcd(den, d)
+    left = F(ls) ** den
+    for (_, _, e), (q, d) in zip(lhs, roots_l):
+        left *= q ** (e * den // d)
+    right = F(rs) ** den
+    for (_, _, e), (q, d) in zip(rhs, roots_r):
+        right *= q ** (e * den // d)
+    return (left > right) - (left < right)
+
+
+def _random_factors(rng, seq, top, count):
+    return [(seq, rng.randint(0, top), rng.randint(1, 4)) for _ in range(count)]
+
+
+def test_compare_products_exact_branch_matches_fraction_reference():
+    rng = random.Random(5)
+    N = 12
+    tables = [
+        Custom(table=[1] + [F(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(N)])
+        for _ in range(6)
+    ]
+    regs = [log_convex_regularization(t, (0, N)) for t in tables]
+    assert any(reg.as_root(n)[1] > 1 for reg in regs for n in range(N + 1))
+    seqs = tables + regs + [Gevrey(F(1, 2)), Gevrey(F(2, 3))]
+    signs = set()
+    for seq in seqs:
+        for _ in range(40):
+            lhs = _random_factors(rng, seq, N, rng.randint(0, 3))
+            rhs = _random_factors(rng, seq, N, rng.randint(0, 3))
+            ls = F(rng.randint(1, 50), rng.randint(1, 50))
+            rs = rng.choice([1, 7, F(3, 4)])
+            expected = _reference_sign(lhs, rhs, ls, rs)
+            assert compare_products(lhs, rhs, lhs_scale=ls, rhs_scale=rs) == expected
+            signs.add(expected)
+    assert signs == {-1, 0, 1}
+
+
+def test_compare_products_exact_ties_on_geometric_tables():
+    for ratio_ in (F(3), F(2, 7), F(1)):
+        seq = Custom(table=[ratio_ ** n for n in range(10)])
+        for i, j, k in ((0, 1, 2), (1, 4, 9), (2, 5, 7)):
+            lhs, rhs = [(seq, i, k - j), (seq, k, j - i)], [(seq, j, k - i)]
+            assert _reference_sign(lhs, rhs) == 0
+            assert compare_products(lhs, rhs) == 0
+    # q**(1/d) interpolants inside one hull segment of a regularization tie too
+    reg = log_convex_regularization(Custom(table=[1, 8, 2, 64, 3, 4096]), (0, 5))
+    assert reg.vertices == (0, 4, 5)
+    for j in range(1, 5):
+        lhs, rhs = [(reg, j - 1, 1), (reg, j + 1, 1)], [(reg, j, 2)]
+        assert compare_products(lhs, rhs) == _reference_sign(lhs, rhs) == (0 if j < 4 else 1)

@@ -256,3 +256,19 @@ def test_derived_power_substitution_examples():
     assert derived_power_substitution(g, 2, 2, EXACT).fraction() == expected
     with pytest.raises(SequenceError):
         derived_power_substitution(g, 0, 1)
+
+
+def test_as_root_memo_hit_still_validates_the_index():
+    reg = log_convex_regularization(Custom(table=[1, 8, 2, 64, 3]), (0, 4))
+    first = [reg.as_root(n) for n in range(5)]
+    assert [reg.as_root(n) for n in range(5)] == first
+    assert reg.vertices == (0, 4) and reg.as_root(1) == (F(3), 4)
+    assert reg.exact(1) is None  # (M_0**3 M_4)**(1/4), through the memo
+    for bad in (-1, 1.0, 2.0, F(1), 5, 9):
+        for _ in range(2):
+            with pytest.raises(SequenceError):
+                reg.as_root(bad)
+    g = Gevrey(F(1, 2))
+    assert g.as_root(3) == g.as_root(3) == (F(6), 2)
+    with pytest.raises(SequenceError):
+        g.as_root(3.0)
