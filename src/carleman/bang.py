@@ -37,6 +37,7 @@ from .scalar import (
     iv_cos_sin,
     iv_e,
     make_scalar,
+    outward_pow_product,
     refine,
 )
 from .seqcore import (
@@ -313,10 +314,12 @@ class BangFunction:
     def _ratio(self, k: int, bits: int) -> Interval:
         key = ("m", k, bits)
         if key not in self._enc_cache:
-            iv = self.seq.enclosure(k + 1, bits) * (k + 1) / self.seq.enclosure(k, bits)
+            num = self.seq.enclosure(k + 1, bits) * (k + 1)
+            iv = outward_pow_product(num, 1, self.seq.enclosure(k, bits), -1, bits + 8)
+            # floor rounding keeps the sign of the lower endpoint
             if not iv.strictly_positive():
                 raise PrecisionError(f"ratio m_{k} not certified positive at {bits} bits")
-            self._enc_cache[key] = iv.outward(bits + 8)
+            self._enc_cache[key] = iv
         return self._enc_cache[key]
 
     def _trig(self, k: int, xi: Fraction, bits: int) -> Tuple[Dyadic, Dyadic]:
@@ -347,7 +350,8 @@ def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Dyadic:
     key = ("coef", n, k, bits)
     if key not in B._enc_cache:
         # compress after the power: (2 m_k)**(n-k) has k-scaled denominators
-        powed = (B._ratio(k, bits) * 2).pow_int(n - k).outward(bits + 8)
+        two_m = B._ratio(k, bits) * 2
+        powed = outward_pow_product(two_m, n - k, Interval.point(1), 0, bits + 8)
         B._enc_cache[key] = _dyadic((B._mprime(k, bits) * powed).outward(bits + 8))
     return B._enc_cache[key]
 

@@ -19,8 +19,10 @@ from .scalar import (
     Interval,
     Scalar,
     ScalarConfig,
+    _GUARD_BITS,
     iv_pow,
     make_scalar,
+    outward_pow_product,
 )
 from .seqcore import (
     Analytic,
@@ -152,7 +154,12 @@ def _root_of_ratio(
     a, b = num.exact(n), den.exact(n)
     if a is not None and b is not None:
         return iv_pow(Interval.point(a / b), Fraction(1, root), bits)
-    q = num.enclosure(n, bits) / den.enclosure(n, bits)
+    if root == 1:
+        return num.enclosure(n, bits) / den.enclosure(n, bits)
+    # rounded once where iv_pow's log would round it, at bits + _GUARD_BITS
+    q = outward_pow_product(
+        num.enclosure(n, bits), 1, den.enclosure(n, bits), -1, bits + _GUARD_BITS
+    )
     return iv_pow(q, Fraction(1, root), bits)
 
 

@@ -6,7 +6,10 @@ Three representations cover every real quantity in the toolkit:
   representable;
 * intervals with exact rational endpoints: ring operations are computed
   exactly on the endpoints, and transcendental functions are enclosed via
-  mpmath's directed-rounding interval context;
+  mpmath's directed-rounding interval context.  Enclosures that need a power
+  or a quotient of intervals (``outward_pow_product``) are rounded once to
+  dyadics; the result equals rounding the exact value, which is formed only
+  when directed bounds cannot decide the rounding;
 * adjustable-precision floats (mpmath ``mpf``), for exploratory output only.
 
 Every Holds/Fails verdict in the package is derived from the first two
@@ -81,13 +84,18 @@ def _fraction_from_mpf_tuple(t) -> Fraction:
 
 
 def _rounded_tuple(q: Fraction, bits: int, rnd: str):
-    """q as an mpf tuple with a ``bits``-bit mantissa, rounded by ``rnd``.
+    """q as an mpf tuple with a ``bits``-bit mantissa, rounded by ``rnd``."""
+    return _rounded_ratio(q.numerator, q.denominator, bits, rnd)
+
+
+def _rounded_ratio(p: int, d: int, bits: int, rnd: str):
+    """p/d (d > 0, not necessarily in lowest terms) as an mpf tuple with a
+    ``bits``-bit mantissa, rounded by ``rnd``.
 
     Floor ('f') and ceiling ('c') are computed here in integer arithmetic:
     the directed rounding is unique, so the tuple is the one mpmath returns,
     without its byte-by-byte trailing-zero scan of the unrounded operands.
     """
-    p, d = q.numerator, q.denominator
     if rnd not in ("f", "c") or p == 0:
         return libmp.from_rational(p, d, bits, rnd)
     # |q| 2**s lies strictly between 2**(bits-1) and 2**(bits+1)
@@ -277,6 +285,80 @@ class Interval:
         if self.is_point():
             return f"[{self.lo}]"
         return f"[{mpmath.nstr(mpmath.mpf(float(self.lo)), 12)}, {mpmath.nstr(mpmath.mpf(float(self.hi)), 12)}]"
+
+
+# bits kept beyond the target by the directed bounds of outward_pow_product,
+# on top of one bit per bit of each exponent: rounding an input at wp bits
+# moves its e-th power by a relative |e| 2**-wp, and mpf_pow_int works at
+# wp + 4 log2|e| internally, so the bounds stay about 2**-(bits + 32) apart,
+# relatively, and straddle a bits-bit dyadic only rarely
+_ROUND_ONCE_GUARD = 32
+
+
+def _directed_power_product(factors, wp: int, rnd: str):
+    """A lower ('f') or upper ('c') bound, as an mpf tuple at ``wp`` bits, of
+    prod v**e over the (v, e) pairs; every v is a positive rational.
+
+    Factors with e < 0 go to one denominator, which is bounded the other way.
+    """
+    inv = "c" if rnd == "f" else "f"
+    num = den = libmp.fone
+    for v, e in factors:
+        if e > 0:
+            t = libmp.mpf_pow_int(_rounded_tuple(v, wp, rnd), e, wp, rnd)
+            num = libmp.mpf_mul(num, t, wp, rnd)
+        elif e < 0:
+            t = libmp.mpf_pow_int(_rounded_tuple(v, wp, inv), -e, wp, inv)
+            den = libmp.mpf_mul(den, t, wp, inv)
+    return libmp.mpf_div(num, den, wp, rnd)
+
+
+def _round_once(factors, bits: int, wp: int, rnd: str) -> Fraction:
+    """prod v**e rounded by ``rnd`` to a ``bits``-bit dyadic.
+
+    Both directed bounds are rounded to ``bits``; when they agree, the exact
+    value, which lies between them, rounds to the same dyadic (Ziv's test).
+    Otherwise the exact value is rounded.
+    """
+    lower = libmp.mpf_pos(_directed_power_product(factors, wp, "f"), bits, rnd)
+    upper = libmp.mpf_pos(_directed_power_product(factors, wp, "c"), bits, rnd)
+    if lower == upper:
+        return _fraction_from_mpf_tuple(lower)
+    return _round_exact(factors, bits, rnd)
+
+
+def _round_exact(factors, bits: int, rnd: str) -> Fraction:
+    """prod v**e rounded by ``rnd``, from its unreduced integer quotient."""
+    num = den = 1
+    for v, e in factors:
+        if e >= 0:
+            num *= v.numerator ** e
+            den *= v.denominator ** e
+        else:
+            num *= v.denominator ** -e
+            den *= v.numerator ** -e
+    return _fraction_from_mpf_tuple(_rounded_ratio(num, den, bits, rnd))
+
+
+def outward_pow_product(a: Interval, p: int, b: Interval, q: int, bits: int) -> Interval:
+    """``(a.pow_int(p) * b.pow_int(q)).outward(bits)``, equal by value, for
+    any signs of ``p`` and ``q``.
+
+    When both intervals are strictly positive, each endpoint is a product of
+    endpoint powers, rounded once from directed bounds at bits plus a guard;
+    the exact power, with endpoints of ``p`` times the input size, is formed
+    only when those bounds straddle a ``bits``-bit dyadic.  Every other input
+    evaluates the exact expression.
+    """
+    if a.lo > 0 and b.lo > 0:
+        wp = bits + _ROUND_ONCE_GUARD + abs(p).bit_length() + abs(q).bit_length()
+        # x**e grows with x for e > 0 and shrinks for e < 0
+        a_lo, a_hi = (a.lo, a.hi) if p >= 0 else (a.hi, a.lo)
+        b_lo, b_hi = (b.lo, b.hi) if q >= 0 else (b.hi, b.lo)
+        lo = _round_once(((a_lo, p), (b_lo, q)), bits, wp, "f")
+        hi = _round_once(((a_hi, p), (b_hi, q)), bits, wp, "c")
+        return Interval(lo, hi)
+    return (a.pow_int(p) * b.pow_int(q)).outward(bits)
 
 
 def _to_iv(ctx, x: Interval):

@@ -36,6 +36,7 @@ from .scalar import (
     iv_exp,
     iv_log,
     make_scalar,
+    outward_pow_product,
     refine,
     refine_sign,
 )
@@ -305,6 +306,7 @@ class IteratedLog(WeightSequence):
         if k < 1:
             raise SequenceError("iterated-log depth k must be >= 1")
         self.k = k
+        self._base_log = {}  # bits -> enclosure of L(s)
         if offset is None:
             self.shift = default_shift(k, cfg)
             self._default_shift = True
@@ -347,11 +349,14 @@ class IteratedLog(WeightSequence):
         if n == 0:
             return Interval.point(1)
         s = self.shift
-        num = _log_chain(s + n, self.k, bits).pow_int(s + n)
-        den = _log_chain(s, self.k, bits).pow_int(s)
-        # compress endpoints to dyadics: exact power quotients would otherwise
-        # carry megabit numerators through downstream arithmetic
-        return (num / den).outward(bits + 8)
+        if bits not in self._base_log:
+            self._base_log[bits] = _log_chain(s, self.k, bits)
+        # rounded once to dyadics: the exact power quotient has endpoints
+        # about s + n times the size of L's, a gigabit at the default shift
+        # of depth 3
+        return outward_pow_product(
+            _log_chain(s + n, self.k, bits), s + n, self._base_log[bits], -s, bits + 8
+        )
 
     def describe(self) -> str:
         return f"iterlog({self.k}, offset={self.shift})"

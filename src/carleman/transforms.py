@@ -23,10 +23,12 @@ from .scalar import (
     PrecisionError,
     Scalar,
     ScalarConfig,
+    _GUARD_BITS,
     exact_nth_root,
     factorial,
     iv_pow,
     make_scalar,
+    outward_pow_product,
 )
 from .seqcore import (
     PowerSub,
@@ -149,9 +151,12 @@ class Regularized(WeightSequence):
                 return Interval.point(exact)
             return iv_pow(q, Fraction(1, d), bits)
         a, b = self._bracket(n)
-        prod = self.base.enclosure(a, bits).pow_int(b - n) * self.base.enclosure(
-            b, bits
-        ).pow_int(n - a)
+        # a < n < b: the root degree is at least 2, so iv_pow's log rounds
+        # the product at bits + _GUARD_BITS; it is rounded once here instead
+        prod = outward_pow_product(
+            self.base.enclosure(a, bits), b - n, self.base.enclosure(b, bits), n - a,
+            bits + _GUARD_BITS,
+        )
         return iv_pow(prod, Fraction(1, b - a), bits)
 
     def describe(self) -> str:

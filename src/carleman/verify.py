@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .bang import (
@@ -37,7 +37,7 @@ from .comb import (
     taylor_remainder_reconstruct,
 )
 from .criteria import quasianalytic_verdict
-from .scalar import Interval, ScalarConfig
+from .scalar import Interval, PrecisionError, ScalarConfig
 from .seqcore import (
     Analytic,
     Custom,
@@ -45,6 +45,7 @@ from .seqcore import (
     IteratedLog,
     PowerSub,
     SequenceError,
+    Trend,
     Verdict,
     Witness,
     is_log_convex,
@@ -219,28 +220,36 @@ def _stirling_two_sided(config: RunConfig) -> CheckOutcome:
 # -- extremal-series checks --------------------------------------------------------
 
 
-def _build_bang(config: RunConfig, p: int, max_order: int) -> BangFunction:
+def _build_bang(
+    config: RunConfig, p: int, max_order: int, window: Tuple[int, int]
+) -> Union[BangFunction, CheckOutcome]:
+    """The extremal series of ``config.bang_seq``, or the check's outcome
+    over ``window`` when its construction gate refuses the sequence: Fails
+    when the gate fails, Inconclusive when it stays unresolved.  A malformed
+    spec is not a gate outcome; its ``ConfigError`` propagates."""
     from .cli import parse_sequence_spec
 
     seq = parse_sequence_spec(config.bang_seq)
-    return BangFunction(
-        seq,
-        p=p,
-        max_order=max_order,
-        tail_target=config.tail_target,
-        cfg=config.sweep_config(),
-    )
+    try:
+        return BangFunction(
+            seq,
+            p=p,
+            max_order=max_order,
+            tail_target=config.tail_target,
+            cfg=config.sweep_config(),
+        )
+    except PrecisionError as exc:
+        return _outcome(Verdict.inconclusive(window, Trend(note=f"construction gate: {exc}")))
+    except (SequenceError, ValueError) as exc:
+        return _outcome(Verdict.fails(window, Witness(0, (f"construction gate: {exc}",))))
 
 
 @_check("bang-cos-lower-bound", "|F^(2n)(0)| >= M'_2n for the cosine series")
 def _bang_cos_lower(config: RunConfig) -> CheckOutcome:
     nmax = config.bang_cos_n_max
-    try:
-        B = _build_bang(config, 2, 2 * nmax)
-    except (SequenceError, ValueError) as exc:
-        return _outcome(
-            Verdict.fails((0, nmax), Witness(0, (f"construction gate: {exc}",)))
-        )
+    B = _build_bang(config, 2, 2 * nmax, (0, nmax))
+    if isinstance(B, CheckOutcome):
+        return B
     cfg = config.sweep_config()
     for n in range(nmax + 1):
         v = bang_lower_bound_certify(B, n, cfg)
@@ -253,12 +262,9 @@ def _bang_cos_lower(config: RunConfig) -> CheckOutcome:
 @_check("bang-cp-lower-bound", "|F^(pn)(0)| >= M'_pn for the C_p series")
 def _bang_cp_lower(config: RunConfig) -> CheckOutcome:
     p, nmax = config.bang_cp_p, config.bang_cp_n_max
-    try:
-        B = _build_bang(config, p, p * nmax)
-    except (SequenceError, ValueError) as exc:
-        return _outcome(
-            Verdict.fails((0, nmax), Witness(0, (f"construction gate: {exc}",)))
-        )
+    B = _build_bang(config, p, p * nmax, (0, nmax))
+    if isinstance(B, CheckOutcome):
+        return B
     cfg = config.sweep_config()
     for n in range(nmax + 1):
         v = bang_lower_bound_certify(B, n, cfg)
@@ -276,7 +282,9 @@ def _bang_tail(config: RunConfig) -> CheckOutcome:
     )
     worst = Fraction(0)
     for p, max_order in orders:
-        B = _build_bang(config, p, max_order)
+        B = _build_bang(config, p, max_order, (0, max_order))
+        if isinstance(B, CheckOutcome):
+            return B
         for n in range(max_order + 1):
             margin = B.relative_tail(n)
             worst = max(worst, margin)
@@ -292,7 +300,9 @@ def _bang_tail(config: RunConfig) -> CheckOutcome:
 @_check("bang-envelope", "|F^(n)(xi)| <= 2**(n+1) * M'_n on [-1, 1]")
 def _bang_envelope(config: RunConfig) -> CheckOutcome:
     nmax = config.envelope_n_max
-    B = _build_bang(config, 2, max(nmax, 2 * config.bang_cos_n_max))
+    B = _build_bang(config, 2, max(nmax, 2 * config.bang_cos_n_max), (0, nmax))
+    if isinstance(B, CheckOutcome):
+        return B
     g = config.envelope_grid
     grid = [Fraction(-1) + Fraction(2 * i, g - 1) for i in range(g)]
     return _outcome(bang_envelope_check(B, nmax, grid, config.sweep_config()))
@@ -486,14 +496,9 @@ def _germ_lower(config: RunConfig) -> CheckOutcome:
     cfg = config.sweep_config()
     worst: Optional[Interval] = None
     for p in (2, config.bang_cp_p):
-        try:
-            B = _build_bang(config, p, p * config.germ_n_max)
-        except (SequenceError, ValueError) as exc:
-            return _outcome(
-                Verdict.fails(
-                    (0, config.germ_n_max), Witness(0, (f"construction gate: {exc}",))
-                )
-            )
+        B = _build_bang(config, p, p * config.germ_n_max, (0, config.germ_n_max))
+        if isinstance(B, CheckOutcome):
+            return B
         for n in range(config.germ_n_max + 1):
             scalar, verdict = induced_f_derivative(B, n, cfg)
             if not verdict.ok:

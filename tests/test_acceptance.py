@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from carleman.cli import report_to_csv_text
+from carleman.cli import main, report_to_csv_text
 from carleman.comb import composition_sum_oracle, log_power_coefficients
 from carleman.verify import RunConfig, run_checks
 
@@ -36,6 +36,19 @@ CONFIG = RunConfig()
 
 # sha256 of `carleman verify --format csv` at the default configuration
 VERIFY_CSV_SHA256 = "b26925b771aa03c326f041e75e8d1bf4eeb4b52b09e33135026d42547a671882"
+
+# sha256 of the stdout of single commands on irrational weights at 256 and
+# 512 bits, which the default verify CSV does not reach
+CLI_STDOUT_SHA256 = {
+    "seq show --seq iterlog(2) --range 0:64 --precision 512":
+        "542bd4253f1009c1309647149e508c2b7741bbe9e8faae24e63f0280ff7565f3",
+    "bang eval --seq iterlog(1) --p 2 --order 5 --xi=1/3 --precision 256":
+        "07d827591bec1c4dc2b58edcb3c98bcd00780db78f35bd6de7683b5096905c2e",
+    "bang eval --seq iterlog(1) --p 3 --order 6 --xi=0 --precision 256":
+        "0e8bc214e22d2fffcc4de8883d6562b7f08160a1f4acaac6d7e245b440a39663",
+    "criteria dc --seq iterlog(2) --precision 256":
+        "e5fe870f00340ff0b06db4ca5b1e1e727640213029eef1a6eb1466b79d11f3ef",
+}
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +163,15 @@ def test_verify_csv_is_byte_identical(suite_report):
     """
     text = report_to_csv_text(suite_report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == VERIFY_CSV_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(CLI_STDOUT_SHA256))
+def test_cli_stdout_is_byte_identical(command, capsys):
+    """The stdout of each pinned command is pinned byte for byte.
+
+    A change that alters these bytes on purpose updates CLI_STDOUT_SHA256 and
+    says in CHANGES.md which lines changed and why.
+    """
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLI_STDOUT_SHA256[command]

@@ -236,6 +236,46 @@ def test_main_bang_unresolved_gate_is_inconclusive(monkeypatch, capsys):
         assert "FAILS" not in out
 
 
+_BANG_CHECKS = (
+    "bang-cos-lower-bound", "bang-cp-lower-bound", "bang-envelope",
+    "bang-tail-certificate", "induced-germ-lower-bound",
+)
+
+
+def test_main_verify_reports_a_failed_bang_gate(tmp_path, capsys):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("bang_seq = custom(1,50,51,52,53,54,55,56,57,58,59,60)\n")
+    out = tmp_path / "r.json"
+    rc = main([
+        "verify", "--config", str(cfg), "--window", "1:2", "--emit", str(out),
+        "--format", "json",
+    ])
+    assert rc == 1
+    records = {r["id"]: r for r in json.loads(out.read_text())["records"]}
+    assert len(records) == 19
+    for cid, r in records.items():
+        if cid in _BANG_CHECKS:
+            assert r["verdict"] == "fails", cid
+            assert "construction gate: derived sequence is not log-convex" in r["witness"]
+        else:
+            assert r["verdict"] == "holds", cid
+
+
+def test_main_verify_unresolved_bang_gate_is_inconclusive(monkeypatch, capsys):
+    from carleman import verify
+
+    def unresolved(*args, **kwargs):
+        raise PrecisionError("ratio monotonicity unresolved")
+
+    monkeypatch.setattr(verify, "BangFunction", unresolved)
+    rc = main(["verify", "--only", ",".join(_BANG_CHECKS), "--window", "1:2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 2
+    assert len(lines) == len(_BANG_CHECKS)
+    for line in lines:
+        assert line.startswith("INCONCLUSIVE") and "construction gate" in line
+
+
 def test_b_coefficient_bounds_are_configured():
     cfg = config_to_dict(RunConfig())
     assert (cfg["b_k_max"], cfg["b_n_max"]) == (10, 30)

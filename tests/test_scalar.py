@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import libmp
 
+from carleman import scalar
 from carleman.scalar import (
+    _ROUND_ONCE_GUARD,
     ExactUnavailableError,
     Interval,
     RangeError,
@@ -25,6 +27,7 @@ from carleman.scalar import (
     iv_pow,
     iv_sin,
     make_scalar,
+    outward_pow_product,
     refine,
     refine_sign,
 )
@@ -226,3 +229,81 @@ def test_directed_rounding_matches_mpmath():
             for rnd in ("f", "c"):
                 want = libmp.from_rational(q.numerator, q.denominator, bits, rnd)
                 assert _rounded_tuple(q, bits, rnd) == want, (q, bits, rnd)
+
+
+def _spy(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _random_positive_interval(rng):
+    def endpoint():
+        if rng.random() < 0.5:  # dyadic
+            return F(rng.getrandbits(rng.randint(1, 200)) + 1, 1 << rng.randint(0, 200))
+        num, den = (rng.getrandbits(rng.randint(1, 200)) + 1 for _ in range(2))
+        return F(num, den)
+
+    lo = endpoint()
+    if rng.random() < 0.25:
+        return Interval.point(lo)
+    return Interval(lo, lo + endpoint())
+
+
+def test_outward_pow_product_equals_the_exact_expression(monkeypatch):
+    fallbacks = _spy(monkeypatch, scalar, "_round_exact")
+    rng = random.Random(17)
+    exponents = [0, 1, -1, 2, -2, -40, 80]
+    for bits in (64, 128, 512):
+        for i in range(150):
+            a, b = _random_positive_interval(rng), _random_positive_interval(rng)
+            if i < len(exponents) ** 2:
+                p, q = exponents[i % 7], exponents[i // 7]
+            else:
+                p, q = rng.randint(-40, 80), rng.randint(-40, 80)
+            got = outward_pow_product(a, p, b, q, bits)
+            want = (a.pow_int(p) * b.pow_int(q)).outward(bits)
+            assert (got.lo, got.hi) == (want.lo, want.hi), (a, p, b, q, bits)
+    assert not fallbacks  # the directed bounds decided every rounding
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512])
+def test_outward_pow_product_falls_back_on_a_straddle(monkeypatch, bits):
+    # 1 -+ eps lie within 2**-(bits + guard) of the bits-bit dyadic 1, so the
+    # directed bounds round to different dyadics on each side
+    eps = F(1, 2 ** (bits + _ROUND_ONCE_GUARD + 64))
+    calls = _spy(monkeypatch, scalar, "_round_exact")
+    for a, p, b, q in (
+        (Interval(1 - eps, 1 + eps), 1, Interval.point(1), 1),
+        (Interval.point(3), 2, Interval(1 - eps, 1 + eps), -1),
+        (Interval(1 - eps, 1 + eps), 5, Interval.point(F(1, 3)), 0),
+    ):
+        calls.clear()
+        got = outward_pow_product(a, p, b, q, bits)
+        want = (a.pow_int(p) * b.pow_int(q)).outward(bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert [rnd for *_, rnd in calls] == ["f", "c"]
+
+
+def test_outward_pow_product_non_positive_inputs_take_the_exact_path(monkeypatch):
+    calls = _spy(monkeypatch, Interval, "pow_int")
+    cases = [
+        (Interval(F(0), F(3, 2)), 3, Interval(F(1, 3), F(2)), -2),
+        (Interval(F(-5, 7), F(3, 2)), 2, Interval.point(F(1, 3)), 3),
+        (Interval(F(-2), F(-1, 3)), 3, Interval(F(1), F(2)), 1),
+        (Interval(F(1, 2), F(3)), -3, Interval(F(-1), F(0)), 4),
+    ]
+    for a, p, b, q in cases:
+        calls.clear()
+        got = outward_pow_product(a, p, b, q, 128)
+        assert calls[0] == (a, p) and (b, q) in calls
+        want = (a.pow_int(p) * b.pow_int(q)).outward(128)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+    with pytest.raises(ZeroDivisionError):
+        outward_pow_product(Interval(F(0), F(1)), -1, Interval.point(1), 1, 64)

@@ -155,6 +155,29 @@ def test_iterated_log_enclosure_positive_and_growing():
         prev = enc
 
 
+def test_iterated_log_k3_default_shift_encloses_mpmath():
+    """Depth 3 at its default shift s = 3 814 280: the enclosures are rounded
+    once from directed bounds, never formed as exact s-th powers."""
+    import mpmath
+
+    seq = IteratedLog(3)
+    s = seq.shift
+    for bits in (128, 256):
+        ctx = mpmath.mp.clone()
+        ctx.prec = 4 * bits
+
+        def l3(x):
+            return ctx.log(ctx.log(ctx.log(x)))
+
+        for n in range(17):
+            man, exp = ctx.exp((s + n) * ctx.log(l3(s + n)) - s * ctx.log(l3(s))).man_exp
+            ref = F(man) * F(2) ** exp
+            slack = ref / 2 ** (3 * bits)  # the reference's own rounding, amply
+            enc = seq.enclosure(n, bits)
+            assert enc.lo - slack <= ref <= enc.hi + slack, (bits, n)
+            assert enc.width <= ref / 2 ** (bits - 40), (bits, n)
+
+
 def test_powersub_identity_extensional():
     base = Gevrey(1)
     ps = PowerSub(base, 1)
