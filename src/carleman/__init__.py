@@ -56,6 +56,7 @@ from .comb import (
 )
 from .bang import (
     BangFunction,
+    GateError,
     GrowthEnvelope,
     bang_derivative,
     bang_lower_bound_certify,

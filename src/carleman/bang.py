@@ -53,6 +53,12 @@ from .seqcore import (
 )
 
 
+class GateError(SequenceError):
+    """The construction gate certified that the derived sequence is not
+    log-convex on [1, K].  Every other refusal of a ``BangFunction`` is a
+    plain ``SequenceError`` about its parameters or the sequence itself."""
+
+
 def _ceil_log2_inverse(tau: Fraction) -> int:
     """Smallest integer o with 2**o >= 1/tau."""
     inv = 1 / tau
@@ -72,19 +78,34 @@ def _cp_series_interval(p: int, n: int, x: Fraction, bits: int) -> Interval:
     with j p >= n of x**(jp-n) / (jp-n)!, truncated before the term of
     degree m once the factorial tail majorant 2 X**m / m! with
     X = max(1, |x|) is small enough.  The majorant bounds the sum of
-    |x|**l / l! over l >= m, which is valid once m + 1 >= 2 X."""
-    target = Fraction(1, 2 ** (bits + 8))
-    X = max(Fraction(1), abs(x))
-    total = Fraction(0)
-    j = -(-n // p)  # first index with jp - n >= 0
+    |x|**l / l! over l >= m, which is valid once m + 1 >= 2 X.
+
+    The sum runs on integers over the common denominator xd**m * m! of its
+    last term, x = xn / xd, and the stop test compares integers too."""
+    xn, xd = x.numerator, x.denominator
+    big = abs(xn) > xd  # X = |x|; otherwise X = 1
+    m = -n % p  # first degree jp - n >= 0
+    fact = factorial(m)
+    xpow = xn ** m
+    den = xd ** m * fact
+    num = xpow  # the partial sum is num / den
     while True:
-        m = j * p - n
-        total += x ** m / factorial(m) if m else Fraction(1)
-        j += 1
-        m = j * p - n
-        tail = 2 * X ** m / factorial(m)
-        if tail <= target and m + 1 >= 2 * X:
+        step = 1
+        for i in range(m + 1, m + p + 1):
+            step *= i
+        m += p
+        fact *= step
+        xpow *= xn ** p
+        scale = xd ** p * step
+        den_next = den * scale
+        # the tail 2 X**m / m! is 2 tail_num / tail_den
+        tail_num, tail_den = (abs(xpow), den_next) if big else (1, fact)
+        if tail_num << (bits + 9) <= tail_den and (not big or (m + 1) * xd >= 2 * abs(xn)):
             break
+        num = num * scale + xpow
+        den = den_next
+    total = Fraction(num, den)
+    tail = Fraction(2 * tail_num, tail_den)
     if x >= 0 or (p % 2 == 0 and n % 2 == 0):
         return Interval(total, total + tail)
     if p % 2 == 0:
@@ -253,7 +274,8 @@ class BangFunction:
     ``max_order`` is the largest derivative order evaluations will request;
     the truncation index K is chosen so the relative tail 2**(n-K+1) stays
     below ``tail_target`` for every n <= max_order (or pass K explicitly).
-    Construction certifies m_k nondecreasing on [0, K] and fails otherwise.
+    Construction certifies m_k nondecreasing on [0, K]: a certified
+    violation raises ``GateError`` and an unresolved gate ``PrecisionError``.
     """
 
     def __init__(
@@ -295,7 +317,7 @@ class BangFunction:
                 raise PrecisionError(f"ratio monotonicity unresolved: {gate.trend.note}")
             if gate.outcome == FAILS:
                 k = gate.witness.index - 1
-                raise SequenceError(
+                raise GateError(
                     f"derived sequence is not log-convex: m_{k} > m_{k + 1}; "
                     "the truncation tail bound needs nondecreasing ratios"
                 )

@@ -29,6 +29,7 @@ from .bang import (
     BangFunction,
     BangModel,
     CpModel,
+    GateError,
     PolynomialModel,
     PowerCompositeModel,
     bang_derivative,
@@ -182,9 +183,12 @@ def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig):
 def _parse_window(text: str) -> Tuple[int, int]:
     try:
         a, _, b = text.partition(":")
-        return (int(a), int(b))
+        a, b = int(a), int(b)
     except ValueError as exc:
         raise ConfigError(f"windows are written a:b, got {text!r}") from exc
+    if a > b:
+        raise ConfigError(f"window {text!r} is reversed: {a} > {b}")
+    return (a, b)
 
 
 # -- RunConfig loading ---------------------------------------------------------------
@@ -537,7 +541,7 @@ def _cmd_bang_build(args, config: RunConfig) -> int:
     except PrecisionError as exc:
         print(f"INCONCLUSIVE   bang-build  (construction gate: {exc})")
         return EXIT_INCONCLUSIVE
-    except SequenceError as exc:
+    except GateError as exc:
         print(f"FAILS          bang-build  (construction gate: {exc})")
         return EXIT_FAILS
     print(f"HOLDS          bang-build  {B.describe()}")
@@ -561,7 +565,7 @@ def _cmd_bang_eval(args, config: RunConfig) -> int:
 def _cmd_bang_bounds(args, config: RunConfig) -> int:
     try:
         B = _bang_from_args(args, config)
-    except (SequenceError, PrecisionError) as exc:
+    except (GateError, PrecisionError) as exc:
         # an unresolved gate (PrecisionError) is no certified failure
         verdict = "inconclusive" if isinstance(exc, PrecisionError) else "fails"
         records = [

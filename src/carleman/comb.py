@@ -428,17 +428,15 @@ def stirling_sweep(
             raise ValueError("root exponents must be >= 2")
         for n in range(1, n_max + 1):
             pn = p * n
-            # integer comparison n**m * den**pn <= m! * num**pn
-            num_pow = num ** pn
-            den_pow = den ** pn
-            fact = 1
-            npow = 1
+            # integer comparison n**m * den**pn <= m! * num**pn, both sides
+            # carried from m - 1 by one small factor
+            left, right = den ** pn, num ** pn
             for m in range(1, pn + 1):
-                fact *= m
-                npow *= n
-                k = pn - m
-                if npow * den_pow <= fact * num_pow:
+                left *= n
+                right *= m
+                if left <= right:
                     continue
+                k = pn - m
                 single = stirling_ineq_check(p, n, k, cfg)
                 if not single.ok:
                     return Verdict(

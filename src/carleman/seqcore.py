@@ -438,16 +438,12 @@ class Custom(WeightSequence):
 Factor = Tuple[WeightSequence, int, int]  # (sequence, index, positive exponent)
 
 
-def _int_power_product(
-    scale: Fraction, den: int, factors: Sequence[Factor], roots: Sequence[RootRep]
-) -> Tuple[int, int]:
-    """Numerator and denominator of scale**den * prod q**(e den / d), unreduced."""
-    num, dnm = scale.numerator ** den, scale.denominator ** den
-    for (_, _, e), (q, d) in zip(factors, roots):
-        k = e * den // d
-        num *= q.numerator ** k
-        dnm *= q.denominator ** k
-    return num, dnm
+def _scale_parts(scale: RationalLike) -> Tuple[int, int]:
+    """Numerator and denominator of an int or Fraction scale, as integers."""
+    # the exact type tests skip the ABC machinery behind isinstance
+    if type(scale) is int or type(scale) is Fraction or isinstance(scale, (int, Fraction)):
+        return scale.numerator, scale.denominator
+    raise TypeError(f"expected an exact rational, got {type(scale).__name__}")
 
 
 def compare_products(
@@ -464,26 +460,39 @@ def compare_products(
     q**(1/d) representation, interval refinement otherwise; None when
     unresolved at the precision cap.
     """
-    ls = _as_fraction(lhs_scale)
-    rs = _as_fraction(rhs_scale)
-    if ls.numerator <= 0 or rs.numerator <= 0:
+    ln, ld = _scale_parts(lhs_scale)
+    rn, rd = _scale_parts(rhs_scale)
+    if ln <= 0 or rn <= 0:
         raise ValueError("comparison scales must be positive")
-    roots_l = [seq.as_root(n) for seq, n, _ in lhs]
-    roots_r = [seq.as_root(n) for seq, n, _ in rhs]
-    if None not in roots_l and None not in roots_r:
-        # raise both sides to the common root degree, then cross-multiply the
-        # integer numerators and denominators: no gcd reductions on the way
-        den = math.lcm(*[d for _, d in roots_l], *[d for _, d in roots_r])
-        ln, ld = _int_power_product(ls, den, lhs, roots_l)
-        rn, rd = _int_power_product(rs, den, rhs, roots_r)
-        left, right = ln * rd, rn * ld
+    forms = []
+    den = 1
+    for seq, n, e in (*lhs, *rhs):
+        rep = seq.as_root(n)
+        if rep is None:
+            break  # no exact form: decide on intervals below
+        forms.append((e, rep))
+        den = math.lcm(den, rep[1])
+    else:
+        # raise both sides to the common root degree and cross-multiply:
+        # left collects the lhs numerators and the rhs denominators, right
+        # the other two, all as integers with no gcd reductions on the way
+        left, right = ln ** den * rd ** den, rn ** den * ld ** den
+        split = len(lhs)
+        for e, (q, d) in forms[:split]:
+            k = e * den // d
+            left *= q.numerator ** k
+            right *= q.denominator ** k
+        for e, (q, d) in forms[split:]:
+            k = e * den // d
+            right *= q.numerator ** k
+            left *= q.denominator ** k
         return (left > right) - (left < right)
 
     def diff(bits: int) -> Interval:
-        left = Interval.point(ls)
+        left = Interval.point(lhs_scale)
         for seq, n, e in lhs:
             left = left * seq.enclosure(n, bits).pow_int(e)
-        right = Interval.point(rs)
+        right = Interval.point(rhs_scale)
         for seq, n, e in rhs:
             right = right * seq.enclosure(n, bits).pow_int(e)
         return left - right

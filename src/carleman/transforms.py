@@ -14,6 +14,7 @@ log-convex input is reproduced verbatim.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -115,9 +116,11 @@ class Regularized(WeightSequence):
             )
 
     def _bracket(self, n: int) -> Tuple[int, int]:
-        a = max(v for v in self.vertices if v <= n)
-        b = min(v for v in self.vertices if v >= n)
-        return a, b
+        """The nearest vertices a <= n <= b; a == b == n at a vertex."""
+        vs = self.vertices
+        i = bisect_right(vs, n)
+        a = vs[i - 1]
+        return (a, a) if a == n else (a, vs[i])
 
     def _exact(self, n: int) -> Optional[Fraction]:
         if n in self._vertex_set:

@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from . import __version__
 from .bang import (
     BangFunction,
+    GateError,
     bang_derivative,
     bang_envelope_check,
     bang_lower_bound_certify,
@@ -44,7 +45,6 @@ from .seqcore import (
     Gevrey,
     IteratedLog,
     PowerSub,
-    SequenceError,
     Trend,
     Verdict,
     Witness,
@@ -226,7 +226,8 @@ def _build_bang(
     """The extremal series of ``config.bang_seq``, or the check's outcome
     over ``window`` when its construction gate refuses the sequence: Fails
     when the gate fails, Inconclusive when it stays unresolved.  A malformed
-    spec is not a gate outcome; its ``ConfigError`` propagates."""
+    spec or a refused parameter is not a gate outcome; its ``ConfigError``
+    or ``SequenceError`` propagates."""
     from .cli import parse_sequence_spec
 
     seq = parse_sequence_spec(config.bang_seq)
@@ -240,7 +241,7 @@ def _build_bang(
         )
     except PrecisionError as exc:
         return _outcome(Verdict.inconclusive(window, Trend(note=f"construction gate: {exc}")))
-    except (SequenceError, ValueError) as exc:
+    except GateError as exc:
         return _outcome(Verdict.fails(window, Witness(0, (f"construction gate: {exc}",))))
 
 
@@ -471,8 +472,10 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
         seq = Custom(table=_random_table(rng, N))
         reg = log_convex_regularization(seq, window)
         for n in range(N + 1):
+            # q**(1/d) > e, cross-multiplied on integers
             q, d = reg.as_root(n)
-            if q > seq.exact(n) ** d:
+            e = seq.exact(n)
+            if q.numerator * e.denominator ** d > e.numerator ** d * q.denominator:
                 return _outcome(
                     Verdict.fails(window, Witness(n, (f"case={case}", "not a minorant")))
                 )
@@ -482,9 +485,9 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
             )
         reg2 = log_convex_regularization(reg, window)
         for n in range(N + 1):
-            qa, da = reg.as_root(n)
-            qb, db = reg2.as_root(n)
-            if qa ** db != qb ** da:
+            ra, rb = reg.as_root(n), reg2.as_root(n)
+            # equal root forms are equal values; only differing forms need powers
+            if ra != rb and ra[0] ** rb[1] != rb[0] ** ra[1]:
                 return _outcome(
                     Verdict.fails(window, Witness(n, (f"case={case}", "not idempotent")))
                 )

@@ -1,5 +1,6 @@
 """Extremal series, C_p oscillators, growth envelopes, and class norms."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from carleman.bang import (
     PolynomialModel,
     PowerCompositeModel,
     _bang_sum,
+    _cp_series_interval,
     _dyadic,
     bang_derivative,
     bang_envelope_check,
@@ -332,3 +334,35 @@ def test_dyadic_form_refuses_non_dyadic_endpoints():
     assert _dyadic(Interval(F(-3, 4), F(5))) == (-3, 20, -2)
     with pytest.raises(ValueError):
         _dyadic(Interval(F(1, 3), F(1)))
+
+
+def _cp_series_reference(p, n, x, bits):
+    """The term-by-term Fraction sum that the integer kernel replaced."""
+    target = F(1, 2 ** (bits + 8))
+    X = max(F(1), abs(x))
+    total = F(0)
+    j = -(-n // p)
+    while True:
+        m = j * p - n
+        total += x ** m / factorial(m) if m else F(1)
+        j += 1
+        m = j * p - n
+        tail = 2 * X ** m / factorial(m)
+        if tail <= target and m + 1 >= 2 * X:
+            break
+    if x >= 0 or (p % 2 == 0 and n % 2 == 0):
+        return total, total + tail
+    if p % 2 == 0:
+        return total - tail, total
+    return total - tail, total + tail
+
+
+def test_cp_series_interval_equals_the_fraction_loop():
+    rng = random.Random(17)
+    xs = [F(0), F(-1), F(1), F(-1, 3), F(5, 7), F(-7, 2), F(9, 4), F(3), F(-5)]
+    for _ in range(300):
+        p, n = rng.randint(1, 6), rng.randint(0, 25)
+        bits = rng.choice((16, 32, 64, 128, 256))
+        x = rng.choice(xs + [F(rng.randint(-40, 40), rng.randint(1, 9))])
+        enc = _cp_series_interval(p, n, x, bits)
+        assert (enc.lo, enc.hi) == _cp_series_reference(p, n, x, bits), (p, n, x, bits)

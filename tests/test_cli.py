@@ -302,3 +302,49 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "1" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bang", "build", "--seq", "iterlog(2)", "--p", "0"],
+        ["bang", "build", "--seq", "iterlog(2)", "--p", "2", "--max-order", "-3"],
+        ["bang", "bounds", "--seq", "iterlog(2)", "--p", "0", "--n", "2"],
+    ],
+)
+def test_main_bang_parameter_refusal_is_a_usage_error(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert "FAILS" not in captured.out and "fails" not in captured.out
+
+
+def test_main_verify_bang_parameter_refusal_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "p0.cfg"
+    cfg.write_text("bang_cp_p = 0\n")
+    rc = main(["verify", "--config", str(cfg), "--only", "bang-cp-lower-bound"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "error:" in captured.err
+    assert "FAILS" not in captured.out
+
+
+def test_reversed_window_is_refused(capsys):
+    rc = main(["seq", "show", "--seq", "gevrey(1)", "--range", "5:2"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "reversed" in captured.err and captured.out == ""
+    with pytest.raises(ConfigError):
+        cli._parse_window("3:1")
+    assert cli._parse_window("2:2") == (2, 2)
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "carleman", "seq", "show", "--seq", "gevrey(1)",
+         "--range", "0:2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("2\t2.0")

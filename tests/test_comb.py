@@ -25,7 +25,9 @@ from carleman.comb import (
     stirling_sweep,
     taylor_remainder_reconstruct,
 )
-from carleman.scalar import ScalarConfig, factorial
+from carleman import comb
+from carleman.scalar import Interval, ScalarConfig, factorial, iv_e
+from carleman.seqcore import Verdict
 
 F = Fraction
 EXACT = ScalarConfig(mode="exact")
@@ -320,3 +322,36 @@ def test_composite_reproduces_power_substitution_jets():
             inner = poly_jet(inner_poly, t, n)
             got = composite_derivative(outer, inner, n).fraction()
             assert got == poly_jet(Fpoly, t, n)[n]
+
+
+def _rejected_triples(p_set, n_max, e_lo):
+    """(p, n, k) where the direct n**m * den**pn <= m! * num**pn test fails."""
+    num, den = e_lo.numerator, e_lo.denominator
+    return [
+        (p, n, p * n - m)
+        for p in p_set
+        for n in range(1, n_max + 1)
+        for m in range(1, p * n + 1)
+        if not n ** m * den ** (p * n) <= factorial(m) * num ** (p * n)
+    ]
+
+
+def test_stirling_sweep_hands_on_exactly_the_rejected_triples(monkeypatch):
+    seen = []
+
+    def spy(p, n, k, cfg):
+        seen.append((p, n, k))
+        return Verdict.holds((n, n))
+
+    monkeypatch.setattr(comb, "stirling_ineq_check", spy)
+    cfg = ScalarConfig(bits=64)
+    p_set, n_max = (2, 3, 5), 9
+    assert stirling_sweep(p_set, n_max, cfg).ok
+    assert seen == _rejected_triples(p_set, n_max, iv_e(64).lo)
+    # lower endpoints forced far below e make the cheap test reject
+    for lo in (F(13, 10), F(11, 10), F(1)):
+        monkeypatch.setattr(comb, "iv_e", lambda bits, lo=lo: Interval(lo, F(3)))
+        seen.clear()
+        assert stirling_sweep(p_set, n_max, cfg).ok
+        expected = _rejected_triples(p_set, n_max, lo)
+        assert expected and seen == expected, lo

@@ -286,3 +286,27 @@ def test_compare_products_exact_ties_on_geometric_tables():
     for j in range(1, 5):
         lhs, rhs = [(reg, j - 1, 1), (reg, j + 1, 1)], [(reg, j, 2)]
         assert compare_products(lhs, rhs) == _reference_sign(lhs, rhs) == (0 if j < 4 else 1)
+
+
+def test_compare_products_scale_types_and_refusals():
+    seq = Custom(table=[1, 2, 6])
+    lhs, rhs = [(seq, 1, 2)], [(seq, 0, 1), (seq, 2, 1)]  # 4 against 6
+    for ls, rs, want in (
+        (1, 1, -1), (True, True, -1), (3, 2, 0), (F(3), 2, 0), (F(7, 2), True, 1),
+        (True, F(2, 3), 0), (F(6, 4), 1, 0),
+    ):
+        assert compare_products(lhs, rhs, lhs_scale=ls, rhs_scale=rs) == want, (ls, rs)
+    # the interval path takes the same scales
+    it = IteratedLog(1)
+    assert compare_products([(it, 1, 1)], [], IVAL, True, F(10 ** 6)) == -1
+    assert compare_products([(it, 1, 1)], [], IVAL, 10 ** 6, F(1, 3)) == 1
+    for side in (lhs, [(it, 1, 1)]):
+        for bad in (0, -1, F(-1, 2), False):
+            with pytest.raises(ValueError):
+                compare_products(side, rhs, lhs_scale=bad)
+            with pytest.raises(ValueError):
+                compare_products(side, rhs, rhs_scale=bad)
+        with pytest.raises(TypeError):
+            compare_products(side, rhs, lhs_scale=1.5)
+        with pytest.raises(TypeError):
+            compare_products(side, rhs, rhs_scale=2.0)

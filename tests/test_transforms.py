@@ -272,3 +272,16 @@ def test_as_root_memo_hit_still_validates_the_index():
     assert g.as_root(3) == g.as_root(3) == (F(6), 2)
     with pytest.raises(SequenceError):
         g.as_root(3.0)
+
+
+def test_bracket_agrees_with_a_linear_scan():
+    rng = random.Random(11)
+    for _ in range(200):
+        n_max = rng.randint(2, 40)
+        inner = rng.sample(range(1, n_max), rng.randint(0, n_max - 1))
+        vertices = tuple(sorted({0, n_max, *inner}))
+        reg = Regularized(Analytic(), n_max, vertices)
+        for n in range(n_max + 1):
+            a = max(v for v in vertices if v <= n)
+            b = min(v for v in vertices if v >= n)
+            assert reg._bracket(n) == (a, b), (vertices, n)
