@@ -22,7 +22,6 @@ from .seqcore import (
     SequenceError,
     Verdict,
     WeightSequence,
-    build_iterated_log,
     derived_value,
     is_increasing,
     is_log_convex,
@@ -66,4 +65,4 @@ from .bang import (
     induced_f_derivative,
     theorem1_bound,
 )
-from .verify import Report, RunConfig, run_verify_suite
+from .verify import Report, RunConfig, run_checks

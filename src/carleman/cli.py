@@ -71,7 +71,7 @@ from .seqcore import (
     value,
 )
 from .transforms import log_convex_regularization, power_substitution
-from .verify import Record, Report, RunConfig, check_ids, run_checks, run_verify_suite
+from .verify import Record, Report, RunConfig, check_ids, run_checks
 
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2

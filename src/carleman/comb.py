@@ -16,7 +16,7 @@ anything still unresolved escalates precision up to the configured cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -180,22 +180,26 @@ def _scaled_power_sweep(
     n_max: int,
     cfg: ScalarConfig,
     witness: Callable[[int, int, Fraction, Fraction], Witness],
+    weight: Callable[[int], RationalLike] = lambda n: 1,
 ) -> Verdict:
-    """Certified |P**k [n]| / k! <= (2e)**n / n**k for 1 <= k <= k_max,
-    1 <= n <= n_max, where P is ``base``.
+    """Certified w_n |P**k [n]| / k! <= (2e)**n / n**k for 1 <= k <= k_max,
+    1 <= n <= n_max, where P is ``base`` and w_n = ``weight(n)`` > 0.
 
     ``witness(k, n, lhs, bound_hi)`` builds the Fails evidence from the
     violating pair, its exact left side and the upper bound of the right.
     """
     window = (1, n_max)
     # the exact left sides do not depend on the working precision
+    weights = [weight(n) for n in range(1, n_max + 1)]
     lhs = []
     power = base
     for k in range(1, k_max + 1):
         if k > 1:
             power = power * base
         inv_kfact = Fraction(1, factorial(k))
-        lhs.append([abs(power.coeff(n) * inv_kfact) for n in range(1, n_max + 1)])
+        lhs.append(
+            [abs(power.coeff(n) * inv_kfact) * w for n, w in enumerate(weights, 1)]
+        )
     unresolved = None
 
     def decide(bits: int) -> Optional[Verdict]:
@@ -312,80 +316,40 @@ def alpha_diag_derivative(
     )
 
 
-def _alpha_bound_pair(
-    p: int, k: int, n: int, b_n: Fraction, x: Fraction, bits: int
-) -> Tuple[Interval, Interval]:
-    """Enclosures of |alpha_k^(n)(x,x)| and of (2e)**n * n**(n-k) * x**(-(pn-k)/p)."""
-    m = p * n - k
-    exact_pow = (
-        Interval.point(x ** (-(m // p)))
-        if m % p == 0
-        else None
-    )
-    if exact_pow is None:
-        er = _power_fraction_root(x, p, -m)
-        exact_pow = Interval.point(er) if er is not None else None
-    xpow = exact_pow if exact_pow is not None else iv_pow(
-        Interval.point(x), Fraction(-m, p), bits
-    )
-    lhs = xpow * abs(factorial(n) * b_n)
-    e = iv_e(bits)
-    two_e_n = Interval(2 * e.lo, 2 * e.hi).pow_int(n)
-    rhs = two_e_n * Fraction(n ** (n - k)) if n >= k else two_e_n / Fraction(n ** (k - n))
-    rhs = rhs * xpow
-    return lhs, rhs
-
-
 def lemma2_check(
     p_set: Sequence[int],
     n_max: int,
     x_grid: Sequence[RationalLike],
     cfg: ScalarConfig = DEFAULT_CONFIG,
 ) -> Verdict:
-    """Certified sweep of the diagonal-derivative bound
+    """Certified diagonal-derivative bound
     |alpha_k^(n)(x,x)| <= (2e)**n * n**(n-k) * x**(-(pn-k)/p)
-    over p in p_set, 1 <= k <= n <= n_max, x in x_grid."""
-    window = (1, n_max)
+    for p in p_set, 1 <= k <= n <= n_max and every x > 0.
+
+    Both sides carry the positive factor x**(-(pn-k)/p), so the bound is
+    exactly |b_n| n!/n**n <= (2e)**n / n**k, with b_n the n-th coefficient
+    of alpha_b_coefficients(p, k, n): it holds at every x or at none.  The
+    grid is only validated and names the x of a Fails witness (its first
+    point).
+    """
     xs = [_as_fraction(x) for x in x_grid]
     if any(x <= 0 for x in xs):
         raise ValueError("grid points must be positive")
+    if any(p < 2 for p in p_set):
+        raise ValueError("root exponents must be >= 2")
     for p in p_set:
-        if p < 2:
-            raise ValueError("root exponents must be >= 2")
-        root = _binomial_root_series(p, n_max)
-        power = root
-        for k in range(1, n_max + 1):
-            if k > 1:
-                power = power * root
-            inv_kfact = Fraction(1, factorial(k))
-            for n in range(k, n_max + 1):
-                b_n = power.coeff(n) * inv_kfact
-                for x in xs:
-
-                    def decide(bits: int) -> Optional[bool]:
-                        lhs, rhs = _alpha_bound_pair(p, k, n, b_n, x, bits)
-                        if lhs.hi <= rhs.lo:
-                            return True
-                        if lhs.lo > rhs.hi:
-                            return False
-                        return None
-
-                    holds = refine(decide, cfg)
-                    if holds is False:
-                        return Verdict.fails(
-                            window, Witness(n, (f"p={p}", f"k={k}", f"x={x}"))
-                        )
-                    if holds is None:
-                        return Verdict.inconclusive(
-                            window,
-                            Trend(
-                                note=(
-                                    f"p={p}, k={k}, n={n}, x={x} unresolved "
-                                    "at the precision cap"
-                                )
-                            ),
-                        )
-    return Verdict.holds(window)
+        verdict = _scaled_power_sweep(
+            _binomial_root_series(p, n_max), n_max, n_max, cfg,
+            lambda k, n, b, bound_hi: Witness(
+                n, (f"p={p}", f"k={k}") + tuple(f"x={x}" for x in xs[:1])
+            ),
+            weight=lambda n: Fraction(factorial(n), n ** n),
+        )
+        if verdict.trend is not None:
+            verdict = replace(verdict, trend=Trend(note=f"p={p}, {verdict.trend.note}"))
+        if not verdict.ok:
+            return verdict
+    return Verdict.holds((1, n_max))
 
 
 def stirling_ineq_check(

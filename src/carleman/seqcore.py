@@ -622,14 +622,6 @@ def is_log_convex(
     return Verdict.holds(window)
 
 
-def build_iterated_log(
-    k: int, offset: Optional[int] = None, cfg: ScalarConfig = DEFAULT_CONFIG
-) -> IteratedLog:
-    """Iterated-log sequence with the certified default shift, or an explicit
-    offset (rejected when it leaves the k-fold log nonpositive)."""
-    return IteratedLog(k, offset, cfg)
-
-
 def _display(seq: WeightSequence, n: int, cfg: ScalarConfig) -> str:
     q = seq.exact(n)
     if q is not None:

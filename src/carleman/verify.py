@@ -101,6 +101,10 @@ class RunConfig:
             raise ValueError("x grid values must be positive")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+        if self.digits < 0:
+            raise ValueError("digits must be nonnegative")
+        if self.cp_grid < 2 or self.envelope_grid < 2:
+            raise ValueError("cp_grid and envelope_grid need at least 2 points")
 
     def scalar_config(self) -> ScalarConfig:
         return ScalarConfig(bits=self.precision)
@@ -609,8 +613,3 @@ def run_checks(
         records=records,
         metadata={"created": time.strftime("%Y-%m-%dT%H:%M:%S"), "decimal_digits": config.digits},
     )
-
-
-def run_verify_suite(config: RunConfig) -> Report:
-    """Run every registered check and assemble the deterministic report."""
-    return run_checks(config)

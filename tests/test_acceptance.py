@@ -6,14 +6,14 @@ default configuration, which pins exactly these bounds:
 
  1. composition-sum identity, exact for 1 <= k <= 6, k <= n <= 18, under 60 s
  2. coefficient bound c[k,n] <= (2e)**n k!/n**k certified for k, n <= 40
- 3. diagonal-derivative bound certified for p in {2,3,5}, k <= n <= 25,
-    x in {1/4, 1/2, 1, 2}
+ 3. diagonal-derivative bound certified for p in {2,3,5}, k <= n <= 25 and
+    every x > 0 (the x factor cancels; the 4-point grid names a witness)
  4. reciprocal-factorial bound certified for p in {2,3,5}, n <= 60, k < pn
  5. extremal lower bounds |F^(2n)(0)| >= M'_2n (cosine, n <= 10) and
     |F^(3n)(0)| >= M'_3n (C_3, n <= 6), truncation tails <= 2**-64 relative
  6. envelope |F^(n)(xi)| <= 2**(n+1) M'_n on a 101-point grid, n <= 12
- 7. |C_p^(n)(x)| <= e on a 51-point grid for p <= 5, n <= 4p, and
-    C_p^(p) = C_p within combined widths <= 2**-64
+ 7. |C_p^(n)(x)| <= e for every x in [-1, 1], p <= 5, n <= 4p, and
+    C_p^(p) = C_p on a 51-point grid within combined widths <= 2**-64
  8. remainder-identity reconstruction exact on 200 random polynomial cases
  9. quasianalyticity family verdicts
 10. transform laws over 1000 randomized sequences on [0, 32]
@@ -89,7 +89,7 @@ def test_criterion_02_coefficient_bound(suite_records):
 def test_criterion_03_diagonal_derivative_bound(suite_records):
     assert CONFIG.p_set == (2, 3, 5) and CONFIG.lemma2_n_max == 25
     assert CONFIG.x_grid == (F(1, 4), F(1, 2), F(1), F(2))
-    _criterion(3, "diagonal-derivative bound, p in {2,3,5}, n <= 25, 4-point x grid",
+    _criterion(3, "diagonal-derivative bound, p in {2,3,5}, n <= 25, every x > 0",
                suite_records, ["lemma2-diagonal-derivative-bound"])
 
 
@@ -119,7 +119,7 @@ def test_criterion_06_envelope(suite_records):
 
 def test_criterion_07_cp_properties(suite_records):
     assert CONFIG.cp_p_max == 5 and CONFIG.cp_grid == 51
-    _criterion(7, "|C_p^(n)(x)| <= e (p <= 5, n <= 4p) and C_p^(p) = C_p "
+    _criterion(7, "|C_p^(n)(x)| <= e on [-1, 1] (p <= 5, n <= 4p) and C_p^(p) = C_p "
                   "within combined widths <= 2**-64",
                suite_records, ["cp-derivative-bound", "cp-periodicity"])
 

@@ -97,6 +97,19 @@ def test_cp_bound_check_small():
         cp_bound_check(2, 4, [F(3, 2)])
 
 
+def test_cp_derivatives_on_the_unit_interval_are_majorized_at_one():
+    grid = [F(-1) + F(2 * i, 50) for i in range(51)]
+    for p in range(2, 6):
+        for n in range(4 * p + 1):
+            top = _cp_series_interval(p, n, F(1), 128).hi
+            for x in grid:
+                assert abs(_cp_series_interval(p, n, x, 128)).hi <= top, (p, n, x)
+    # the certificate no longer reads the grid beyond validating it
+    assert cp_bound_check(3, 12, []).ok
+    with pytest.raises(ValueError):
+        cp_bound_check(0, 4, grid)
+
+
 def test_cp_domain_validation():
     with pytest.raises(ValueError):
         cp_eval(2, F(3, 2))

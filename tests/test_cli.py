@@ -101,6 +101,35 @@ def test_run_config_validation():
         RunConfig(window=(5, 1))
     with pytest.raises(ValueError):
         RunConfig(format="xml")
+    for bad in (dict(digits=-1), dict(cp_grid=1), dict(envelope_grid=1)):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+    assert RunConfig(digits=0, cp_grid=2, envelope_grid=2).digits == 0
+
+
+@pytest.mark.parametrize("line", ["cp_grid = 1", "envelope_grid = 1", "digits = -1"])
+def test_main_verify_refuses_degenerate_config_fields(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["verify", "--config", str(cfg), "--only", "cp-derivative-bound"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--digits", "-1", "--only", "powersub-identity"],
+        ["seq", "show", "--seq", "gevrey(1)", "--range", "0:2", "--digits", "-1"],
+    ],
+)
+def test_main_negative_digits_is_a_usage_error(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def _tiny_config(**kw):

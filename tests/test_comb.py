@@ -26,7 +26,7 @@ from carleman.comb import (
     taylor_remainder_reconstruct,
 )
 from carleman import comb
-from carleman.scalar import Interval, ScalarConfig, factorial, iv_e
+from carleman.scalar import Interval, ScalarConfig, factorial, iv_e, iv_pow
 from carleman.seqcore import Verdict
 
 F = Fraction
@@ -200,6 +200,35 @@ def test_alpha_diag_derivative_examples():
 
 def test_lemma2_quick_sweep():
     assert lemma2_check((2, 3), 10, (F(1, 4), F(1, 2), 1, 2)).ok
+
+
+def test_lemma2_point_free_matches_the_per_point_bound():
+    # the bound as stated, x by x: |alpha_k^(n)(x,x)| against an enclosure of
+    # (2e)**n * n**(n-k) * x**(-(pn-k)/p)
+    cfg = ScalarConfig(mode="interval", bits=128)
+    e = iv_e(128)
+    grid = (F(1, 4), F(1, 2), F(1), F(2))
+    for p in (2, 3):
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                for x in grid:
+                    lhs = abs(alpha_diag_derivative(p, k, n, x, cfg).interval())
+                    rhs = (
+                        Interval(2 * e.lo, 2 * e.hi).pow_int(n)
+                        * F(n) ** (n - k)
+                        * iv_pow(Interval.point(x), F(-(p * n - k), p), 128)
+                    )
+                    assert lhs.hi <= rhs.lo, (p, k, n, x)
+        assert lemma2_check((p,), 8, grid).ok
+
+
+def test_lemma2_fails_names_the_first_grid_point(monkeypatch):
+    monkeypatch.setattr(
+        comb, "_two_e_powers", lambda n_max, bits: ([F(0)] * (n_max + 1),) * 2
+    )
+    v = lemma2_check((2, 3), 4, (F(1, 4), F(1, 2), 1, 2))
+    assert v.outcome == "fails"
+    assert str(v.witness) == "n=1: p=2, k=1, x=1/4"
 
 
 def test_stirling_single_and_sweep():

@@ -16,7 +16,6 @@ from carleman.seqcore import (
     SequenceError,
     Verdict,
     Witness,
-    build_iterated_log,
     compare_products,
     default_shift,
     derived_value,
@@ -118,11 +117,11 @@ def test_verdict_fails_requires_witness_or_global_provenance():
         Verdict.fails((0, 3), scope="global")
 
 
-def test_build_iterated_log_shifts():
-    assert build_iterated_log(1).shift == 3
-    assert build_iterated_log(2).shift == 16
+def test_iterated_log_default_shifts():
+    assert IteratedLog(1).shift == 3
+    assert IteratedLog(2).shift == 16
     with pytest.raises(SequenceError):
-        build_iterated_log(0)
+        IteratedLog(0)
 
 
 def test_default_shift_k3_certified_against_mpmath():
