@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from carleman.cli import parse_sequence_spec
+from carleman.cli import ConfigError, parse_sequence_spec
 from carleman.criteria import dc_partial_sum
 from carleman.scalar import ScalarConfig, decimal_str
 
@@ -37,9 +37,18 @@ def main(argv=None) -> int:
     ap.add_argument("--digits", type=int, default=12)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = ap.parse_args(argv)
+    if args.digits < 0:
+        ap.error("--digits must be nonnegative")
+    if args.step < 1:
+        ap.error("--step must be positive")
+    if args.bits < 8:
+        ap.error("--bits must be at least 8")
 
     specs = DEFAULT_FAMILIES + (args.seq or [])
-    seqs = [(s, parse_sequence_spec(s)) for s in specs]
+    try:
+        seqs = [(s, parse_sequence_spec(s)) for s in specs]
+    except ConfigError as exc:
+        ap.error(str(exc))
     cfg = ScalarConfig(mode="interval", bits=args.bits)
 
     rows = []

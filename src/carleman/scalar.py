@@ -590,6 +590,8 @@ def decimal_str(q: Fraction, digits: int, direction: str) -> str:
     integer arithmetic so emitted reports are deterministic."""
     if direction not in ("down", "up"):
         raise ValueError("direction must be 'down' or 'up'")
+    if digits < 0:
+        raise ValueError("digits must be nonnegative")
     scale = 10 ** digits
     scaled = q * scale
     n, d = scaled.numerator, scaled.denominator

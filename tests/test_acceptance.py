@@ -11,7 +11,8 @@ default configuration, which pins exactly these bounds:
  4. reciprocal-factorial bound certified for p in {2,3,5}, n <= 60, k < pn
  5. extremal lower bounds |F^(2n)(0)| >= M'_2n (cosine, n <= 10) and
     |F^(3n)(0)| >= M'_3n (C_3, n <= 6), truncation tails <= 2**-64 relative
- 6. envelope |F^(n)(xi)| <= 2**(n+1) M'_n on a 101-point grid, n <= 12
+ 6. envelope |F^(n)(xi)| <= 2**(n+1) M'_n for every xi in [-1, 1], n <= 12
+    (the triangle-inequality majorant; the 101-point grid is the fallback)
  7. |C_p^(n)(x)| <= e for every x in [-1, 1], p <= 5, n <= 4p, and
     C_p^(p) = C_p on a 51-point grid within combined widths <= 2**-64
  8. remainder-identity reconstruction exact on 200 random polynomial cases
@@ -113,7 +114,8 @@ def test_criterion_06_envelope(suite_records):
     assert CONFIG.envelope_n_max == 12 and CONFIG.envelope_grid == 101
     # the membership constant is not quoted anywhere; 2**(n+1) M'_n is the
     # envelope derived from the term-wise log-convexity estimate
-    _criterion(6, "|F^(n)(xi)| <= 2**(n+1) M'_n on the 101-point grid, n <= 12",
+    _criterion(6, "|F^(n)(xi)| <= 2**(n+1) M'_n for every xi in [-1, 1]; the 101-point "
+                  "grid is the fallback, n <= 12",
                suite_records, ["bang-envelope"])
 
 

@@ -13,6 +13,7 @@ from carleman.bang import (
     GrowthEnvelope,
     PolynomialModel,
     PowerCompositeModel,
+    _bang_majorant,
     _bang_sum,
     _cp_series_interval,
     _dyadic,
@@ -26,7 +27,16 @@ from carleman.bang import (
     induced_f_derivative,
     theorem1_bound,
 )
-from carleman.scalar import Interval, ScalarConfig, factorial, iv_cos, iv_e, iv_sin
+from carleman import bang as bang_module
+from carleman.scalar import (
+    DEFAULT_CONFIG,
+    Interval,
+    ScalarConfig,
+    factorial,
+    iv_cos,
+    iv_e,
+    iv_sin,
+)
 from carleman.seqcore import Custom, Gevrey, IteratedLog, SequenceError
 
 F = Fraction
@@ -108,6 +118,13 @@ def test_cp_derivatives_on_the_unit_interval_are_majorized_at_one():
     assert cp_bound_check(3, 12, []).ok
     with pytest.raises(ValueError):
         cp_bound_check(0, 4, grid)
+
+
+def test_cp_bound_check_exp_holds_globally():
+    verdict = cp_bound_check(1, 4, [F(-1), F(0), F(1)])
+    assert verdict.ok and verdict.scope == "global"
+    with pytest.raises(ValueError):
+        cp_bound_check(1, 4, [F(0), F(3, 2)])
 
 
 def test_cp_domain_validation():
@@ -216,10 +233,72 @@ def test_induced_germ_derivative():
         assert enc.hi >= target.lo
 
 
-def test_envelope_check_small():
+def test_envelope_check_small(monkeypatch):
     B = BangFunction(IteratedLog(2), p=2, max_order=6)
     grid = [F(i, 5) for i in range(-5, 6)]
+    orders = _spy_on_derivative(monkeypatch)
     assert bang_envelope_check(B, 6, grid).ok
+    # every order decides point-free: no grid evaluation, no trig
+    assert orders == [] and B._trig_cache == {}
+
+
+def test_envelope_majorant_bounds_every_grid_point():
+    # the derivatives are enclosed at 4x the precision: at xi = 0 and even n
+    # the majorant is attained, so equal-precision enclosures can overlap it
+    B = BangFunction(IteratedLog(2), p=2, max_order=8)
+    grid = [F(i, 5) for i in range(-5, 6)]
+    fine = ScalarConfig(mode="interval", bits=512)
+    for n in range(9):
+        top = _bang_majorant(B, n, 128).hi
+        for x in grid:
+            assert abs(bang_derivative(B, n, x, fine).interval()).hi <= top, (n, x)
+
+
+def _spy_on_derivative(monkeypatch):
+    orders = []
+    real = bang_module.bang_derivative
+
+    def spy(B, n, xi, cfg=DEFAULT_CONFIG):
+        orders.append(n)
+        return real(B, n, xi, cfg)
+
+    monkeypatch.setattr(bang_module, "bang_derivative", spy)
+    return orders
+
+
+def test_envelope_grid_runs_only_for_undecided_orders(monkeypatch):
+    B = BangFunction(IteratedLog(2), p=2, max_order=6)
+    grid = [F(i, 2) for i in range(-2, 3)]
+    real = bang_module._bang_majorant
+
+    def blind_at_3(B, n, bits):
+        return Interval.point(F(10) ** 30) if n == 3 else real(B, n, bits)
+
+    monkeypatch.setattr(bang_module, "_bang_majorant", blind_at_3)
+    orders = _spy_on_derivative(monkeypatch)
+    assert bang_envelope_check(B, 6, grid).ok
+    assert orders and set(orders) == {3}
+
+
+def test_envelope_fails_name_the_first_grid_point(monkeypatch):
+    real = GrowthEnvelope.bound
+    monkeypatch.setattr(
+        GrowthEnvelope, "bound", lambda self, seq, n, bits: real(self, seq, n, bits) * F(1, 1000)
+    )
+    B = BangFunction(IteratedLog(2), p=2, max_order=6)
+    verdict = bang_envelope_check(B, 6, [F(i, 5) for i in range(-5, 6)])
+    assert verdict.outcome == "fails"
+    assert str(verdict.witness) == "n=0: xi=-1"
+
+
+def test_envelope_check_validates_the_grid():
+    B = BangFunction(IteratedLog(2), p=2, max_order=6)
+    with pytest.raises(ValueError):
+        bang_envelope_check(B, 2, [F(0), F(3, 2)])
+    cp = BangFunction(IteratedLog(2), p=3, max_order=6)
+    assert bang_envelope_check(cp, 6, [F(0)]).ok
+    with pytest.raises(ValueError):
+        bang_envelope_check(cp, 2, [F(1, 2)])
 
 
 def test_theorem1_bound_values():

@@ -196,6 +196,8 @@ def test_decimal_str_directed():
     assert decimal_str(F(-1, 3), 4, "up") == "-0.3333"
     assert decimal_str(F(5, 2), 1, "down") == "2.5"
     assert decimal_str(F(2), 0, "up") == "2"
+    with pytest.raises(ValueError):
+        decimal_str(F(1, 3), -1, "down")
 
 
 def test_iv_cos_sin_is_the_pair_of_iv_cos_and_iv_sin():

@@ -18,13 +18,33 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, header):
+    proc = _run(script, args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith(header)
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("dc_curves.py", ["--digits", "-1"]),
+        ("dc_curves.py", ["--step", "0"]),
+        ("bang_profile.py", ["--grid", "1"]),
+        ("bang_profile.py", ["--seq", "bogus(1)"]),
+    ],
+)
+def test_script_refuses_bad_options(script, args):
+    proc = _run(script, args)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
+
+
+def _run(script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0].startswith(header)
