@@ -32,7 +32,6 @@ from .transforms import (
     Regularized,
     derived_power_substitution,
     log_convex_regularization,
-    power_substitution,
 )
 from .criteria import (
     dc_partial_sum,
@@ -56,12 +55,10 @@ from .comb import (
 from .bang import (
     BangFunction,
     GateError,
-    GrowthEnvelope,
     bang_derivative,
     bang_lower_bound_certify,
     class_norm,
     cp_derivative,
-    cp_eval,
     induced_f_derivative,
     theorem1_bound,
 )

@@ -21,9 +21,8 @@ tail control available, which dictates two restrictions enforced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from .scalar import (
     DEFAULT_CONFIG,
@@ -114,15 +113,11 @@ def _cp_series_interval(p: int, n: int, x: Fraction, bits: int) -> Interval:
     return Interval(total - tail, total + tail)
 
 
-def cp_eval(p: int, x: RationalLike, cfg: ScalarConfig = DEFAULT_CONFIG) -> Scalar:
-    """C_p(x) = sum x**(jp) / (jp)!      (p=1: exp, p=2: cosh), certified."""
-    return cp_derivative(p, 0, x, cfg)
-
-
 def cp_derivative(
     p: int, n: int, x: RationalLike, cfg: ScalarConfig = DEFAULT_CONFIG
 ) -> Scalar:
-    """n-th derivative of C_p at x in [-1, 1], term-wise with certified tail."""
+    """n-th derivative of C_p at x in [-1, 1], term-wise with certified tail;
+    n = 0 is C_p(x) = sum x**(jp) / (jp)!  (p = 1: exp, p = 2: cosh)."""
     if p < 1:
         raise ValueError("oscillator power p must be >= 1")
     if n < 0:
@@ -260,42 +255,15 @@ def _dyadic_mul(x: Dyadic, y: Dyadic) -> Dyadic:
 # -- Bang-type series -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    """Derivative growth data: |f^(n)| <= C * R**n * n! * M_n, together with
-    the norm radius r and interval used by the class norm."""
-
-    C: Fraction
-    R: Fraction
-    r: Fraction
-    interval: Tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        C = _as_fraction(self.C)
-        R = _as_fraction(self.R)
-        r = _as_fraction(self.r)
-        lo, hi = self.interval
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "interval", (_as_fraction(lo), _as_fraction(hi)))
-        if C <= 0 or R <= 0 or r <= 0:
-            raise ValueError("envelope constants must be positive")
-        if self.interval[0] > self.interval[1]:
-            raise ValueError("envelope interval endpoints out of order")
-
-    def bound(self, seq: WeightSequence, n: int, bits: int) -> Interval:
-        scale = self.C * self.R ** n * factorial(n)
-        return seq.enclosure(n, bits) * scale
-
-
 class BangFunction:
     """Truncated extremal series over a weight sequence with log-convex
     derived values.
 
-    ``max_order`` is the largest derivative order evaluations will request;
-    the truncation index K is chosen so the relative tail 2**(n-K+1) stays
-    below ``tail_target`` for every n <= max_order (or pass K explicitly).
+    The oscillator is fixed by ``p``: cosine for p = 2 (``variant`` "cos"),
+    C_p otherwise ("cp").  ``max_order`` is the largest derivative order
+    evaluations will request; the truncation index K is chosen so the
+    relative tail 2**(n-K+1) stays below ``tail_target`` for every
+    n <= max_order (or pass K explicitly).
     Construction certifies m_k nondecreasing on [0, K]: a certified
     violation raises ``GateError`` and an unresolved gate ``PrecisionError``.
     """
@@ -304,7 +272,6 @@ class BangFunction:
         self,
         seq: WeightSequence,
         p: int = 2,
-        variant: Optional[str] = None,
         max_order: int = 12,
         tail_target: RationalLike = Fraction(1, 2 ** 64),
         K: Optional[int] = None,
@@ -314,11 +281,7 @@ class BangFunction:
             raise SequenceError("oscillator power p must be >= 1")
         self.seq = seq
         self.p = p
-        self.variant = variant if variant is not None else ("cos" if p == 2 else "cp")
-        if self.variant not in ("cos", "cp"):
-            raise SequenceError(f"unknown oscillator variant {self.variant!r}")
-        if self.variant == "cos" and p != 2:
-            raise SequenceError("the cosine oscillator is the p = 2 construction")
+        self.variant = "cos" if p == 2 else "cp"
         tau = _as_fraction(tail_target)
         if not 0 < tau < 1:
             raise SequenceError("tail target must lie in (0, 1)")
@@ -378,9 +341,6 @@ class BangFunction:
     def relative_tail(self, n: int) -> Fraction:
         """Certified relative tail margin 2**(n-K+1) at derivative order n."""
         return Fraction(2) ** (n - self.K + 1)
-
-    def tail_certified(self, n: int) -> bool:
-        return self.relative_tail(n) <= self.tail_target
 
     def describe(self) -> str:
         return (
@@ -495,7 +455,7 @@ def bang_lower_bound_certify(
     certified nonnegative."""
     if n < 0:
         raise ValueError("order index must be nonnegative")
-    q = B.p * n if B.variant == "cp" else 2 * n
+    q = B.p * n
     if q > B.K:
         raise ValueError(f"need truncation K >= {q}")
     window = (n, n)
@@ -526,7 +486,7 @@ def induced_f_derivative(
 ) -> Tuple[Scalar, Verdict]:
     """The germ derivative f^(n)(0) = n!/(pn)! * F^(pn)(0), with the
     certified comparison |f^(n)(0)| >= n! M'_{pn} / (pn)!."""
-    q = B.p * n if B.variant == "cp" else 2 * n
+    q = B.p * n
     scale = Fraction(factorial(n), factorial(q))
     scalar = make_scalar(
         cfg,
@@ -573,6 +533,11 @@ def theorem1_bound(
     return make_scalar(cfg, None, enclosure)
 
 
+def _envelope_bound(B: BangFunction, n: int, bits: int) -> Interval:
+    """The growth envelope 2**(n+1) M'_n, from the cached M'_n."""
+    return B._mprime(n, bits) * 2 ** (n + 1)
+
+
 def bang_envelope_check(
     B: BangFunction,
     n_max: int,
@@ -596,7 +561,6 @@ def bang_envelope_check(
     """
     window = (0, n_max)
     xs = [_bang_point(B, x) for x in grid]
-    env = GrowthEnvelope(Fraction(2), Fraction(2), Fraction(1), (Fraction(-1), Fraction(1)))
     for n in range(n_max + 1):
 
         def point_free(bits: int) -> Optional[bool]:
@@ -604,8 +568,7 @@ def bang_envelope_check(
                 lhs = _bang_majorant(B, n, bits)
             except PrecisionError:
                 return None
-            # 2**(n+1) M'_n == C R**n n! M_n with C = R = 2
-            rhs = env.bound(B.seq, n, bits)
+            rhs = _envelope_bound(B, n, bits)
             if lhs.hi <= rhs.lo:
                 return True
             if lhs.lo > rhs.hi:
@@ -615,7 +578,7 @@ def bang_envelope_check(
         # the geometric tail needs n <= K; above it the grid refuses the order
         if n <= B.K and refine(point_free, cfg):
             continue
-        verdict = _envelope_on_grid(B, n, xs, env, window, cfg)
+        verdict = _envelope_on_grid(B, n, xs, window, cfg)
         if verdict is not None:
             return verdict
     return Verdict.holds(window)
@@ -625,7 +588,6 @@ def _envelope_on_grid(
     B: BangFunction,
     n: int,
     xs: Sequence[Fraction],
-    env: GrowthEnvelope,
     window: Tuple[int, int],
     cfg: ScalarConfig,
 ) -> Optional[Verdict]:
@@ -637,7 +599,7 @@ def _envelope_on_grid(
             enc = abs(
                 bang_derivative(B, n, x, cfg.with_mode("interval").with_bits(bits)).interval()
             )
-            rhs = env.bound(B.seq, n, bits)
+            rhs = _envelope_bound(B, n, bits)
             if enc.hi <= rhs.lo:
                 return True
             if enc.lo > rhs.hi:
@@ -691,7 +653,8 @@ class CpModel:
 
 
 class BangModel:
-    """A truncated extremal series as a model (cosine variant)."""
+    """A truncated extremal series as a model.  The cosine series (p = 2)
+    is evaluated on [-1, 1]; the C_p series only at xi = 0."""
 
     def __init__(self, B: BangFunction):
         self.B = B
@@ -741,11 +704,12 @@ def class_norm(
     interval: Tuple[RationalLike, RationalLike],
     r: RationalLike,
     n_max: int,
-    grid: Union[int, Sequence[RationalLike]],
+    grid: int,
     cfg: ScalarConfig = DEFAULT_CONFIG,
 ) -> Scalar:
     """Window-relative lower estimate of the class norm
-    sup |f^(n)(x)| / (r**n n! M_n) over n <= n_max and x in the grid.
+    sup |f^(n)(x)| / (r**n n! M_n) over n <= n_max and x on the grid of
+    ``grid`` equally spaced points of the interval, endpoints included.
 
     The returned enclosure brackets the maximum over the finite sample; the
     true norm is a sup over all n and x, so this is a certified lower bound
@@ -757,14 +721,11 @@ def class_norm(
     rq = _as_fraction(r)
     if rq <= 0:
         raise ValueError("norm radius r must be positive")
-    if isinstance(grid, int):
-        if grid < 2:
-            raise ValueError("grid needs at least two points")
-        xs = [lo + (hi - lo) * Fraction(i, grid - 1) for i in range(grid)]
-    else:
-        xs = [_as_fraction(x) for x in grid]
-        if any(not lo <= x <= hi for x in xs):
-            raise ValueError("grid points must lie in the interval")
+    if n_max < 0:
+        raise ValueError("derivative order bound n_max must be nonnegative")
+    if grid < 2:
+        raise ValueError("grid needs at least two points")
+    xs = [lo + (hi - lo) * Fraction(i, grid - 1) for i in range(grid)]
 
     def sweep(bits: int) -> Interval:
         best: Optional[Interval] = None

@@ -70,8 +70,8 @@ from .seqcore import (
     is_log_convex,
     value,
 )
-from .transforms import log_convex_regularization, power_substitution
-from .verify import Record, Report, RunConfig, check_ids, run_checks
+from .transforms import log_convex_regularization
+from .verify import Record, Report, RunConfig, check_ids, run_checks, witness_text
 
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
@@ -193,29 +193,23 @@ def _parse_window(text: str) -> Tuple[int, int]:
 
 # -- RunConfig loading ---------------------------------------------------------------
 
-_INT_FIELDS = {
-    "precision", "k_max", "n_max", "b_k_max", "b_n_max", "seed", "digits",
-    "corollary_k_max", "corollary_n_max", "lemma2_n_max", "stirling_n_max",
-    "bang_cos_n_max", "bang_cp_n_max", "bang_cp_p", "envelope_n_max",
-    "envelope_grid", "cp_p_max", "cp_grid", "remainder_cases",
-    "transform_cases", "transform_window", "germ_n_max",
-}
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_config_value(key: str, raw: str):
-    if key in _INT_FIELDS:
-        return int(raw)
+    """A config value, parsed by the type of the field's default: a window
+    is a:b, tuples are comma-separated, rationals as in ``parse_fraction``."""
+    default = _FIELD_DEFAULTS[key]  # KeyError: unknown field
     if key == "window":
         return _parse_window(raw)
-    if key == "p_set":
-        return tuple(int(v) for v in raw.split(","))
-    if key == "x_grid":
-        return tuple(parse_fraction(v) for v in raw.split(","))
-    if key == "tail_target":
+    if isinstance(default, tuple):
+        item = parse_fraction if isinstance(default[0], Fraction) else int
+        return tuple(item(v) for v in raw.split(","))
+    if isinstance(default, Fraction):
         return parse_fraction(raw)
-    if key in ("format", "bang_seq"):
-        return raw.strip()
-    raise KeyError(key)
+    if isinstance(default, int):
+        return int(raw)
+    return raw.strip()
 
 
 def load_config_file(path: str) -> dict:
@@ -299,19 +293,24 @@ def report_to_csv_text(report: Report) -> str:
     return buf.getvalue()
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write ``text`` to ``path``; an OS refusal is a ConfigError (exit 3)."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} to {path}: {exc}") from exc
+
+
 def emit_report(report: Report, path: str, fmt: str) -> None:
     """Write the report as JSON or RFC-4180 CSV."""
     if fmt not in ("json", "csv"):
         raise ConfigError(f"unknown report format {fmt!r}")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "json":
-                json.dump(report_to_json_obj(report), fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write(report_to_csv_text(report))
-    except OSError as exc:
-        raise ConfigError(f"cannot write report to {path}: {exc}") from exc
+    if fmt == "json":
+        text = json.dumps(report_to_json_obj(report), indent=2) + "\n"
+    else:
+        text = report_to_csv_text(report)
+    _write_text(path, text, "report")
 
 
 def _scalar_cells(s: Scalar, digits: int) -> Tuple[str, str]:
@@ -328,13 +327,8 @@ def _scalar_cells(s: Scalar, digits: int) -> Tuple[str, str]:
 def _record(
     rid: str, anchor: str, verdict: Verdict, lower: str = "", upper: str = ""
 ) -> Record:
-    witness = ""
-    if verdict.witness is not None:
-        witness = str(verdict.witness)
-    elif verdict.trend is not None:
-        witness = str(verdict.trend)
     return Record(
-        id=rid, anchor=anchor, verdict=verdict.outcome, witness=witness,
+        id=rid, anchor=anchor, verdict=verdict.outcome, witness=witness_text(verdict),
         lower=lower, upper=upper, seconds=0.0,
     )
 
@@ -355,12 +349,7 @@ def _finish(
     if getattr(args, "emit", None):
         emit_report(report, args.emit, config.format)
         print(f"report written to {args.emit} ({config.format})")
-    if any(r.verdict == "fails" for r in report.records):
-        return EXIT_FAILS
-    for r in report.records:
-        if r.verdict == "inconclusive" and (expectations or {}).get(r.id, True):
-            return EXIT_INCONCLUSIVE
-    return 0
+    return report.exit_code(expectations)
 
 
 def _mini_report(config: RunConfig, records: List[Record]) -> Report:
@@ -395,7 +384,7 @@ def _cmd_seq_show(args, config: RunConfig) -> int:
 def _cmd_seq_test(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     cfg = ScalarConfig(bits=config.precision)
-    window = _parse_window(args.window) if args.window else config.window
+    window = config.window
     records = [
         _record("seq-increasing", "M_n <= M_{n+1}", is_increasing(seq, window, cfg)),
         _record(
@@ -416,7 +405,7 @@ def _cmd_seq_test(args, config: RunConfig) -> int:
 
 def _cmd_transform_powersub(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
-    ps = power_substitution(seq, args.p)
+    ps = PowerSub(seq, args.p)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
     a, b = _parse_window(args.range)
     print(f"# {ps.describe()}")
@@ -455,10 +444,11 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
             lo, hi = _scalar_cells(s, config.digits)
             rows.append((N, lo, hi))
         if args.emit:
-            with open(args.emit, "w", encoding="utf-8", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["N", "lower", "upper"])
-                w.writerows(rows)
+            buf = io.StringIO()
+            w = csv.writer(buf)
+            w.writerow(["N", "lower", "upper"])
+            w.writerows(rows)
+            _write_text(args.emit, buf.getvalue(), "partial-sum curve")
             print(f"partial-sum curve written to {args.emit}")
         else:
             for N, lo, hi in rows:
@@ -473,8 +463,7 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
 def _cmd_criteria_closure(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
-    window = _parse_window(args.window) if args.window else config.window
-    est, verdict = derivation_closure_estimate(seq, window, cfg)
+    est, verdict = derivation_closure_estimate(seq, config.window, cfg)
     lo, hi = _scalar_cells(est, config.digits)
     records = [_record("criteria-derivation-closure", "sup (M_{n+1}/M_n)**(1/n) bounded", verdict, lo, hi)]
     expectations = {"criteria-derivation-closure": not isinstance(seq, Custom)}
@@ -485,8 +474,7 @@ def _cmd_criteria_inclusion(args, config: RunConfig) -> int:
     M = parse_sequence_spec(args.seq)
     N = parse_sequence_spec(args.other)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
-    window = _parse_window(args.window) if args.window else config.window
-    est, verdict = inclusion_estimate(M, N, window, cfg)
+    est, verdict = inclusion_estimate(M, N, config.window, cfg)
     lo, hi = _scalar_cells(est, config.digits)
     records = [_record("criteria-inclusion", "sup (M_n/N_n)**(1/n) bounded", verdict, lo, hi)]
     return _finish(_mini_report(config, records), args, config, {"criteria-inclusion": False})
@@ -529,8 +517,12 @@ def _cmd_comb_lemmas(args, config: RunConfig) -> int:
 
 def _bang_from_args(args, config: RunConfig) -> BangFunction:
     seq = parse_sequence_spec(args.seq)
+    max_order = args.max_order
+    if max_order is None:
+        # eval evaluates at its own order; bounds reaches max(p, 2) n at its top n
+        max_order = args.order if hasattr(args, "order") else max(args.p, 2) * args.n
     return BangFunction(
-        seq, p=args.p, max_order=args.max_order, tail_target=config.tail_target,
+        seq, p=args.p, max_order=max_order, tail_target=config.tail_target,
         cfg=ScalarConfig(bits=config.precision),
     )
 
@@ -591,7 +583,7 @@ def _cmd_bang_bounds(args, config: RunConfig) -> int:
 def _cmd_bang_norm(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     model = parse_model_spec(args.model, seq, config)
-    lo, hi = _parse_window(args.interval) if ":" in args.interval else (-1, 1)
+    lo, hi = _parse_window(args.interval)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
     s = class_norm(
         model, seq, (Fraction(lo), Fraction(hi)), parse_fraction(args.r),
@@ -744,13 +736,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_run_config(args)
-        if getattr(args, "max_order", None) is None and hasattr(args, "max_order"):
-            if getattr(args, "order", None) is not None:
-                args.max_order = args.order
-            elif getattr(args, "n", None) is not None:
-                args.max_order = max(args.p, 2) * args.n
-            elif args.max_order is None:
-                args.max_order = 12
         return args.handler(args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,19 +77,6 @@ class TruncatedPowerSeries:
             return Fraction(0)
         return self.coeffs[n - self.valuation]
 
-    def is_zero(self) -> bool:
-        return self.valuation > self.order
-
-    def __add__(self, other: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
-        order = min(self.order, other.order)
-        if self.is_zero() and other.is_zero():
-            return TruncatedPowerSeries.zero(order)
-        val = min(self.valuation, other.valuation, order + 1)
-        coeffs = tuple(
-            self.coeff(n) + other.coeff(n) for n in range(val, order + 1)
-        )
-        return TruncatedPowerSeries(coeffs, val, order)
-
     def __mul__(self, other: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
         order = min(self.order, other.order)
         val = self.valuation + other.valuation

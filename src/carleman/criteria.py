@@ -89,14 +89,16 @@ def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
     return Trend(last=tuple(points), growth=growth, note="partial-sum slope per log N")
 
 
-def quasianalytic_verdict(
-    seq: WeightSequence,
-    cfg: ScalarConfig = DEFAULT_CONFIG,
-    trend_window: int = 64,
-) -> Verdict:
+# the verdict window of the family oracles, and the top of the partial-sum
+# trend reported when no oracle applies
+_TREND_WINDOW = 64
+
+
+def quasianalytic_verdict(seq: WeightSequence, cfg: ScalarConfig = DEFAULT_CONFIG) -> Verdict:
     """Global family-oracle verdict; Custom and regularized sequences get an
     Inconclusive with partial-sum trend data."""
     flat, total_p = _flatten_power_sub(seq)
+    trend_window = _TREND_WINDOW
     if isinstance(flat, Custom) and flat.length is not None:
         trend_window = min(trend_window, max(1, (flat.length - 2) // total_p))
     window = (0, trend_window)

@@ -31,6 +31,9 @@ RationalLike = Union[int, Fraction]
 
 _GUARD_BITS = 16
 
+# binary exponent range of float-mode values; beyond it RangeError
+FLOAT_EXP_CAP = 1 << 20
+
 MODE_EXACT = "exact"
 MODE_FLOAT = "float"
 MODE_INTERVAL = "interval"
@@ -181,9 +184,6 @@ class Interval:
     def strictly_positive(self) -> bool:
         return self.lo > 0
 
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
@@ -193,10 +193,6 @@ class Interval:
         if self.hi <= 0:
             return -self
         return Interval(Fraction(0), max(-self.lo, self.hi))
-
-    @property
-    def abs_hi(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
 
     def _coerce(self, other) -> "Interval":
         if isinstance(other, Interval):
@@ -265,9 +261,6 @@ class Interval:
         if e % 2 == 0:
             return Interval(Fraction(0), max(lo ** e, hi ** e))
         return Interval(lo ** e, hi ** e)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def widen(self, margin: RationalLike) -> "Interval":
         m = _as_fraction(margin)
@@ -427,7 +420,6 @@ class ScalarConfig:
     mode: str = MODE_INTERVAL
     bits: int = 256
     max_doublings: int = 6
-    float_exp_cap: int = 1 << 20
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -438,14 +430,13 @@ class ScalarConfig:
             raise ValueError("max_doublings must be nonnegative")
 
     def with_mode(self, mode: str) -> "ScalarConfig":
-        return ScalarConfig(mode, self.bits, self.max_doublings, self.float_exp_cap)
+        return ScalarConfig(mode, self.bits, self.max_doublings)
 
     def with_bits(self, bits: int) -> "ScalarConfig":
-        return ScalarConfig(self.mode, bits, self.max_doublings, self.float_exp_cap)
+        return ScalarConfig(self.mode, bits, self.max_doublings)
 
 
 DEFAULT_CONFIG = ScalarConfig()
-EXACT_CONFIG = ScalarConfig(mode=MODE_EXACT)
 
 
 @dataclass(frozen=True)
@@ -510,7 +501,7 @@ class Scalar:
 def _float_from_fraction(q: Fraction, cfg: ScalarConfig):
     t = _rounded_tuple(q, cfg.bits, "n")
     _sign, man, exp, bc = t
-    if man != 0 and abs(exp + bc) > cfg.float_exp_cap:
+    if man != 0 and abs(exp + bc) > FLOAT_EXP_CAP:
         raise RangeError(
             "value exceeds the float-mode exponent range; "
             "use interval or exact mode (log-domain) instead"

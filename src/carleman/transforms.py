@@ -1,14 +1,14 @@
-"""Sequence-to-sequence transforms: power substitution and the greatest
-log-convex minorant.
+"""Sequence-to-sequence transforms: derived power substitution and the
+greatest log-convex minorant.
 
-Power substitution sends M to n |-> M_{p n}; its derived form divides
-M'_{p n} by n**((p-1) n).  Regularization returns, window-relative, the
-largest log-convex sequence below the input: exponentials of the lower
-convex hull of the points (n, log M_n).  Hull turn tests never touch logs
-directly; the sign of a log-linear combination is decided by comparing
-rational powers, exactly whenever every operand has a q**(1/d) form and by
-interval refinement otherwise.  Collinear points are kept as vertices, so a
-log-convex input is reproduced verbatim.
+Power substitution sends M to n |-> M_{p n} (``seqcore.PowerSub``); its
+derived form, here, divides M'_{p n} by n**((p-1) n).  Regularization
+returns, window-relative, the largest log-convex sequence below the input:
+exponentials of the lower convex hull of the points (n, log M_n).  Hull turn
+tests never touch logs directly; the sign of a log-linear combination is
+decided by comparing rational powers, exactly whenever every operand has a
+q**(1/d) form and by interval refinement otherwise.  Collinear points are
+kept as vertices, so a log-convex input is reproduced verbatim.
 """
 
 from __future__ import annotations
@@ -32,18 +32,12 @@ from .scalar import (
     outward_pow_product,
 )
 from .seqcore import (
-    PowerSub,
     RootRep,
     SequenceError,
     WeightSequence,
     Window,
     compare_products,
 )
-
-
-def power_substitution(seq: WeightSequence, p: int) -> PowerSub:
-    """The sequence n |-> M_{p n}; p = 0 is rejected."""
-    return PowerSub(seq, p)
 
 
 def derived_power_substitution(

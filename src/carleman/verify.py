@@ -106,9 +106,6 @@ class RunConfig:
         if self.cp_grid < 2 or self.envelope_grid < 2:
             raise ValueError("cp_grid and envelope_grid need at least 2 points")
 
-    def scalar_config(self) -> ScalarConfig:
-        return ScalarConfig(bits=self.precision)
-
     def sweep_config(self) -> ScalarConfig:
         # inequality sweeps refine upward from a moderate start; the final
         # comparisons are certified at whatever precision resolved them
@@ -135,15 +132,25 @@ def _check(check_id: str, anchor: str):
     return deco
 
 
+def witness_text(verdict: Verdict) -> str:
+    """The report's witness cell: the witness, else the trend, else empty."""
+    if verdict.witness is not None:
+        return str(verdict.witness)
+    if verdict.trend is not None:
+        return str(verdict.trend)
+    return ""
+
+
 def _outcome(verdict: Verdict, enclosure: Optional[Interval] = None) -> CheckOutcome:
-    out = CheckOutcome(verdict)
+    out = CheckOutcome(verdict, witness=witness_text(verdict))
     if enclosure is not None:
         out.lower, out.upper = enclosure.lo, enclosure.hi
-    if verdict.witness is not None:
-        out.witness = str(verdict.witness)
-    elif verdict.trend is not None:
-        out.witness = str(verdict.trend)
     return out
+
+
+def _unit_grid(g: int) -> List[Fraction]:
+    """g equally spaced points of [-1, 1], endpoints included."""
+    return [Fraction(-1) + Fraction(2 * i, g - 1) for i in range(g)]
 
 
 # -- series and inequality checks ------------------------------------------------
@@ -249,24 +256,8 @@ def _build_bang(
         return _outcome(Verdict.fails(window, Witness(0, (f"construction gate: {exc}",))))
 
 
-@_check("bang-cos-lower-bound", "|F^(2n)(0)| >= M'_2n for the cosine series")
-def _bang_cos_lower(config: RunConfig) -> CheckOutcome:
-    nmax = config.bang_cos_n_max
-    B = _build_bang(config, 2, 2 * nmax, (0, nmax))
-    if isinstance(B, CheckOutcome):
-        return B
-    cfg = config.sweep_config()
-    for n in range(nmax + 1):
-        v = bang_lower_bound_certify(B, n, cfg)
-        if not v.ok:
-            return _outcome(v)
-    top = abs(bang_derivative(B, 2 * nmax, 0, cfg).interval())
-    return _outcome(Verdict.holds((0, nmax)), top)
-
-
-@_check("bang-cp-lower-bound", "|F^(pn)(0)| >= M'_pn for the C_p series")
-def _bang_cp_lower(config: RunConfig) -> CheckOutcome:
-    p, nmax = config.bang_cp_p, config.bang_cp_n_max
+def _bang_lower(config: RunConfig, p: int, nmax: int) -> CheckOutcome:
+    """|F^(pn)(0)| >= M'_pn for n <= nmax, with the top-order enclosure."""
     B = _build_bang(config, p, p * nmax, (0, nmax))
     if isinstance(B, CheckOutcome):
         return B
@@ -277,6 +268,16 @@ def _bang_cp_lower(config: RunConfig) -> CheckOutcome:
             return _outcome(v)
     top = abs(bang_derivative(B, p * nmax, 0, cfg).interval())
     return _outcome(Verdict.holds((0, nmax)), top)
+
+
+@_check("bang-cos-lower-bound", "|F^(2n)(0)| >= M'_2n for the cosine series")
+def _bang_cos_lower(config: RunConfig) -> CheckOutcome:
+    return _bang_lower(config, 2, config.bang_cos_n_max)
+
+
+@_check("bang-cp-lower-bound", "|F^(pn)(0)| >= M'_pn for the C_p series")
+def _bang_cp_lower(config: RunConfig) -> CheckOutcome:
+    return _bang_lower(config, config.bang_cp_p, config.bang_cp_n_max)
 
 
 @_check("bang-tail-certificate", "relative truncation tail 2**(n-K+1) <= target")
@@ -308,15 +309,13 @@ def _bang_envelope(config: RunConfig) -> CheckOutcome:
     B = _build_bang(config, 2, max(nmax, 2 * config.bang_cos_n_max), (0, nmax))
     if isinstance(B, CheckOutcome):
         return B
-    g = config.envelope_grid
-    grid = [Fraction(-1) + Fraction(2 * i, g - 1) for i in range(g)]
+    grid = _unit_grid(config.envelope_grid)
     return _outcome(bang_envelope_check(B, nmax, grid, config.sweep_config()))
 
 
 @_check("cp-derivative-bound", "|C_p^(n)(x)| <= e on [-1, 1] for n <= 4p")
 def _cp_bound(config: RunConfig) -> CheckOutcome:
-    g = config.cp_grid
-    grid = [Fraction(-1) + Fraction(2 * i, g - 1) for i in range(g)]
+    grid = _unit_grid(config.cp_grid)
     for p in range(1, config.cp_p_max + 1):
         v = cp_bound_check(p, 4 * p, grid, config.sweep_config())
         if not v.ok:
@@ -328,8 +327,7 @@ def _cp_bound(config: RunConfig) -> CheckOutcome:
 def _cp_periodicity(config: RunConfig) -> CheckOutcome:
     cfg = config.sweep_config()
     width_cap = Fraction(1, 2 ** 64)
-    g = config.cp_grid
-    grid = [Fraction(-1) + Fraction(2 * i, g - 1) for i in range(g)]
+    grid = _unit_grid(config.cp_grid)
     worst = Fraction(0)
     for p in range(1, config.cp_p_max + 1):
         for x in grid:
@@ -535,10 +533,16 @@ class Report:
     records: List[Record]
     metadata: dict = field(default_factory=dict)
 
-    def exit_code(self) -> int:
+    def exit_code(self, expectations: Optional[dict] = None) -> int:
+        """1 on any Fails, else 2 on an Inconclusive whose resolution was
+        expected, else 0.  ``expectations`` maps a record id to whether a
+        resolution was expected; ids not in it expect one."""
         if any(r.verdict == "fails" for r in self.records):
             return 1
-        if any(r.verdict == "inconclusive" for r in self.records):
+        expected = expectations or {}
+        if any(
+            r.verdict == "inconclusive" and expected.get(r.id, True) for r in self.records
+        ):
             return 2
         return 0
 

@@ -10,7 +10,6 @@ from carleman.bang import (
     BangFunction,
     BangModel,
     CpModel,
-    GrowthEnvelope,
     PolynomialModel,
     PowerCompositeModel,
     _bang_majorant,
@@ -23,7 +22,6 @@ from carleman.bang import (
     class_norm,
     cp_bound_check,
     cp_derivative,
-    cp_eval,
     induced_f_derivative,
     theorem1_bound,
 )
@@ -57,16 +55,16 @@ def _contains_mpf(enc: Interval, x) -> bool:
 def test_cp_eval_matches_exp_and_cosh():
     mpmath.mp.prec = 200
     for x in (F(1, 3), F(-1, 2), F(1)):
-        e1 = cp_eval(1, x, IVAL).interval()
+        e1 = cp_derivative(1, 0, x, IVAL).interval()
         assert _contains_mpf(e1, mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
-        e2 = cp_eval(2, x, IVAL).interval()
+        e2 = cp_derivative(2, 0, x, IVAL).interval()
         assert _contains_mpf(e2, mpmath.cosh(mpmath.mpf(x.numerator) / x.denominator))
         assert e1.width < F(1, 2 ** 100)
 
 
 def test_cp_at_zero_is_exact():
     for p in (1, 2, 3, 5):
-        assert cp_eval(p, 0, ScalarConfig(mode="exact")).fraction() == 1
+        assert cp_derivative(p, 0, 0, ScalarConfig(mode="exact")).fraction() == 1
         assert cp_derivative(p, p, 0, ScalarConfig(mode="exact")).fraction() == 1
         if p >= 2:
             assert cp_derivative(p, 1, 0, ScalarConfig(mode="exact")).fraction() == 0
@@ -95,7 +93,7 @@ def test_cp_derivative_reduces_to_eval():
     for p in (2, 3, 5):
         for x in (F(1, 4), F(-1)):
             a = cp_derivative(p, p, x, IVAL).interval()
-            b = cp_eval(p, x, IVAL).interval()
+            b = cp_derivative(p, 0, x, IVAL).interval()
             assert a.overlaps(b)
 
 
@@ -129,7 +127,7 @@ def test_cp_bound_check_exp_holds_globally():
 
 def test_cp_domain_validation():
     with pytest.raises(ValueError):
-        cp_eval(2, F(3, 2))
+        cp_derivative(2, 0, F(3, 2))
     with pytest.raises(ValueError):
         cp_derivative(0, 1, F(1, 2))
 
@@ -147,8 +145,7 @@ def test_bang_truncation_policy():
     B = BangFunction(IteratedLog(2), p=2, max_order=10, tail_target=F(1, 2 ** 64))
     assert B.K >= 10 + 64 + 1
     for n in range(11):
-        assert B.tail_certified(n)
-        assert B.relative_tail(n) <= F(1, 2 ** 64)
+        assert B.relative_tail(n) <= B.tail_target == F(1, 2 ** 64)
     assert B.tail_scope == "global"
 
 
@@ -281,9 +278,9 @@ def test_envelope_grid_runs_only_for_undecided_orders(monkeypatch):
 
 
 def test_envelope_fails_name_the_first_grid_point(monkeypatch):
-    real = GrowthEnvelope.bound
+    real = bang_module._envelope_bound
     monkeypatch.setattr(
-        GrowthEnvelope, "bound", lambda self, seq, n, bits: real(self, seq, n, bits) * F(1, 1000)
+        bang_module, "_envelope_bound", lambda B, n, bits: real(B, n, bits) * F(1, 1000)
     )
     B = BangFunction(IteratedLog(2), p=2, max_order=6)
     verdict = bang_envelope_check(B, 6, [F(i, 5) for i in range(-5, 6)])
@@ -353,6 +350,12 @@ def test_class_norm_bang_model_bounded_by_two():
     assert out.lo > 0
 
 
+def test_class_norm_refuses_bad_orders_and_grids():
+    for n_max, grid in ((-1, 5), (2, 1)):
+        with pytest.raises(ValueError):
+            class_norm(CpModel(1), Gevrey(0), (F(0), F(1)), F(1), n_max, grid, IVAL)
+
+
 def test_class_norm_monotonicity_laws():
     model = CpModel(1)
     seq = Gevrey(0)
@@ -374,14 +377,6 @@ def test_power_composite_model_matches_expansion():
             a = comp.derivative_enclosure(n, x, 128)
             b = direct.derivative_enclosure(n, x, 128)
             assert a.lo == b.lo and a.hi == b.hi
-
-
-def test_growth_envelope_validation():
-    with pytest.raises(ValueError):
-        GrowthEnvelope(F(0), F(1), F(1), (F(0), F(1)))
-    env = GrowthEnvelope(F(2), F(2), F(1), (F(-1), F(1)))
-    b = env.bound(Gevrey(0), 3, 64)
-    assert b.contains(2 * 8 * 6)
 
 
 # -- the exact integer term sum against the Interval reference ------------------------
@@ -412,7 +407,7 @@ def test_bang_sum_endpoints_equal_the_interval_reference():
     # a 2**-20 tail keeps K near 27, so the reference stays fast
     tau = F(1, 2 ** 20)
     cos_B = BangFunction(IteratedLog(2), p=2, max_order=5, tail_target=tau)
-    cp_B = BangFunction(IteratedLog(2), p=3, variant="cp", max_order=6, tail_target=tau)
+    cp_B = BangFunction(IteratedLog(2), p=3, max_order=6, tail_target=tau)
     cases = [(cos_B, n, xi) for n in range(6) for xi in (F(0), F(-1), F(-1, 3), F(1, 2), F(1))]
     cases += [(cp_B, n, F(0)) for n in (0, 2, 3, 6)]
     for bits in (128, 256):

@@ -189,10 +189,14 @@ def test_exit_codes():
         Record(id="z", anchor="", verdict="fails", witness="", lower="", upper="", seconds=0.0)
     ])
     assert failing.exit_code() == 1
+    assert failing.exit_code({"z": False}) == 1
     undecided = Report(version="x", config={}, records=[
         Record(id="z", anchor="", verdict="inconclusive", witness="", lower="", upper="", seconds=0.0)
     ])
     assert undecided.exit_code() == 2
+    # an Inconclusive no resolution was expected for does not count
+    assert undecided.exit_code({"z": False}) == 0
+    assert undecided.exit_code({"other": False}) == 2
 
 
 def test_main_seq_show_exact(capsys):
@@ -377,3 +381,77 @@ def test_package_runs_as_a_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith("2\t2.0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["criteria", "dc", "--seq", "analytic", "--N", "2", "--curve",
+         "--emit", "/nonexistent/x.csv"],
+        ["bang", "norm", "--model", "cp(2)", "--interval=0-3"],
+        ["bang", "norm", "--model", "cp(2)", "--n-max", "-1"],
+    ],
+)
+def test_main_bad_output_path_and_norm_arguments_are_usage_errors(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_main_dc_curve_is_written(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    rc = main(["criteria", "dc", "--seq", "analytic", "--N", "2", "--curve",
+               "--emit", str(out), "--precision", "64", "--digits", "5"])
+    assert rc == 0
+    assert capsys.readouterr().out == f"partial-sum curve written to {out}\n"
+    with open(out, newline="") as fh:
+        # the partial sums 1, 1 + 1/2 and 1 + 1/2 + 1/3
+        assert fh.read() == (
+            "N,lower,upper\r\n0,1.00000,1.00000\r\n1,1.50000,1.50000\r\n"
+            "2,1.83333,1.83334\r\n"
+        )
+
+
+def test_config_file_sets_every_run_config_field(tmp_path):
+    import dataclasses
+
+    lines = {
+        "precision": ("128", 128),
+        "window": ("2:9", (2, 9)),
+        "k_max": ("5", 5),
+        "n_max": ("6", 6),
+        "b_k_max": ("3", 3),
+        "b_n_max": ("7", 7),
+        "p_set": ("2, 7", (2, 7)),
+        "x_grid": ("1/3,3", (F(1, 3), F(3))),
+        "tail_target": ("2^-20", F(1, 2 ** 20)),
+        "format": ("csv", "csv"),
+        "seed": ("11", 11),
+        "digits": ("12", 12),
+        "corollary_k_max": ("2", 2),
+        "corollary_n_max": ("9", 9),
+        "lemma2_n_max": ("4", 4),
+        "stirling_n_max": ("8", 8),
+        "bang_cos_n_max": ("3", 3),
+        "bang_cp_n_max": ("2", 2),
+        "bang_cp_p": ("5", 5),
+        "envelope_n_max": ("4", 4),
+        "envelope_grid": ("7", 7),
+        "cp_p_max": ("2", 2),
+        "cp_grid": ("9", 9),
+        "remainder_cases": ("10", 10),
+        "transform_cases": ("20", 20),
+        "transform_window": ("8", 8),
+        "germ_n_max": ("3", 3),
+        "bang_seq": ("iterlog(1)", "iterlog(1)"),
+    }
+    assert set(lines) == {f.name for f in dataclasses.fields(RunConfig)}
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in lines.items()))
+    config = RunConfig(**load_config_file(str(path)))
+    for key, (_, want) in lines.items():
+        got = getattr(config, key)
+        assert got == want and type(got) is type(want), key
+        assert got != getattr(RunConfig(), key), key

@@ -24,7 +24,6 @@ from carleman.transforms import (
     Regularized,
     derived_power_substitution,
     log_convex_regularization,
-    power_substitution,
 )
 
 F = Fraction
@@ -212,20 +211,20 @@ def test_regularization_unresolvable_ties_raise_precision_error():
 
 
 def test_power_substitution_values():
-    ps = power_substitution(Gevrey(1), 2)
+    ps = PowerSub(Gevrey(1), 2)
     assert ps.exact(3) == 720
     assert ps.exact(0) == 1
-    idp = power_substitution(Gevrey(1), 1)
+    idp = PowerSub(Gevrey(1), 1)
     for n in range(10):
         assert idp.exact(n) == Gevrey(1).exact(n)
     with pytest.raises(SequenceError):
-        power_substitution(Analytic(), 0)
+        PowerSub(Analytic(), 0)
 
 
 def test_power_substitution_composition():
     base = Custom(rule=lambda n: F(n + 1) ** 2, name="squares")
-    once = power_substitution(power_substitution(base, 2), 3)
-    direct = power_substitution(base, 6)
+    once = PowerSub(PowerSub(base, 2), 3)
+    direct = PowerSub(base, 6)
     for n in range(8):
         assert once.exact(n) == direct.exact(n)
 
@@ -233,7 +232,7 @@ def test_power_substitution_composition():
 def test_power_substitution_preserves_increasing():
     base = Custom(rule=lambda n: F(2) ** n, name="dyadic")
     assert is_increasing(base, (0, 10)).ok
-    assert is_increasing(power_substitution(base, 3), (0, 6)).ok
+    assert is_increasing(PowerSub(base, 3), (0, 6)).ok
 
 
 def test_derived_power_substitution_examples():
