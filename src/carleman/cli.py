@@ -55,6 +55,7 @@ from .scalar import (
     RangeError,
     Scalar,
     ScalarConfig,
+    _fraction_from_mpf_tuple,
     decimal_str,
 )
 from .seqcore import (
@@ -321,7 +322,9 @@ def _scalar_cells(s: Scalar, digits: int) -> Tuple[str, str]:
             decimal_str(s.lo, digits, "down"),
             decimal_str(s.hi, digits, "up"),
         )
-    return (str(s.approx), str(s.approx))
+    # at the interval cells' decimal places, rounded to nearest, ties to even
+    text = decimal_str(round(_fraction_from_mpf_tuple(s.approx._mpf_), digits), digits, "down")
+    return (text, text)
 
 
 def _record(
@@ -619,120 +622,141 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--precision", type=int, help="mantissa bits (default 256)")
-    p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.add_argument("--digits", type=int, help="decimal digits for emitted endpoints")
-    p.add_argument("--window", help="index window a:b")
-    p.add_argument("--emit", help="write the report to this path")
-    p.add_argument("--format", choices=("json", "csv"), help="report format")
+# every leaf takes these after its own arguments
+_COMMON_ARGS = (
+    ("--config", dict(help="flat key = value config file")),
+    ("--precision", dict(type=int, help="mantissa bits (default 256)")),
+    ("--seed", dict(type=int, help="seed for randomized checks")),
+    ("--digits", dict(type=int, help="decimal digits for emitted endpoints")),
+    ("--window", dict(help="index window a:b")),
+    ("--emit", dict(help="write the report to this path")),
+    ("--format", dict(choices=("json", "csv"), help="report format")),
+)
+
+_SEQ = ("--seq", dict(required=True))
+_BANG_SEQ = ("--seq", dict(default="iterlog(2)"))
+_BANG_P = ("--p", dict(type=int, default=2))
+
+# command -> leaf, or (help, {action: leaf}) for a group of actions; a leaf
+# is (help, handler, arguments)
+_COMMANDS = {
+    "seq": ("inspect and test weight sequences", {
+        "show": ("print sequence values", _cmd_seq_show, (
+            _SEQ,
+            ("--range", dict(default="0:16", help="index range a:b")),
+            ("--mode", dict(choices=("exact", "float", "interval"), default="interval")),
+        )),
+        "test": ("certified predicates and family verdicts", _cmd_seq_test, (_SEQ,)),
+    }),
+    "transform": ("power substitution and regularization", {
+        "powersub": ("values of the substituted sequence", _cmd_transform_powersub, (
+            _SEQ,
+            ("--p", dict(type=int, required=True)),
+            ("--range", dict(default="0:16")),
+        )),
+        "regularize": ("greatest log-convex minorant on [0, N]", _cmd_transform_regularize, (
+            _SEQ,
+            ("--N", dict(type=int, required=True)),
+        )),
+    }),
+    "criteria": ("quasianalyticity, closure, inclusion", {
+        "dc": ("partial Carleman sums", _cmd_criteria_dc, (
+            _SEQ,
+            ("--N", dict(type=int, default=64)),
+            ("--curve", dict(action="store_true", help="emit the whole curve as CSV")),
+        )),
+        "closure": ("derivation-closure estimate", _cmd_criteria_closure, (_SEQ,)),
+        "inclusion": ("class-inclusion estimate", _cmd_criteria_inclusion, (
+            _SEQ,
+            ("--other", dict(required=True)),
+        )),
+    }),
+    "comb": ("series coefficients and inequality sweeps", {
+        "coefficients": ("series coefficients c[k, n]", _cmd_comb_coefficients, (
+            ("--k", dict(type=int, required=True)),
+            ("--N", dict(type=int, required=True)),
+        )),
+        "lemmas": ("certified inequality sweeps", _cmd_comb_lemmas, (
+            ("--which", dict(choices=("lemma1", "lemma2", "stirling", "all"), default="all")),
+        )),
+    }),
+    "bang": ("extremal oscillating series", {
+        "build": ("construct and gate-check the series", _cmd_bang_build, (
+            _BANG_SEQ,
+            _BANG_P,
+            ("--max-order", dict(type=int, default=12, dest="max_order")),
+        )),
+        "eval": ("certified derivative enclosure", _cmd_bang_eval, (
+            _BANG_SEQ,
+            _BANG_P,
+            ("--order", dict(type=int, required=True)),
+            ("--xi", dict(default="0")),
+            ("--max-order", dict(type=int, default=None, dest="max_order")),
+        )),
+        "bounds": ("derivative lower-bound certificates", _cmd_bang_bounds, (
+            _BANG_SEQ,
+            _BANG_P,
+            ("--n", dict(type=int, default=6, help="certify orders 0..n")),
+            ("--max-order", dict(type=int, default=None, dest="max_order")),
+        )),
+        "norm": ("window-relative class norm", _cmd_bang_norm, (
+            ("--model", dict(required=True)),
+            ("--seq", dict(default="analytic")),
+            ("--r", dict(default="1")),
+            ("--interval", dict(default="-1:1")),
+            ("--n-max", dict(type=int, default=8, dest="n_max")),
+            ("--grid", dict(type=int, default=21)),
+        )),
+    }),
+    "verify": ("run the full certified check suite", _cmd_verify, (
+        ("--only", dict(help="comma-separated subset of check ids")),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _invoked_leaf(argv: Sequence[str]) -> Tuple[str, ...]:
+    """The command and action ``argv`` names: its first two positional words.
+
+    The top-level and group parsers take no option but ``-h``, which takes
+    no value, so the first word not starting with '-' is the command and the
+    next one the action.  A name that is no leaf matches nothing below.
+    """
+    return tuple(a for a in argv if not a.startswith("-"))[:2]
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """Every command and action with its help text and handler, but
+    arguments only on the leaf ``argv`` invokes, or on every leaf when
+    ``argv`` is None.  A leaf's arguments appear only in its own help and
+    errors, so ``main`` prints and parses exactly as with the full parser."""
+    invoked = None if argv is None else _invoked_leaf(argv)
+
+    def add_leaf(sub, name, path, leaf):
+        help_text, handler, arguments = leaf
+        p = sub.add_parser(name, help=help_text)
+        if invoked is None or invoked[: len(path)] == path:
+            for flag, kwargs in arguments + _COMMON_ARGS:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
+
     parser = _Parser(prog="carleman", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    seq = sub.add_parser("seq", help="inspect and test weight sequences")
-    seq_sub = seq.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    show = seq_sub.add_parser("show", help="print sequence values")
-    show.add_argument("--seq", required=True)
-    show.add_argument("--range", default="0:16", help="index range a:b")
-    show.add_argument("--mode", choices=("exact", "float", "interval"), default="interval")
-    _add_common(show)
-    show.set_defaults(handler=_cmd_seq_show)
-    test = seq_sub.add_parser("test", help="certified predicates and family verdicts")
-    test.add_argument("--seq", required=True)
-    _add_common(test)
-    test.set_defaults(handler=_cmd_seq_test)
-
-    tr = sub.add_parser("transform", help="power substitution and regularization")
-    tr_sub = tr.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    ps = tr_sub.add_parser("powersub", help="values of the substituted sequence")
-    ps.add_argument("--seq", required=True)
-    ps.add_argument("--p", type=int, required=True)
-    ps.add_argument("--range", default="0:16")
-    _add_common(ps)
-    ps.set_defaults(handler=_cmd_transform_powersub)
-    rg = tr_sub.add_parser("regularize", help="greatest log-convex minorant on [0, N]")
-    rg.add_argument("--seq", required=True)
-    rg.add_argument("--N", type=int, required=True)
-    _add_common(rg)
-    rg.set_defaults(handler=_cmd_transform_regularize)
-
-    cr = sub.add_parser("criteria", help="quasianalyticity, closure, inclusion")
-    cr_sub = cr.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    dc = cr_sub.add_parser("dc", help="partial Carleman sums")
-    dc.add_argument("--seq", required=True)
-    dc.add_argument("--N", type=int, default=64)
-    dc.add_argument("--curve", action="store_true", help="emit the whole curve as CSV")
-    _add_common(dc)
-    dc.set_defaults(handler=_cmd_criteria_dc)
-    cl = cr_sub.add_parser("closure", help="derivation-closure estimate")
-    cl.add_argument("--seq", required=True)
-    _add_common(cl)
-    cl.set_defaults(handler=_cmd_criteria_closure)
-    inc = cr_sub.add_parser("inclusion", help="class-inclusion estimate")
-    inc.add_argument("--seq", required=True)
-    inc.add_argument("--other", required=True)
-    _add_common(inc)
-    inc.set_defaults(handler=_cmd_criteria_inclusion)
-
-    cb = sub.add_parser("comb", help="series coefficients and inequality sweeps")
-    cb_sub = cb.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    co = cb_sub.add_parser("coefficients", help="series coefficients c[k, n]")
-    co.add_argument("--k", type=int, required=True)
-    co.add_argument("--N", type=int, required=True)
-    _add_common(co)
-    co.set_defaults(handler=_cmd_comb_coefficients)
-    lm = cb_sub.add_parser("lemmas", help="certified inequality sweeps")
-    lm.add_argument("--which", choices=("lemma1", "lemma2", "stirling", "all"), default="all")
-    _add_common(lm)
-    lm.set_defaults(handler=_cmd_comb_lemmas)
-
-    bg = sub.add_parser("bang", help="extremal oscillating series")
-    bg_sub = bg.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    bb = bg_sub.add_parser("build", help="construct and gate-check the series")
-    bb.add_argument("--seq", default="iterlog(2)")
-    bb.add_argument("--p", type=int, default=2)
-    bb.add_argument("--max-order", type=int, default=12, dest="max_order")
-    _add_common(bb)
-    bb.set_defaults(handler=_cmd_bang_build)
-    be = bg_sub.add_parser("eval", help="certified derivative enclosure")
-    be.add_argument("--seq", default="iterlog(2)")
-    be.add_argument("--p", type=int, default=2)
-    be.add_argument("--order", type=int, required=True)
-    be.add_argument("--xi", default="0")
-    be.add_argument("--max-order", type=int, default=None, dest="max_order")
-    _add_common(be)
-    be.set_defaults(handler=_cmd_bang_eval)
-    bo = bg_sub.add_parser("bounds", help="derivative lower-bound certificates")
-    bo.add_argument("--seq", default="iterlog(2)")
-    bo.add_argument("--p", type=int, default=2)
-    bo.add_argument("--n", type=int, default=6, help="certify orders 0..n")
-    bo.add_argument("--max-order", type=int, default=None, dest="max_order")
-    _add_common(bo)
-    bo.set_defaults(handler=_cmd_bang_bounds)
-    bn = bg_sub.add_parser("norm", help="window-relative class norm")
-    bn.add_argument("--model", required=True)
-    bn.add_argument("--seq", default="analytic")
-    bn.add_argument("--r", default="1")
-    bn.add_argument("--interval", default="-1:1")
-    bn.add_argument("--n-max", type=int, default=8, dest="n_max")
-    bn.add_argument("--grid", type=int, default=21)
-    _add_common(bn)
-    bn.set_defaults(handler=_cmd_bang_norm)
-
-    vf = sub.add_parser("verify", help="run the full certified check suite")
-    vf.add_argument("--only", help="comma-separated subset of check ids")
-    _add_common(vf)
-    vf.set_defaults(handler=_cmd_verify)
-
+    for command, entry in _COMMANDS.items():
+        if not isinstance(entry[1], dict):
+            add_leaf(sub, command, (command,), entry)
+            continue
+        help_text, actions = entry
+        group = sub.add_parser(command, help=help_text)
+        group_sub = group.add_subparsers(dest="action", required=True, parser_class=_Parser)
+        for action, leaf in actions.items():
+            add_leaf(group_sub, action, (command, action), leaf)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         config = build_run_config(args)

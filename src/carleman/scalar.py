@@ -9,7 +9,10 @@ Three representations cover every real quantity in the toolkit:
   mpmath's directed-rounding interval context.  Enclosures that need a power
   or a quotient of intervals (``outward_pow_product``) are rounded once to
   dyadics; the result equals rounding the exact value, which is formed only
-  when directed bounds cannot decide the rounding;
+  when directed bounds cannot decide the rounding.  The order invariant
+  lo <= hi is checked where endpoints come from outside (callers, mpmath
+  results); ring-op and rounding results are built ordered by their sign
+  cases and skip the check;
 * adjustable-precision floats (mpmath ``mpf``), for exploratory output only.
 
 Every Holds/Fails verdict in the package is derived from the first two
@@ -19,6 +22,7 @@ representations; floats never feed a certified comparison.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,25 +144,39 @@ def exact_nth_root(q: Fraction, n: int) -> Optional[Fraction]:
     return None
 
 
-@dataclass(frozen=True)
+_ZERO = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
 class Interval:
-    """Closed interval with exact rational endpoints, lo <= hi."""
+    """Closed interval with exact rational endpoints, lo <= hi.
+
+    The constructor is for endpoints from outside: it coerces them to
+    ``Fraction`` and refuses lo > hi.  Ring operations, ``reciprocal``,
+    ``pow_int``, ``widen`` and ``outward`` build their results through the
+    module-private ``_iv``, which skips both steps: each sign case of those
+    operations yields Fraction endpoints already in order.  The sign of an
+    endpoint is read from its numerator, denominators being positive.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        lo = _as_fraction(self.lo)
-        hi = _as_fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo > hi:
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = _as_fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = _as_fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
 
     @classmethod
     def point(cls, v: RationalLike) -> "Interval":
         q = _as_fraction(v)
-        return cls(q, q)
+        return _iv(q, q)
 
     @property
     def width(self) -> Fraction:
@@ -185,14 +203,15 @@ class Interval:
         return self.lo > 0
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)
 
     def __abs__(self) -> "Interval":
-        if self.lo >= 0:
+        lo, hi = self.lo, self.hi
+        if lo.numerator >= 0:
             return self
-        if self.hi <= 0:
+        if hi.numerator <= 0:
             return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
+        return _iv(_ZERO, max(-lo, hi))
 
     def _coerce(self, other) -> "Interval":
         if isinstance(other, Interval):
@@ -201,7 +220,7 @@ class Interval:
 
     def __add__(self, other) -> "Interval":
         o = self._coerce(other)
-        return Interval(self.lo + o.lo, self.hi + o.hi)
+        return _iv(self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
@@ -215,30 +234,31 @@ class Interval:
         o = self._coerce(other)
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
         # sign-split cases avoid min/max comparisons on large operands
-        if a >= 0:
-            if c >= 0:
-                return Interval(a * c, b * d)
-            if d <= 0:
-                return Interval(b * c, a * d)
-            return Interval(b * c, b * d)
-        if b <= 0:
-            if c >= 0:
-                return Interval(a * d, b * c)
-            if d <= 0:
-                return Interval(b * d, a * c)
-            return Interval(a * d, a * c)
-        if c >= 0:
-            return Interval(a * d, b * d)
-        if d <= 0:
-            return Interval(b * c, a * c)
-        return Interval(min(a * d, b * c), max(a * c, b * d))
+        if a.numerator >= 0:
+            if c.numerator >= 0:
+                return _iv(a * c, b * d)
+            if d.numerator <= 0:
+                return _iv(b * c, a * d)
+            return _iv(b * c, b * d)
+        if b.numerator <= 0:
+            if c.numerator >= 0:
+                return _iv(a * d, b * c)
+            if d.numerator <= 0:
+                return _iv(b * d, a * c)
+            return _iv(a * d, a * c)
+        if c.numerator >= 0:
+            return _iv(a * d, b * d)
+        if d.numerator <= 0:
+            return _iv(b * c, a * c)
+        return _iv(min(a * d, b * c), max(a * c, b * d))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
+        lo, hi = self.lo, self.hi
+        if lo.numerator <= 0 <= hi.numerator:
             raise ZeroDivisionError("reciprocal of an interval containing zero")
-        return Interval(1 / self.hi, 1 / self.lo)
+        return _iv(1 / hi, 1 / lo)
 
     def __truediv__(self, other) -> "Interval":
         return self * self._coerce(other).reciprocal()
@@ -247,37 +267,55 @@ class Interval:
         return self._coerce(other) * self.reciprocal()
 
     def pow_int(self, e: int) -> "Interval":
+        e = operator.index(e)  # a float exponent would give float endpoints
         if e == 0:
             return Interval.point(1)
         if e < 0:
             return self.reciprocal().pow_int(-e)
         lo, hi = self.lo, self.hi
-        if lo >= 0:
-            return Interval(lo ** e, hi ** e)
-        if hi <= 0:
+        if lo.numerator >= 0:
+            return _iv(lo ** e, hi ** e)
+        if hi.numerator <= 0:
             if e % 2 == 0:
-                return Interval(hi ** e, lo ** e)
-            return Interval(lo ** e, hi ** e)
+                return _iv(hi ** e, lo ** e)
+            return _iv(lo ** e, hi ** e)
         if e % 2 == 0:
-            return Interval(Fraction(0), max(lo ** e, hi ** e))
-        return Interval(lo ** e, hi ** e)
+            return _iv(_ZERO, max(lo ** e, hi ** e))
+        return _iv(lo ** e, hi ** e)
 
     def widen(self, margin: RationalLike) -> "Interval":
         m = _as_fraction(margin)
         if m < 0:
             raise ValueError("widening margin must be nonnegative")
-        return Interval(self.lo - m, self.hi + m)
+        return _iv(self.lo - m, self.hi + m)
 
     def outward(self, bits: int) -> "Interval":
         """Endpoints outward-rounded to dyadics with the given mantissa size."""
         lo = _fraction_from_mpf_tuple(_rounded_tuple(self.lo, bits, "f"))
         hi = _fraction_from_mpf_tuple(_rounded_tuple(self.hi, bits, "c"))
-        return Interval(lo, hi)
+        return _iv(lo, hi)
 
     def __repr__(self) -> str:
         if self.is_point():
             return f"[{self.lo}]"
         return f"[{mpmath.nstr(mpmath.mpf(float(self.lo)), 12)}, {mpmath.nstr(mpmath.mpf(float(self.hi)), 12)}]"
+
+
+_new_object = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
+def _iv(lo: Fraction, hi: Fraction) -> Interval:
+    """An Interval from two Fractions with lo <= hi, unchecked and uncoerced.
+
+    Only results whose order and endpoint type hold by construction come
+    through here; everything else goes through the checking constructor.
+    """
+    iv = _new_object(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    return iv
 
 
 # bits kept beyond the target by the directed bounds of outward_pow_product,
@@ -348,9 +386,11 @@ def outward_pow_product(a: Interval, p: int, b: Interval, q: int, bits: int) -> 
         # x**e grows with x for e > 0 and shrinks for e < 0
         a_lo, a_hi = (a.lo, a.hi) if p >= 0 else (a.hi, a.lo)
         b_lo, b_hi = (b.lo, b.hi) if q >= 0 else (b.hi, b.lo)
+        # the floor of the smaller exact product is at most the ceiling of
+        # the larger one
         lo = _round_once(((a_lo, p), (b_lo, q)), bits, wp, "f")
         hi = _round_once(((a_hi, p), (b_hi, q)), bits, wp, "c")
-        return Interval(lo, hi)
+        return _iv(lo, hi)
     return (a.pow_int(p) * b.pow_int(q)).outward(bits)
 
 

@@ -105,6 +105,8 @@ class RunConfig:
             raise ValueError("digits must be nonnegative")
         if self.cp_grid < 2 or self.envelope_grid < 2:
             raise ValueError("cp_grid and envelope_grid need at least 2 points")
+        if self.remainder_cases < 1 or self.transform_cases < 1:
+            raise ValueError("remainder_cases and transform_cases must be at least 1")
 
     def sweep_config(self) -> ScalarConfig:
         # inequality sweeps refine upward from a moderate start; the final

@@ -1,5 +1,7 @@
 """CLI behavior: spec parsing, config loading, report emission, exit codes."""
 
+import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -25,6 +27,67 @@ from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub
 from carleman.verify import Record, Report, RunConfig, config_to_dict, run_checks
 
 F = Fraction
+
+# sha256 of the stdout of `carleman <words> --help` at COLUMNS=70: the top
+# level, each command group and each leaf
+CLI_HELP_SHA256 = {
+    "":
+        "e4a8f7f6aa106759d6ff9f93b7805e6edbba357e003b895b210235c0a6420ea9",
+    "seq":
+        "3924db5cd0d7d5776432f3ba12d4c290e540fc146c057fd3bfac654f903cd6fc",
+    "seq show":
+        "89950b78b1f7ba92b482458dd79fa0f7227efe760f70c18dd46a779fd5b6917d",
+    "seq test":
+        "30850498663941c4a45a0a08b439b24e7d18a28927d14b78c0885ba35e10f3a2",
+    "transform":
+        "ace8ba8982826937e862908e0dc0e4397e4532ae6b834c050f5cd08cfcc17fa1",
+    "transform powersub":
+        "b32690c34a78d64655507d644a5a2a8958fd2112eb1384982c1e5d956cb197f7",
+    "transform regularize":
+        "d694d3256ed9f6f3651ec1dabb800fda1879498fd56bedbd136d17b77da60df8",
+    "criteria":
+        "ee5694c3fb5c127e70a789c51245939e100f752b8aea37c692769e2a720315c3",
+    "criteria dc":
+        "6f63fc5b0402df1f6562ddfec34ca6637d7d495b474dbfd231c5ff40ad34cb94",
+    "criteria closure":
+        "a0fff8751e8855958fee824065eceb4400f9f227b9573bb679661e570523d57e",
+    "criteria inclusion":
+        "f4e75c6eb8cfdf14ee97088753ad8ffa2da96b071da310a9dca1919196640d8f",
+    "comb":
+        "70b1e2112190ec33e0f366977bd4ad22af4c3ba99bc3ce77390d3f89408dc73e",
+    "comb coefficients":
+        "658af39f3b36f54feef6b6f1331ced4e69294a466e5809572342d8cc90c317ef",
+    "comb lemmas":
+        "fdfd5578455bbecd8c23603374d5230394eebcee868d512d6763bf3e08d034f5",
+    "bang":
+        "91dd9ebd2d98edf4b4fd6e71485ff17d7547bfd9cd2d912cd03edf2975758ddd",
+    "bang build":
+        "b24c31ebb66f542c1a4de7b37bc2953819d53c092e91efa7c3979bae60ad7446",
+    "bang eval":
+        "a94207e51c2b37511c65bba95fdb7dced197b8852b344c571dedde1ed33ee211",
+    "bang bounds":
+        "70cc2b94035480d2806b5b46ae4b9356257fafacb9cffc5fd0f4fcfe5c09bb06",
+    "bang norm":
+        "07771598bb4ec403657930dc361c8241a7df7306788f42513de614d665bf0b0e",
+    "verify":
+        "359a39a3ee6e9271fddb72d1004db766a9fd9f1fb5d1a830dd581c30b78cd2d6",
+}
+
+# sha256 of the stderr of argv that argparse refuses, at COLUMNS=70: an
+# unknown command, an unknown action, no command, a bad option value and an
+# unknown option before a leaf with a required argument
+CLI_USAGE_ERROR_SHA256 = {
+    "nosuch":
+        "9540ec94acb9357b1adecfff8fb91db47c9b32be1794cbe8660b1eafde8d55bd",
+    "bang evl":
+        "d18c4e6981c384dc500bba7f2733ef321e953aef979bfe759a70172362e5c665",
+    "":
+        "6533c266353c3d76fe17a1efbd106806bfdd1ffed11fd64c045e747a92ef7cc9",
+    "seq show --seq x --precision abc":
+        "844ea212e4a8f7bfaa4f6abaeff353f1f32cee7cc4d541385511baffd2ae07b8",
+    "--bogus bang eval":
+        "fac5cc5cf36ab0d94fa1a7fadc59037797b523444c1deb2c93f9c99b239b64dd",
+}
 
 
 def test_parse_fraction_forms():
@@ -101,10 +164,15 @@ def test_run_config_validation():
         RunConfig(window=(5, 1))
     with pytest.raises(ValueError):
         RunConfig(format="xml")
-    for bad in (dict(digits=-1), dict(cp_grid=1), dict(envelope_grid=1)):
+    for bad in (
+        dict(digits=-1), dict(cp_grid=1), dict(envelope_grid=1),
+        dict(remainder_cases=0), dict(remainder_cases=-3),
+        dict(transform_cases=0), dict(transform_cases=-5),
+    ):
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(digits=0, cp_grid=2, envelope_grid=2).digits == 0
+    assert RunConfig(remainder_cases=1, transform_cases=1).transform_cases == 1
 
 
 @pytest.mark.parametrize("line", ["cp_grid = 1", "envelope_grid = 1", "digits = -1"])
@@ -115,6 +183,25 @@ def test_main_verify_refuses_degenerate_config_fields(tmp_path, capsys, line):
     captured = capsys.readouterr()
     assert rc == 3
     assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "line,check",
+    [
+        ("remainder_cases = 0", "remainder-reconstruction"),
+        ("transform_cases = -5", "regularization-laws"),
+    ],
+)
+def test_main_verify_refuses_an_empty_case_count(tmp_path, capsys, line, check):
+    # a check over no case would report HOLDS having checked nothing
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["verify", "--config", str(cfg), "--only", check])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
+    assert "at least 1" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -197,6 +284,24 @@ def test_exit_codes():
     # an Inconclusive no resolution was expected for does not count
     assert undecided.exit_code({"z": False}) == 0
     assert undecided.exit_code({"other": False}) == 2
+
+
+@pytest.mark.parametrize(
+    "spec,digits,values",
+    [
+        # iterlog(1) at offset 3: M_1 = 2.7854057586..., M_2 = 8.1440002767...
+        ("iterlog(1)", "5", ["1.00000", "2.78541", "8.14400"]),
+        ("iterlog(1)", "0", ["1", "3", "8"]),
+        # 5/8 and 3/8 are exact dyadics, so their ties round to the even digit
+        ("custom(1,1/3,5/8,3/8)", "2", ["1.00", "0.33", "0.62", "0.38"]),
+    ],
+)
+def test_main_seq_show_float_mode_rounds_to_digits(capsys, spec, digits, values):
+    rc = main(["seq", "show", "--seq", spec, "--range", f"0:{len(values) - 1}",
+               "--mode", "float", "--digits", digits])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert out[1:] == [f"{n}\t{v}" for n, v in enumerate(values)]
 
 
 def test_main_seq_show_exact(capsys):
@@ -455,3 +560,62 @@ def test_config_file_sets_every_run_config_field(tmp_path):
         got = getattr(config, key)
         assert got == want and type(got) is type(want), key
         assert got != getattr(RunConfig(), key), key
+
+
+def _argv_id(words):
+    return words or "<none>"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("words", sorted(CLI_HELP_SHA256), ids=_argv_id)
+def test_cli_help_is_byte_identical(words, monkeypatch, capsys):
+    """The help of every parser is pinned byte for byte.
+
+    A change that alters these bytes on purpose updates CLI_HELP_SHA256 and
+    says in CHANGES.md which lines changed and why.
+    """
+    monkeypatch.setenv("COLUMNS", "70")
+    with pytest.raises(SystemExit) as exc:
+        main(words.split() + ["--help"])
+    assert exc.value.code == 0
+    assert _sha256(capsys.readouterr().out) == CLI_HELP_SHA256[words]
+
+
+@pytest.mark.parametrize("words", sorted(CLI_USAGE_ERROR_SHA256), ids=_argv_id)
+def test_cli_usage_errors_are_byte_identical(words, monkeypatch, capsys):
+    """The usage and error text of refused argv is pinned byte for byte.
+
+    A change that alters these bytes on purpose updates
+    CLI_USAGE_ERROR_SHA256 and says in CHANGES.md which lines changed and why.
+    """
+    monkeypatch.setenv("COLUMNS", "70")
+    with pytest.raises(SystemExit) as exc:
+        main(words.split())
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _sha256(captured.err) == CLI_USAGE_ERROR_SHA256[words]
+
+
+def _leaf_options(parser, *path):
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {s for a in parser._actions for s in a.option_strings}
+
+
+def test_parser_builds_arguments_only_for_the_invoked_leaf():
+    full = cli.build_parser()
+    assert "--order" in _leaf_options(full, "bang", "eval")
+    assert "--only" in _leaf_options(full, "verify")
+    lazy = cli.build_parser(["bang", "eval", "--order", "2"])
+    assert _leaf_options(lazy, "bang", "eval") == _leaf_options(full, "bang", "eval")
+    assert _leaf_options(lazy, "bang", "build") == {"-h", "--help"}
+    assert _leaf_options(lazy, "verify") == {"-h", "--help"}
+    # every leaf keeps its handler, so usage and help list the same names
+    assert lazy.parse_args(["verify"]).handler is cli._cmd_verify
+    assert _leaf_options(cli.build_parser(["--help"]), "seq", "show") == {"-h", "--help"}
+    assert "--only" in _leaf_options(cli.build_parser(["verify"]), "verify")

@@ -1,11 +1,13 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses, and
+no module but ``scalar`` builds an Interval without its order check."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "carleman"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "carleman"
 
 # the package root re-exports its public names, so its imports are its API
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -60,3 +62,50 @@ def test_the_check_flags_an_unused_import():
     tree = ast.parse("from typing import Union\nimport os\n\nx = os.sep\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["Union"]
+
+
+# scalar's builder of op results that skips the lo <= hi check
+TRUSTED_BUILDER = "_iv"
+# every Python file of the project but scalar itself and this checker
+OTHER_FILES = sorted(
+    p for d in ("src", "scripts", "tests", "bench") for p in (ROOT / d).rglob("*.py")
+    if p not in (SRC / "scalar.py", Path(__file__).resolve())
+)
+
+
+def _builder_references(tree: ast.AST):
+    """Lines that name the trusted builder: a name, an attribute, an import
+    or a string such as a getattr argument."""
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == TRUSTED_BUILDER)
+            or (isinstance(node, ast.Attribute) and node.attr == TRUSTED_BUILDER)
+            or (isinstance(node, ast.alias) and node.name == TRUSTED_BUILDER)
+            or (isinstance(node, ast.Constant) and node.value == TRUSTED_BUILDER)
+        ):
+            yield node.lineno
+
+
+def test_the_trusted_builder_is_defined_in_scalar():
+    tree = ast.parse((SRC / "scalar.py").read_text(encoding="utf-8"))
+    defined = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert TRUSTED_BUILDER in defined
+    assert SRC / "cli.py" in OTHER_FILES and SRC / "scalar.py" not in OTHER_FILES
+
+
+@pytest.mark.parametrize("path", OTHER_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_scalar_skips_the_interval_order_check(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_builder_references(tree))
+    assert not lines, f"{path.name} references scalar.{TRUSTED_BUILDER} on lines {lines}"
+
+
+def test_the_check_flags_a_builder_reference():
+    snippets = [
+        "from carleman.scalar import _iv\n",
+        "from carleman import scalar\nscalar._iv(1, 0)\n",
+        "import carleman.scalar as s\ngetattr(s, '_iv')\n",
+    ]
+    for text in snippets:
+        assert list(_builder_references(ast.parse(text)))
+    assert not list(_builder_references(ast.parse("from carleman.scalar import _iv_ctx\n")))

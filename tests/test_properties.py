@@ -127,3 +127,77 @@ def test_dc_partial_sum_nondecreasing(vals):
         if prev is not None:
             assert cur >= prev
         prev = cur
+
+
+# -- results built without the order check ---------------------------------------------
+
+
+@st.composite
+def edge_intervals(draw):
+    """Intervals that reach every sign case: zero endpoints, straddles and
+    points are drawn often."""
+    ends = st.one_of(st.just(F(0)), fractions(max_num=60))
+    a = draw(ends)
+    b = a if draw(st.integers(0, 3)) == 0 else draw(ends)
+    return Interval(min(a, b), max(a, b))
+
+
+def _hull(candidates):
+    return Interval(min(candidates), max(candidates))
+
+
+def _ends(iv):
+    return (iv.lo, iv.hi)
+
+
+def _assert_built(result, reference):
+    assert result == reference
+    assert type(result) is Interval
+    assert type(result.lo) is F and type(result.hi) is F
+
+
+@given(edge_intervals(), edge_intervals(), st.integers(-3, 3))
+@settings(max_examples=300)
+def test_ring_op_results_equal_the_checked_hull(x, y, k):
+    _assert_built(x + y, _hull([u + v for u in _ends(x) for v in _ends(y)]))
+    _assert_built(x - y, _hull([u - v for u in _ends(x) for v in _ends(y)]))
+    _assert_built(x * y, _hull([u * v for u in _ends(x) for v in _ends(y)]))
+    _assert_built(-x, _hull([-u for u in _ends(x)]))
+    _assert_built(abs(x), _hull([abs(u) for u in _ends(x)] + [F(0)] * x.contains(0)))
+    # integer operands on either side go through the point constructor
+    _assert_built(x + k, _hull([u + k for u in _ends(x)]))
+    _assert_built(k - x, _hull([k - u for u in _ends(x)]))
+    _assert_built(k * x, _hull([k * u for u in _ends(x)]))
+    if not y.contains(0):
+        _assert_built(x / y, _hull([u / v for u in _ends(x) for v in _ends(y)]))
+        _assert_built(y.reciprocal(), _hull([1 / v for v in _ends(y)]))
+        _assert_built(k / y, _hull([k / v for v in _ends(y)]))
+
+
+@given(edge_intervals(), st.integers(min_value=-4, max_value=6), fractions(max_num=20, min_value=F(0)))
+@settings(max_examples=300)
+def test_pow_int_and_widen_equal_the_checked_hull(x, e, m):
+    if not (e < 0 and x.contains(0)):
+        extra = [F(0)] if e > 0 and x.contains(0) else []
+        _assert_built(x.pow_int(e), _hull([x.lo ** e, x.hi ** e] + extra))
+    _assert_built(x.widen(m), _hull([x.lo - m, x.hi + m]))
+    _assert_built(Interval.point(x.lo), Interval(x.lo, x.lo))
+
+
+def _directed_dyadic(q, bits, up):
+    """q rounded down (or up) to a dyadic with a ``bits``-bit mantissa."""
+    if q == 0:
+        return q
+    e = abs(q.numerator).bit_length() - q.denominator.bit_length()
+    if abs(q) < F(2) ** e:
+        e -= 1
+    scale = F(2) ** (bits - 1 - e)  # |q| scale lies in [2**(bits-1), 2**bits)
+    units = -((-q * scale) // 1) if up else (q * scale) // 1
+    return units / scale
+
+
+@given(edge_intervals(), st.integers(min_value=2, max_value=40))
+@settings(max_examples=300)
+def test_outward_equals_the_exact_floor_and_ceiling(x, bits):
+    lo, hi = _directed_dyadic(x.lo, bits, False), _directed_dyadic(x.hi, bits, True)
+    _assert_built(x.outward(bits), Interval(lo, hi))

@@ -40,6 +40,38 @@ def test_interval_orders_endpoints():
         Interval(F(2), F(1))
 
 
+def test_public_constructor_checks_external_endpoints():
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(F(1, 3), F(1, 4))
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(1, 0)
+    for bad in ((0.5, F(1)), (F(0), 1.0), (0.25, 0.5)):
+        with pytest.raises(TypeError):
+            Interval(*bad)
+    iv = Interval(1, 2)
+    assert type(iv.lo) is F and type(iv.hi) is F
+    with pytest.raises(TypeError):
+        Interval.point(0.5)
+    with pytest.raises(TypeError):
+        Interval(F(1), F(2)).pow_int(2.0)
+
+
+def test_interval_is_frozen_slotted_and_hashes_by_value():
+    import dataclasses
+
+    iv = Interval(F(1, 3), F(1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.lo = F(0)
+    with pytest.raises((AttributeError, TypeError)):
+        iv.extra = 1
+    assert not hasattr(iv, "__dict__")
+    # an op result (built unchecked) equals and hashes like a checked one
+    built = Interval.point(F(1, 3)) + Interval(F(0), F(1, 6))
+    assert built == iv and hash(built) == hash(iv)
+    assert len({iv, built, Interval(F(2, 6), F(3, 6))}) == 1
+    assert iv != Interval(F(1, 3), F(1))
+
+
 def test_interval_ring_ops_are_exact():
     a = Interval(F(1, 3), F(1, 2))
     b = Interval(F(-2), F(5))
@@ -273,6 +305,7 @@ def test_outward_pow_product_equals_the_exact_expression(monkeypatch):
             got = outward_pow_product(a, p, b, q, bits)
             want = (a.pow_int(p) * b.pow_int(q)).outward(bits)
             assert (got.lo, got.hi) == (want.lo, want.hi), (a, p, b, q, bits)
+            assert type(got.lo) is F and type(got.hi) is F
     assert not fallbacks  # the directed bounds decided every rounding
 
 
