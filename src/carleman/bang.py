@@ -21,6 +21,7 @@ tail control available, which dictates two restrictions enforced here:
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -254,6 +255,16 @@ def _dyadic_mul(x: Dyadic, y: Dyadic) -> Dyadic:
 
 # -- Bang-type series -------------------------------------------------------------
 
+# The memo tables of the extremal series, an enclosure table and a trig table
+# per sequence object.  Every key is a function of the sequence and of
+# (k, n, xi, bits) alone: M'_k, m_k, M'_k (2 m_k)**(n-k) and the oscillator
+# values at 2 m_k xi do not depend on p, K or the tail target, so every series
+# built on one sequence shares them, and the tables live exactly as long as
+# the sequence does.
+_SEQ_TABLES: "weakref.WeakKeyDictionary[WeightSequence, Tuple[dict, dict]]" = (
+    weakref.WeakKeyDictionary()
+)
+
 
 class BangFunction:
     """Truncated extremal series over a weight sequence with log-convex
@@ -266,6 +277,8 @@ class BangFunction:
     n <= max_order (or pass K explicitly).
     Construction certifies m_k nondecreasing on [0, K]: a certified
     violation raises ``GateError`` and an unresolved gate ``PrecisionError``.
+    The memoized enclosures belong to ``seq``: every series built on the
+    same sequence object shares them.
     """
 
     def __init__(
@@ -293,8 +306,6 @@ class BangFunction:
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
         self._cfg = cfg
-        self._enc_cache = {}
-        self._trig_cache = {}
         if self.K > 0:
             # m_k nondecreasing on [0, K] is M' log-convex on [1, K]
             gate = is_log_convex(seq, (1, self.K), "derived", cfg)
@@ -309,8 +320,12 @@ class BangFunction:
         oracle = _log_convex_global_oracle(seq)
         self.tail_scope = "global" if oracle is not None else "window"
         self.tail_provenance = oracle
+        tables = _SEQ_TABLES.get(seq)
+        if tables is None:
+            tables = _SEQ_TABLES[seq] = ({}, {})
+        self._enc_cache, self._trig_cache = tables
 
-    # -- cached enclosures -------------------------------------------------------
+    # -- enclosures, memoized in the sequence's tables ---------------------------
 
     def _mprime(self, k: int, bits: int) -> Interval:
         key = ("mp", k, bits)

@@ -57,6 +57,7 @@ from .scalar import (
     ScalarConfig,
     _fraction_from_mpf_tuple,
     decimal_str,
+    fraction_str,
 )
 from .seqcore import (
     Analytic,
@@ -316,7 +317,8 @@ def emit_report(report: Report, path: str, fmt: str) -> None:
 
 def _scalar_cells(s: Scalar, digits: int) -> Tuple[str, str]:
     if s.mode == "exact":
-        return (str(s.exact), str(s.exact))
+        text = fraction_str(s.exact)
+        return (text, text)
     if s.mode == "interval":
         return (
             decimal_str(s.lo, digits, "down"),

@@ -16,6 +16,7 @@ anything still unresolved escalates precision up to the configured cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -138,13 +139,15 @@ def composition_sum_oracle(k: int, n: int) -> Fraction:
         raise ValueError(
             f"composition enumeration refused for n={n} > {COMPOSITION_GUARD}"
         )
-    total = Fraction(0)
+    # every part divides lcm(1..n), so each prod divides common exactly
+    common = math.lcm(*range(1, n + 1)) ** k
+    total = 0
     for parts in _compositions(n, k):
         prod = 1
         for part in parts:
             prod *= part
-        total += Fraction(1, prod)
-    return total
+        total += common // prod
+    return Fraction(total, common)
 
 
 # -- certified sweeps ----------------------------------------------------------

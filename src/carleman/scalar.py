@@ -634,8 +634,34 @@ def decimal_str(q: Fraction, digits: int, direction: str) -> str:
     units = abs(units)
     whole, frac = divmod(units, scale)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return f"{sign}{_int_str(whole)}"
+    return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
+
+
+# str() refuses an int with more digits than the interpreter's limit, which
+# is at least 640 (4 300 by default); an int below 3 * 640 bits has fewer
+# than 640 digits
+_INT_STR_BITS = 3 * 640
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any size: past the digit limit of str(), the
+    digits of the two halves n // 10**k and n % 10**k are joined."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    bits = n.bit_length()
+    if bits < _INT_STR_BITS:
+        return str(n)
+    k = bits * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
+def fraction_str(q: Fraction) -> str:
+    """str(q) for a Fraction of any size."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def factorial(n: int) -> int:

@@ -134,8 +134,11 @@ class Regularized(WeightSequence):
             return None
         (qa, da), (qb, db) = ra, rb
         lcm = da * db // math.gcd(da, db)
-        q = qa ** ((b - n) * lcm // da) * qb ** ((n - a) * lcm // db)
-        return (q, lcm * (b - a))
+        x, y = (b - n) * lcm // da, (n - a) * lcm // db
+        # qa**x * qb**y from integer powers, with one gcd in the Fraction
+        num = qa.numerator ** x * qb.numerator ** y
+        den = qa.denominator ** x * qb.denominator ** y
+        return (Fraction(num, den), lcm * (b - a))
 
     def _enclosure(self, n: int, bits: int) -> Interval:
         if n in self._vertex_set:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .bang import (
@@ -47,6 +48,7 @@ from .seqcore import (
     PowerSub,
     Trend,
     Verdict,
+    WeightSequence,
     Witness,
     is_log_convex,
 )
@@ -232,6 +234,12 @@ def _stirling_two_sided(config: RunConfig) -> CheckOutcome:
 
 # -- extremal-series checks --------------------------------------------------------
 
+# The parsed sequences of the current ``run_checks`` call, by spec.  The five
+# bang checks then build their series on one sequence object and share its
+# memo tables in ``bang``; the call drops the dict when it returns, and with
+# it the sequences and their tables.
+_RUN_SEQUENCES: ContextVar[Dict[str, WeightSequence]] = ContextVar("run_sequences")
+
 
 def _build_bang(
     config: RunConfig, p: int, max_order: int, window: Tuple[int, int]
@@ -240,10 +248,15 @@ def _build_bang(
     over ``window`` when its construction gate refuses the sequence: Fails
     when the gate fails, Inconclusive when it stays unresolved.  A malformed
     spec or a refused parameter is not a gate outcome; its ``ConfigError``
-    or ``SequenceError`` propagates."""
+    or ``SequenceError`` propagates.  The spec is parsed once per
+    ``run_checks`` call, so every series of the run has one sequence."""
     from .cli import parse_sequence_spec
 
-    seq = parse_sequence_spec(config.bang_seq)
+    seqs = _RUN_SEQUENCES.get()
+    spec = config.bang_seq
+    if spec not in seqs:
+        seqs[spec] = parse_sequence_spec(spec)
+    seq = seqs[spec]
     try:
         return BangFunction(
             seq,
@@ -593,25 +606,29 @@ def run_checks(
 
     config = _clamp_to_window(config)
     records = []
-    for cid, anchor, fn in _REGISTRY:
-        if only is not None and cid not in only:
-            continue
-        start = time.perf_counter()
-        out = fn(config)
-        elapsed = time.perf_counter() - start
-        lower = decimal_str(out.lower, config.digits, "down") if out.lower is not None else ""
-        upper = decimal_str(out.upper, config.digits, "up") if out.upper is not None else ""
-        records.append(
-            Record(
-                id=cid,
-                anchor=anchor,
-                verdict=out.verdict.outcome,
-                witness=out.witness,
-                lower=lower,
-                upper=upper,
-                seconds=round(elapsed, 6),
+    token = _RUN_SEQUENCES.set({})
+    try:
+        for cid, anchor, fn in _REGISTRY:
+            if only is not None and cid not in only:
+                continue
+            start = time.perf_counter()
+            out = fn(config)
+            elapsed = time.perf_counter() - start
+            lower = decimal_str(out.lower, config.digits, "down") if out.lower is not None else ""
+            upper = decimal_str(out.upper, config.digits, "up") if out.upper is not None else ""
+            records.append(
+                Record(
+                    id=cid,
+                    anchor=anchor,
+                    verdict=out.verdict.outcome,
+                    witness=out.witness,
+                    lower=lower,
+                    upper=upper,
+                    seconds=round(elapsed, 6),
+                )
             )
-        )
+    finally:
+        _RUN_SEQUENCES.reset(token)
     records.sort(key=lambda r: r.id)
     return Report(
         version=__version__,

@@ -1,5 +1,6 @@
 """Extremal series, C_p oscillators, growth envelopes, and class norms."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -453,3 +454,58 @@ def test_cp_series_interval_equals_the_fraction_loop():
         x = rng.choice(xs + [F(rng.randint(-40, 40), rng.randint(1, 9))])
         enc = _cp_series_interval(p, n, x, bits)
         assert (enc.lo, enc.hi) == _cp_series_reference(p, n, x, bits), (p, n, x, bits)
+
+
+# -- one memo table per sequence ---------------------------------------------------
+
+
+def _series_results(build):
+    """Enclosures, majorants and lower-bound verdicts of four series, each
+    made by ``build(p, max_order, tail_target)``, in one fixed order."""
+    tau = F(1, 2 ** 20)
+    out = []
+    for p in (2, 3):
+        for max_order in (6, 9):
+            B = build(p, max_order, tau)
+            xis = (F(0), F(1, 3)) if p == 2 else (F(0),)
+            for n in range(max_order + 1):
+                for xi in xis:
+                    enc = bang_derivative(B, n, xi, IVAL).interval()
+                    out.append((p, max_order, n, xi, enc.lo, enc.hi))
+                maj = _bang_majorant(B, n, 128)
+                out.append((p, max_order, n, maj.lo, maj.hi))
+            for n in range(max_order // p + 1):
+                out.append((p, max_order, n, bang_lower_bound_certify(B, n, IVAL)))
+    return out
+
+
+def test_series_on_one_sequence_share_its_tables_and_their_values():
+    seq = IteratedLog(2)
+    shared = []
+
+    def on_one_sequence(p, max_order, tau):
+        B = BangFunction(seq, p=p, max_order=max_order, tail_target=tau)
+        shared.append(B)
+        return B
+
+    def on_fresh_sequences(p, max_order, tau):
+        return BangFunction(IteratedLog(2), p=p, max_order=max_order, tail_target=tau)
+
+    assert _series_results(on_one_sequence) == _series_results(on_fresh_sequences)
+    assert all(B._enc_cache is shared[0]._enc_cache for B in shared)
+    assert all(B._trig_cache is shared[0]._trig_cache for B in shared)
+    assert bang_module._SEQ_TABLES[seq] == (shared[0]._enc_cache, shared[0]._trig_cache)
+    # the trig values at xi = 1/3 went to the one shared table
+    assert shared[0]._trig_cache
+
+
+def test_a_sequence_table_dies_with_its_sequence():
+    seq = IteratedLog(2)
+    B = BangFunction(seq, p=2, max_order=4, tail_target=F(1, 2 ** 20))
+    bang_derivative(B, 4, F(1, 3), IVAL).interval()
+    gc.collect()
+    count = len(bang_module._SEQ_TABLES)
+    assert seq in bang_module._SEQ_TABLES
+    del seq, B
+    gc.collect()
+    assert len(bang_module._SEQ_TABLES) == count - 1

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from carleman.cli import (
     report_to_csv_text,
     report_to_json_obj,
 )
-from carleman.scalar import PrecisionError
+from carleman.scalar import PrecisionError, ScalarConfig, make_scalar
 from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub
 from carleman.verify import Record, Report, RunConfig, config_to_dict, run_checks
 
@@ -311,6 +312,40 @@ def test_main_seq_show_exact(capsys):
     assert "24" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seq", "gevrey(1)", "--range", "1700:1700", "--mode", "exact"],
+        ["--seq", "gevrey(1)", "--range", "1700:1700", "--mode", "interval"],
+        ["--seq", "gevrey(1)", "--range", "1700:1700", "--mode", "float"],
+        ["--seq", "iterlog(1)", "--range", "0:3", "--digits", "100000", "--precision", "64"],
+    ],
+)
+def test_main_seq_show_prints_values_past_the_int_digit_limit(argv, capsys):
+    # 1700! has 4 755 digits, past str()'s default limit of 4 300
+    rc = main(["seq", "show", *argv])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert len(captured.out.splitlines()[-1]) > 4300
+
+
+def test_exact_cells_past_the_int_digit_limit_equal_str(capsys):
+    import math
+
+    assert main(["seq", "show", "--seq", "gevrey(1)", "--range", "1700:1700",
+                 "--mode", "exact"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    q = Fraction(-(7 ** 9000), 3 ** 9001)
+    cell = cli._scalar_cells(make_scalar(ScalarConfig(mode="exact"), q), 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert line == f"1700\t{math.factorial(1700)}"
+        assert cell == (str(q), str(q))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_main_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["seq", "show"])  # missing --seq
@@ -412,6 +447,30 @@ def test_main_verify_unresolved_bang_gate_is_inconclusive(monkeypatch, capsys):
     assert len(lines) == len(_BANG_CHECKS)
     for line in lines:
         assert line.startswith("INCONCLUSIVE") and "construction gate" in line
+
+
+def test_bang_sequence_is_parsed_once_per_run_and_dropped_with_it(monkeypatch):
+    import gc
+
+    from carleman import bang, verify
+
+    parsed = []
+
+    def spy(spec):
+        seq = parse_sequence_spec(spec)
+        parsed.append((spec, weakref.ref(seq)))
+        return seq
+
+    monkeypatch.setattr(cli, "parse_sequence_spec", spy)
+    config = RunConfig(window=(1, 3), remainder_cases=5, transform_cases=10)
+    for run in (1, 2):
+        report = run_checks(config)
+        assert [r.verdict for r in report.records] == ["holds"] * 19
+        assert [spec for spec, _ in parsed] == [config.bang_seq] * run
+        gc.collect()
+        assert all(ref() is None for _, ref in parsed)
+        assert len(bang._SEQ_TABLES) == 0
+        assert verify._RUN_SEQUENCES.get(None) is None
 
 
 def test_b_coefficient_bounds_are_configured():

@@ -385,3 +385,21 @@ def test_stirling_sweep_hands_on_exactly_the_rejected_triples(monkeypatch):
         assert stirling_sweep(p_set, n_max, cfg).ok
         expected = _rejected_triples(p_set, n_max, lo)
         assert expected and seen == expected, lo
+
+
+def _fraction_composition_sum(k, n):
+    """The term-by-term Fraction sum that the common-denominator kernel
+    replaced."""
+    total = F(0)
+    for parts in comb._compositions(n, k):
+        prod = 1
+        for part in parts:
+            prod *= part
+        total += F(1, prod)
+    return total
+
+
+def test_composition_oracle_equals_the_fraction_sum():
+    for n in range(1, 15):
+        for k in range(1, n + 1):
+            assert composition_sum_oracle(k, n) == _fraction_composition_sum(k, n), (k, n)

@@ -109,3 +109,66 @@ def test_the_check_flags_a_builder_reference():
     for text in snippets:
         assert list(_builder_references(ast.parse(text)))
     assert not list(_builder_references(ast.parse("from carleman.scalar import _iv_ctx\n")))
+
+
+# module-level memos that may outlive a run: the per-bits mpmath contexts and
+# the extremal series' tables, which die with their sequence
+MEMO_ALLOWLIST = {("scalar", "_iv_ctx"), ("scalar", "_mp_ctx"), ("bang", "_SEQ_TABLES")}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+WEAK_TABLES = {"WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _called_name(node: ast.AST):
+    """The last name part of a Name or Attribute, seen through a call:
+    ``lru_cache``, ``functools.lru_cache`` and ``lru_cache(maxsize=None)``
+    all give ``lru_cache``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _module_memos(tree: ast.Module):
+    """(name, line) of every function with a functools cache decorator, at
+    any depth, and of every module-level weak table assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_called_name(d) in CACHE_DECORATORS for d in node.decorator_list):
+                yield node.name, node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(call, ast.Call) and _called_name(call) in WEAK_TABLES
+                for call in ast.walk(node.value)
+            ):
+                for target in targets:
+                    yield getattr(target, "id", ast.unparse(target)), node.lineno
+
+
+def test_only_allowlisted_memos_can_outlive_a_run():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, line in _module_memos(tree):
+            key = (path.stem, name)
+            assert key in MEMO_ALLOWLIST, f"{path.name}:{line} adds the module-level memo {name}"
+            found.add(key)
+    # a stale entry would let a new memo of the same name through unnoticed
+    assert found == MEMO_ALLOWLIST
+
+
+def test_the_check_flags_a_module_level_memo():
+    snippets = {
+        "import functools\n@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x\n": "f",
+        "from functools import cache\nclass A:\n    @cache\n    def g(self):\n        pass\n": "g",
+        "import weakref\nT = weakref.WeakKeyDictionary()\n": "T",
+        "from weakref import WeakValueDictionary\nV: dict = WeakValueDictionary()\n": "V",
+    }
+    for text, name in snippets.items():
+        assert [n for n, _ in _module_memos(ast.parse(text))] == [name]
+    local = "import weakref\ndef f():\n    t = weakref.WeakKeyDictionary()\n    return t\n"
+    assert not list(_module_memos(ast.parse(local)))

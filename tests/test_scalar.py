@@ -1,6 +1,7 @@
 """Interval/scalar arithmetic: exactness, soundness, directed rounding."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from mpmath import libmp
 from carleman import scalar
 from carleman.scalar import (
     _ROUND_ONCE_GUARD,
+    _int_str,
     ExactUnavailableError,
     Interval,
     RangeError,
@@ -231,6 +233,21 @@ def test_decimal_str_directed():
     assert decimal_str(F(2), 0, "up") == "2"
     with pytest.raises(ValueError):
         decimal_str(F(1, 3), -1, "down")
+
+
+def test_int_str_equals_str_past_the_digit_limit():
+    rng = random.Random(5)
+    ints = [0, 1, -1, 10 ** 639, 2 ** 1919, 2 ** 1920, -(10 ** 5000), 10 ** 20000 - 1]
+    ints += [rng.getrandbits(rng.randint(1, 60000)) * rng.choice((1, -1)) for _ in range(60)]
+    got = [_int_str(n) for n in ints]
+    wide = decimal_str(F(10 ** 5000 + 1, 3), 5000, "up")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert got == [str(n) for n in ints]
+        assert wide == f"{(10 ** 5000 + 1) // 3}.{'6' * 4999}7"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_iv_cos_sin_is_the_pair_of_iv_cos_and_iv_sin():

@@ -284,3 +284,44 @@ def test_bracket_agrees_with_a_linear_scan():
             a = max(v for v in vertices if v <= n)
             b = min(v for v in vertices if v >= n)
             assert reg._bracket(n) == (a, b), (vertices, n)
+
+
+def _fraction_power_root(reg, n):
+    """The root form of ``reg`` at n as Fraction powers qa**x * qb**y, the
+    form that the integer-power kernel replaced."""
+    if n in reg.vertices:
+        return reg.base.as_root(n)
+    a, b = reg._bracket(n)
+    (qa, da), (qb, db) = reg.base.as_root(a), reg.base.as_root(b)
+    lcm = da * db // math.gcd(da, db)
+    return (qa ** ((b - n) * lcm // da) * qb ** ((n - a) * lcm // db), lcm * (b - a))
+
+
+def test_as_root_equals_the_fraction_power_form():
+    rng = random.Random(23)
+
+    def some_vertices(n_max):
+        inner = rng.sample(range(1, n_max), rng.randint(0, n_max - 1))
+        return tuple(sorted({0, n_max, *inner}))
+
+    regs = []
+    for _ in range(60):
+        N = rng.randint(2, 24)
+        table = [F(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(N + 1)]
+        regs.append(log_convex_regularization(Custom(table=table), (0, N)))
+    # bases whose root forms have degree above 1, on arbitrary vertex sets
+    for base in (Gevrey(F(1, 2)), Gevrey(F(2, 3))):
+        for _ in range(10):
+            N = rng.randint(2, 20)
+            regs.append(Regularized(base, N, some_vertices(N)))
+    for inner in regs[:30]:
+        regs.append(Regularized(inner, inner.n_max, some_vertices(inner.n_max)))
+    degrees = set()
+    for reg in regs:
+        for n in range(reg.n_max + 1):
+            got = reg.as_root(n)
+            assert got == _fraction_power_root(reg, n), (reg.describe(), n)
+            assert type(got[0]) is Fraction
+            if n not in reg.vertices:
+                degrees.add(reg.base.as_root(reg._bracket(n)[0])[1] > 1)
+    assert degrees == {False, True}
