@@ -305,7 +305,6 @@ class BangFunction:
         self.K = K if K is not None else max_order + _ceil_log2_inverse(tau) + 1
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
-        self._cfg = cfg
         if self.K > 0:
             # m_k nondecreasing on [0, K] is M' log-convex on [1, K]
             gate = is_log_convex(seq, (1, self.K), "derived", cfg)

@@ -17,9 +17,10 @@ anything still unresolved escalates precision up to the configured cap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .scalar import (
     DEFAULT_CONFIG,
@@ -83,15 +84,19 @@ class TruncatedPowerSeries:
         val = self.valuation + other.valuation
         if val > order:
             return TruncatedPowerSeries.zero(order)
-        coeffs = []
-        for n in range(val, order + 1):
-            total = Fraction(0)
-            lo = max(self.valuation, n - other.order)
-            hi = min(self.order, n - other.valuation)
-            for i in range(lo, hi + 1):
-                total += self.coeffs[i - self.valuation] * other.coeff(n - i)
-            coeffs.append(total)
-        return TruncatedPowerSeries(tuple(coeffs), val, order)
+        # only the first order - val + 1 stored coefficients of either side
+        # reach the truncated product; each side is scaled to integers over
+        # the lcm of their denominators
+        width = order - val + 1
+        a, da = _integer_numerators(self.coeffs[:width])
+        b, db = _integer_numerators(other.coeffs[:width])
+        den = da * db
+        # coefficient val + m is sum a[i] * b[m - i] over 0 <= i <= m
+        coeffs = tuple(
+            Fraction(sum(map(operator.mul, a[: m + 1], reversed(b[: m + 1]))), den)
+            for m in range(width)
+        )
+        return TruncatedPowerSeries(coeffs, val, order)
 
     def pow_int(self, k: int) -> "TruncatedPowerSeries":
         if k < 1:
@@ -106,6 +111,12 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(
             tuple(q * v for v in self.coeffs), self.valuation, self.order
         )
+
+
+def _integer_numerators(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integers c_i and one denominator D with coeffs[i] == c_i / D."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _log_series(order: int) -> TruncatedPowerSeries:

@@ -97,22 +97,32 @@ def _rounded_tuple(q: Fraction, bits: int, rnd: str):
 
 def _rounded_ratio(p: int, d: int, bits: int, rnd: str):
     """p/d (d > 0, not necessarily in lowest terms) as an mpf tuple with a
-    ``bits``-bit mantissa, rounded by ``rnd``.
+    ``bits``-bit mantissa, rounded by ``rnd``: floor ('f'), ceiling ('c') or
+    to nearest with ties to even ('n').
 
-    Floor ('f') and ceiling ('c') are computed here in integer arithmetic:
-    the directed rounding is unique, so the tuple is the one mpmath returns,
-    without its byte-by-byte trailing-zero scan of the unrounded operands.
+    Computed in integer arithmetic: each rounding is unique, so the tuple is
+    the one mpmath's ``from_rational`` returns, without its byte-by-byte
+    trailing-zero scan of the unrounded operands.
     """
-    if rnd not in ("f", "c") or p == 0:
-        return libmp.from_rational(p, d, bits, rnd)
-    # |q| 2**s lies strictly between 2**(bits-1) and 2**(bits+1)
-    s = bits - abs(p).bit_length() + d.bit_length()
+    if p == 0:
+        return libmp.fzero
+    nearest = rnd == "n"
+    prec = bits + nearest  # round to nearest keeps one guard bit
+    # |q| 2**s lies strictly between 2**(prec-1) and 2**(prec+1)
+    s = prec - abs(p).bit_length() + d.bit_length()
     man, rem = divmod(abs(p) << s, d) if s >= 0 else divmod(abs(p), d << -s)
-    if man >> bits:
+    if man >> prec:
         s -= 1
         rem = rem or man & 1
         man >>= 1
-    if rem and (p < 0) == (rnd == "f"):
+    if nearest:
+        # rem is the sticky bit: a tie only when the guard bit is the whole rest
+        guard = man & 1
+        s -= 1
+        man >>= 1
+        if guard and (rem or man & 1):
+            man += 1
+    elif rem and (p < 0) == (rnd == "f"):
         man += 1  # away from zero: floor of a negative, ceiling of a positive
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
@@ -538,14 +548,22 @@ class Scalar:
         return f"Scalar[{float(Fraction(self.lo)):.12g}, {float(Fraction(self.hi)):.12g}]"
 
 
+_RANGE_MESSAGE = (
+    "value exceeds the float-mode exponent range; "
+    "use interval or exact mode (log-domain) instead"
+)
+
+
 def _float_from_fraction(q: Fraction, cfg: ScalarConfig):
+    if q:
+        # the rounded value's exponent exp + bc lies in [e, e + 2]
+        e = abs(q.numerator).bit_length() - q.denominator.bit_length()
+        if e > FLOAT_EXP_CAP or e + 2 < -FLOAT_EXP_CAP:
+            raise RangeError(_RANGE_MESSAGE)
     t = _rounded_tuple(q, cfg.bits, "n")
     _sign, man, exp, bc = t
     if man != 0 and abs(exp + bc) > FLOAT_EXP_CAP:
-        raise RangeError(
-            "value exceeds the float-mode exponent range; "
-            "use interval or exact mode (log-domain) instead"
-        )
+        raise RangeError(_RANGE_MESSAGE)
     return _mp_ctx(cfg.bits).make_mpf(t)
 
 

@@ -405,7 +405,7 @@ class Custom(WeightSequence):
                 raise SequenceError("custom table must be nonempty")
             if any(v <= 0 for v in vals):
                 raise SequenceError("custom sequence values must be strictly positive")
-            self._table = tuple(v / vals[0] for v in vals)
+            self._table = vals if vals[0] == 1 else tuple(v / vals[0] for v in vals)
         else:
             self._table = None
             v0 = _as_fraction(rule(0))
@@ -498,6 +498,47 @@ def compare_products(
         return left - right
 
     return refine_sign(diff, cfg)
+
+
+IntRoot = Tuple[int, int, int]  # (num, den, d): value == (num/den) ** (1/d)
+
+
+def _int_root(seq: WeightSequence, n: int) -> Optional[IntRoot]:
+    """``seq.as_root(n)`` with the fraction split into integers, or None."""
+    rep = seq.as_root(n)
+    if rep is None:
+        return None
+    q, d = rep
+    return q.numerator, q.denominator, d
+
+
+def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> int:
+    """Sign of M_i**a * M_k**b - M_j**(a + b) for a, b >= 1, from the integer
+    root forms of M_i, M_j and M_k.
+
+    Equal to ``compare_products([(seq, i, a), (seq, k, b)], [(seq, j, a + b)])``
+    on exact forms, without its factor lists.  Both sides are positive, so
+    taking their gcd(a, b)-th root, or raising them to a root degree, keeps
+    the sign.
+    """
+    g = math.gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    ni, di, ri = fi
+    nj, dj, rj = fj
+    nk, dk, rk = fk
+    if ri == rj == rk:
+        # one root degree: cleared by raising to it; M_j**(a + b) splits
+        # over the powers a and b
+        left = (ni * dj) ** a * (nk * dj) ** b
+        right = (nj * di) ** a * (nj * dk) ** b
+    else:
+        r = math.lcm(ri, rj, rk)
+        a, b, c = a * r // ri, b * r // rk, (a + b) * r // rj
+        left = ni ** a * nk ** b * dj ** c
+        right = nj ** c * di ** a * dk ** b
+    return (left > right) - (left < right)
 
 
 # -- module operations ---------------------------------------------------------
@@ -599,12 +640,30 @@ def is_log_convex(
     if which not in ("base", "derived"):
         raise ValueError("which must be 'base' or 'derived'")
     a, b = _check_window(window, min_start=1)
+    base = which == "base"
+    # integer root forms of M_{n-1}, M_n, M_{n+1} for the base sweep, read in
+    # compare_products' order (M_n, M_{n-1}, M_{n+1}) and never past a point
+    # without a form, so both paths raise at the same bad index; cur is False
+    # while M_n is unread
+    prev, cur = None, False
     for n in range(a, b + 1):
-        # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
-        ls, rs = (1, 1) if which == "base" else (n, n + 1)
-        sign = compare_products(
-            [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], cfg, ls, rs
-        )
+        nxt = None
+        if base:
+            if cur is False:
+                cur = _int_root(seq, n)
+            if n == a and cur is not None:
+                prev = _int_root(seq, n - 1)
+            if cur is not None and prev is not None:
+                nxt = _int_root(seq, n + 1)
+        if nxt is not None:
+            sign = -_three_point_sign(prev, cur, nxt, 1, 1)
+        else:
+            # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
+            ls, rs = (1, 1) if base else (n, n + 1)
+            sign = compare_products(
+                [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], cfg, ls, rs
+            )
+        prev, cur = cur, False if nxt is None else nxt
         if sign is None:
             return Verdict.inconclusive(
                 window,
@@ -615,7 +674,7 @@ def is_log_convex(
                 f"M_{m}={_display(seq, m, cfg)}" for m in (n - 1, n, n + 1)
             )
             return Verdict.fails(window, Witness(n, vals))
-    if which == "base":
+    if base:
         oracle = _log_convex_global_oracle(seq)
         if oracle is not None:
             return Verdict.holds(window, SCOPE_GLOBAL, provenance=oracle)

@@ -32,10 +32,13 @@ from .scalar import (
     outward_pow_product,
 )
 from .seqcore import (
+    IntRoot,
     RootRep,
     SequenceError,
     WeightSequence,
     Window,
+    _int_root,
+    _three_point_sign,
     compare_products,
 )
 
@@ -56,12 +59,19 @@ def derived_power_substitution(
     return make_scalar(cfg, exact, lambda bits: seq.enclosure(p * n, bits) * scale)
 
 
-def _turn_sign(seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig) -> int:
+def _turn_sign(
+    seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig,
+    forms: List[Optional[IntRoot]],
+) -> int:
     """Certified orientation of (i, log M_i), (j, log M_j), (k, log M_k).
 
     Positive when the middle point lies strictly below the chord (a convex
-    corner of the lower hull), zero when collinear.
+    corner of the lower hull), zero when collinear.  ``forms`` holds the
+    integer root forms read so far, by index.
     """
+    fi, fj, fk = forms[i], forms[j], forms[k]
+    if fi is not None and fj is not None and fk is not None:
+        return _three_point_sign(fi, fj, fk, k - j, j - i)
     sign = compare_products(
         [(seq, i, k - j), (seq, k, j - i)],
         [(seq, j, k - i)],
@@ -75,11 +85,18 @@ def _turn_sign(seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig) -
 
 
 def _lower_log_hull(seq: WeightSequence, n_max: int, cfg: ScalarConfig) -> Tuple[int, ...]:
-    """Monotone-chain lower hull vertex indices on [0, n_max], keeping
+    """Monotone-chain lower hull vertex indices on [0, n_max >= 2], keeping
     collinear points."""
-    stack: List[int] = []
-    for k in range(n_max + 1):
-        while len(stack) >= 2 and _turn_sign(seq, stack[-2], stack[-1], k, cfg) < 0:
+    # each form is read once, in the order compare_products first reads it
+    # (0, 2, 1 at the first turn, then k as the sweep reaches it), so both
+    # paths raise at the same bad index
+    forms: List[Optional[IntRoot]] = [_int_root(seq, 0), None]
+    stack = [0, 1]
+    for k in range(2, n_max + 1):
+        forms.append(_int_root(seq, k))
+        if k == 2:
+            forms[1] = _int_root(seq, 1)
+        while len(stack) >= 2 and _turn_sign(seq, stack[-2], stack[-1], k, cfg, forms) < 0:
             stack.pop()
         stack.append(k)
     return tuple(stack)

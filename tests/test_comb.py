@@ -98,6 +98,44 @@ def test_series_mul_truncates_consistently():
     assert sq.order == 3
 
 
+def _reference_mul(x, y):
+    """The product by one Fraction at a time, over the common order."""
+    order = min(x.order, y.order)
+    val = x.valuation + y.valuation
+    if val > order:
+        return TruncatedPowerSeries.zero(order)
+    coeffs = [
+        sum((x.coeff(i) * y.coeff(n - i) for i in range(n + 1)), Fraction(0))
+        for n in range(val, order + 1)
+    ]
+    return TruncatedPowerSeries(tuple(coeffs), val, order)
+
+
+def test_series_mul_matches_the_fraction_convolution():
+    rng = random.Random(17)
+
+    def series():
+        order = rng.randint(0, 14)
+        val = rng.randint(0, order + 1)
+        if val > order:
+            return TruncatedPowerSeries.zero(order)
+        big = rng.choice((5, 10 ** 30))
+        coeffs = [
+            Fraction(rng.randint(-big, big), rng.choice((1, rng.randint(1, big))))
+            for _ in range(order - val + 1)
+        ]
+        return TruncatedPowerSeries.from_coeffs(coeffs, val, order)
+
+    shapes = set()
+    for _ in range(400):
+        x, y = series(), series()
+        got = x * y
+        assert got == _reference_mul(x, y), (x, y)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        shapes.add((x.order != y.order, x.valuation + y.valuation > 0, got.coeffs == ()))
+    assert shapes >= {(True, True, False), (False, False, False), (True, True, True)}
+
+
 def test_log_power_coefficient_examples():
     c1 = log_power_coefficients(1, 8)
     assert all(c1.coeff(n) == F(1, n) for n in range(1, 9))

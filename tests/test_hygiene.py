@@ -73,17 +73,18 @@ OTHER_FILES = sorted(
 )
 
 
-def _builder_references(tree: ast.AST):
-    """Lines that name the trusted builder: a name, an attribute, an import
-    or a string such as a getattr argument."""
+def _references(tree: ast.AST, name: str):
+    """Lines that name ``name``: a name, an attribute, an import or a string
+    such as a getattr argument."""
     for node in ast.walk(tree):
         if (
-            (isinstance(node, ast.Name) and node.id == TRUSTED_BUILDER)
-            or (isinstance(node, ast.Attribute) and node.attr == TRUSTED_BUILDER)
-            or (isinstance(node, ast.alias) and node.name == TRUSTED_BUILDER)
-            or (isinstance(node, ast.Constant) and node.value == TRUSTED_BUILDER)
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)
+            or (isinstance(node, ast.Constant) and node.value == name)
         ):
             yield node.lineno
+
 
 
 def test_the_trusted_builder_is_defined_in_scalar():
@@ -96,7 +97,7 @@ def test_the_trusted_builder_is_defined_in_scalar():
 @pytest.mark.parametrize("path", OTHER_FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_scalar_skips_the_interval_order_check(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    lines = list(_builder_references(tree))
+    lines = list(_references(tree, TRUSTED_BUILDER))
     assert not lines, f"{path.name} references scalar.{TRUSTED_BUILDER} on lines {lines}"
 
 
@@ -107,8 +108,17 @@ def test_the_check_flags_a_builder_reference():
         "import carleman.scalar as s\ngetattr(s, '_iv')\n",
     ]
     for text in snippets:
-        assert list(_builder_references(ast.parse(text)))
-    assert not list(_builder_references(ast.parse("from carleman.scalar import _iv_ctx\n")))
+        assert list(_references(ast.parse(text), TRUSTED_BUILDER))
+    assert not list(_references(ast.parse("from carleman.scalar import _iv_ctx\n"), TRUSTED_BUILDER))
+
+
+# mpmath's rational rounding scans its operands byte by byte; scalar rounds
+# p/d in integers instead, to the same tuples
+def test_the_package_never_rounds_through_from_rational():
+    for path in sorted(SRC.glob("*.py")):
+        lines = list(_references(ast.parse(path.read_text(encoding="utf-8")), "from_rational"))
+        assert not lines, f"{path.name} names libmp.from_rational on lines {lines}"
+    assert list(_references(ast.parse("from mpmath import libmp\nlibmp.from_rational(1, 3, 8, 'n')\n"), "from_rational"))
 
 
 # module-level memos that may outlive a run: the per-bits mpmath contexts and

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from mpmath import libmp
 
 from carleman.criteria import dc_partial_sum
-from carleman.scalar import Interval, ScalarConfig, decimal_str
+from carleman.scalar import Interval, ScalarConfig, _rounded_ratio, decimal_str
 from carleman.seqcore import Custom, PowerSub, is_increasing, is_log_convex
 from carleman.transforms import log_convex_regularization
 
@@ -201,3 +202,27 @@ def _directed_dyadic(q, bits, up):
 def test_outward_equals_the_exact_floor_and_ceiling(x, bits):
     lo, hi = _directed_dyadic(x.lo, bits, False), _directed_dyadic(x.hi, bits, True)
     _assert_built(x.outward(bits), Interval(lo, hi))
+
+
+@st.composite
+def ratio_operands(draw):
+    """(p, d, bits): signed p and d > 0 under 4 kbit sharing a common factor,
+    half of them exactly halfway between two ``bits``-bit mantissas."""
+    bits = draw(st.integers(min_value=1, max_value=300))
+    if draw(st.booleans()):
+        # an odd mantissa one bit too long: its last bit is exactly one half
+        p = draw(st.integers(min_value=1 << bits, max_value=(1 << bits + 1) - 1)) | 1
+        p <<= draw(st.integers(min_value=0, max_value=500))
+        d = 1 << draw(st.integers(min_value=0, max_value=2500))
+    else:
+        p = draw(st.integers(min_value=0, max_value=1 << 3000))
+        d = draw(st.integers(min_value=1, max_value=1 << 3000))
+    c = draw(st.integers(min_value=1, max_value=1 << 1000))
+    return draw(st.sampled_from((1, -1))) * p * c, d * c, bits
+
+
+@given(ratio_operands())
+@settings(max_examples=400)
+def test_round_to_nearest_equals_mpmath(operands):
+    p, d, bits = operands
+    assert _rounded_ratio(p, d, bits, "n") == libmp.from_rational(p, d, bits, "n")

@@ -309,3 +309,100 @@ def test_compare_products_scale_types_and_refusals():
             compare_products(side, rhs, lhs_scale=1.5)
         with pytest.raises(TypeError):
             compare_products(side, rhs, rhs_scale=2.0)
+
+
+# -- the integer log-convexity sweep against compare_products ---------------------
+
+
+def _reference_log_convex(seq, window, which):
+    """(first failing n or None, its witness text) by compare_products on every n."""
+    a, b = window
+    for n in range(a, b + 1):
+        ls, rs = (1, 1) if which == "base" else (n, n + 1)
+        sign = compare_products(
+            [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], lhs_scale=ls, rhs_scale=rs
+        )
+        if sign > 0:
+            return n, f"n={n}: " + ", ".join(f"M_{m}={seq.exact(m)}" for m in (n - 1, n, n + 1))
+    return None, None
+
+
+def _log_convex_or_error(fn):
+    try:
+        return fn()
+    except SequenceError as exc:
+        return ("raised", str(exc))
+
+
+def test_log_convexity_matches_the_compare_products_reference():
+    rng = random.Random(31)
+    tables = []
+    for N in (3, 9, 24, 64):
+        tables.append([1] + [F(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(N)])
+        ratios = sorted(F(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(N))
+        table = [F(1)]
+        for r in ratios:
+            table.append(table[-1] * r)
+        tables.append(table)
+        tables.append([F(5, 3) ** n for n in range(N + 1)])
+        # log-convex but for one dent, somewhere past the start
+        dent = list(table)
+        dent[rng.randint(1, N - 1)] *= 2
+        tables.append(dent)
+    verdicts = set()
+    for table in tables:
+        seq = Custom(table=table)
+        top = len(table) - 1
+        for window in ((1, top - 1), (2, top - 1), (top - 1, top - 1)):
+            for which in ("base", "derived"):
+                v = is_log_convex(seq, window, which)
+                n, text = _reference_log_convex(seq, window, which)
+                verdicts.add(v.outcome)
+                if n is None:
+                    assert v.ok, (table, window, which)
+                else:
+                    assert v.outcome == "fails" and v.witness.index == n
+                    assert str(v.witness) == text
+    assert verdicts == {"holds", "fails"}
+    # root forms of degree above 1, and interpolated regularization values
+    for seq in (Gevrey(F(2, 3)), log_convex_regularization(Custom(table=tables[0]), (0, 3))):
+        for which in ("base", "derived"):
+            n, _ = _reference_log_convex(seq, (1, 2), which)
+            assert is_log_convex(seq, (1, 2), which).ok == (n is None)
+
+
+def test_log_convexity_past_a_custom_table_raises_at_the_reference_index():
+    seqs = [
+        Custom(table=[1, 2, 4, 8, 16]),  # log-linear: every n ties
+        Custom(table=[1, 3, 4, 8, 16]),  # Fails at n=1
+        Custom(table=[1, 2, 4, 9, 16]),  # Fails at n=3, the last n with M_{n+1}
+        Custom(rule=lambda n: 1 if n in (0, 2) else -1),  # nonpositive at 1 and 3
+    ]
+    windows = ((1, 6), (3, 5), (4, 6), (5, 8), (7, 9))
+    for seq in seqs:
+        for window in windows:
+            for which in ("base", "derived"):
+                want = _log_convex_or_error(lambda: _reference_log_convex(seq, window, which))
+                got = _log_convex_or_error(lambda: is_log_convex(seq, window, which))
+                if want[0] == "raised":
+                    assert got == want, (seq, window, which)
+                elif want[0] is None:
+                    assert got.ok
+                else:
+                    assert got.outcome == "fails" and got.witness.index == want[0]
+
+
+def test_log_convexity_without_root_forms_uses_compare_products(monkeypatch):
+    from carleman import seqcore
+
+    calls = []
+    orig = seqcore.compare_products
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(seqcore, "compare_products", counted)
+    assert is_log_convex(Gevrey(F(1, 2)), (1, 12)).ok and calls == []
+    assert is_log_convex(IteratedLog(1), (1, 6)).ok
+    assert len(calls) == 6

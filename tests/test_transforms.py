@@ -17,6 +17,7 @@ from carleman.seqcore import (
     PowerSub,
     SequenceError,
     WeightSequence,
+    compare_products,
     is_increasing,
     is_log_convex,
 )
@@ -325,3 +326,86 @@ def test_as_root_equals_the_fraction_power_form():
             if n not in reg.vertices:
                 degrees.add(reg.base.as_root(reg._bracket(n)[0])[1] > 1)
     assert degrees == {False, True}
+
+
+# -- the integer hull sweep against compare_products ---------------------------------
+
+
+def _reference_hull(seq, n_max):
+    """Monotone-chain lower hull deciding every turn with compare_products."""
+    stack = []
+    for k in range(n_max + 1):
+        while len(stack) >= 2:
+            i, j = stack[-2], stack[-1]
+            if compare_products([(seq, i, k - j), (seq, k, j - i)], [(seq, j, k - i)]) >= 0:
+                break
+            stack.pop()
+        stack.append(k)
+    return tuple(stack)
+
+
+def _hull_tables(rng):
+    tables = []
+    for N in (2, 3, 8, 17, 40, 64):
+        tables.append([1] + [F(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(N)])
+        # log-convex: products of nondecreasing ratios, with repeats (collinear runs)
+        ratios = sorted(F(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(N))
+        table = [F(rng.randint(1, 99), rng.randint(1, 99))]
+        for r in ratios:
+            table.append(table[-1] * r)
+        tables.append(table)
+        tables.append([F(3, 7) ** n for n in range(N + 1)])  # geometric: every turn a tie
+        tables.append([rng.choice((1, 2, 4, 8)) for _ in range(N + 1)])  # many ties
+    return tables
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_hull_vertices_match_the_compare_products_reference(monkeypatch):
+    from carleman import transforms
+
+    rng = random.Random(12)
+    tables = [Custom(table=t) for t in _hull_tables(rng)]
+    seqs = [(t, t.length - 1) for t in tables]
+    seqs += [(log_convex_regularization(t, (0, n)), n) for t, n in seqs]
+    seqs += [(Gevrey(F(1, 2)), 30), (Gevrey(F(2, 3)), 30), (PowerSub(Gevrey(F(2, 3)), 2), 20)]
+    calls = _counting(monkeypatch, transforms, "compare_products")
+    for seq, n_max in seqs:
+        expected = _reference_hull(seq, n_max)
+        assert log_convex_regularization(seq, (0, n_max)).vertices == expected, seq.describe()
+    # every point has an exact form: no turn went to compare_products
+    assert calls == []
+
+
+def test_hull_without_root_forms_falls_back_to_compare_products(monkeypatch):
+    from carleman import transforms
+
+    reg = log_convex_regularization(IteratedLog(2), (0, 10))
+    calls = _counting(monkeypatch, transforms, "compare_products")
+    assert log_convex_regularization(reg, (0, 10)).vertices == _reference_hull(reg, 10)
+    assert len(calls) >= 9
+
+
+def test_hull_reads_raise_at_the_reference_index():
+    cases = [
+        (Custom(table=[1]), 2),  # indices 1 and 2 both past the table
+        (Custom(table=[1, 2, 5]), 6),
+        (Custom(rule=lambda n: 1 if n in (0, 3) else -n), 5),  # nonpositive at 1, 2 and 4
+        (Custom(rule=lambda n: 1 if n < 4 else 0), 6),
+    ]
+    for seq, n_max in cases:
+        with pytest.raises(SequenceError) as want:
+            _reference_hull(seq, n_max)
+        with pytest.raises(SequenceError) as got:
+            log_convex_regularization(seq, (0, n_max))
+        assert str(got.value) == str(want.value)
