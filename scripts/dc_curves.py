@@ -13,9 +13,10 @@ Usage:
 import argparse
 import csv
 import sys
+from itertools import islice
 
 from carleman.cli import ConfigError, parse_sequence_spec
-from carleman.criteria import dc_partial_sum
+from carleman.criteria import dc_partial_sums
 from carleman.scalar import ScalarConfig, decimal_str
 
 DEFAULT_FAMILIES = [
@@ -51,10 +52,12 @@ def main(argv=None) -> int:
         ap.error(str(exc))
     cfg = ScalarConfig(mode="interval", bits=args.bits)
 
+    # one running curve per family, taken up to each N in turn
+    curves = [(spec, dc_partial_sums(seq, args.N, cfg)) for spec, seq in seqs]
     rows = []
     for N in range(0, args.N + 1, args.step):
-        for spec, seq in seqs:
-            enc = dc_partial_sum(seq, N, cfg).interval()
+        for spec, curve in curves:
+            enc = next(islice(curve, 0 if N == 0 else args.step - 1, None)).interval()
             rows.append(
                 (
                     spec,

@@ -260,7 +260,8 @@ def _dyadic_mul(x: Dyadic, y: Dyadic) -> Dyadic:
 # (k, n, xi, bits) alone: M'_k, m_k, M'_k (2 m_k)**(n-k) and the oscillator
 # values at 2 m_k xi do not depend on p, K or the tail target, so every series
 # built on one sequence shares them, and the tables live exactly as long as
-# the sequence does.
+# the sequence does.  The enclosure table also keeps, under ("gate", cfg),
+# the largest K whose construction gate Held at that cfg.
 _SEQ_TABLES: "weakref.WeakKeyDictionary[WeightSequence, Tuple[dict, dict]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -305,7 +306,11 @@ class BangFunction:
         self.K = K if K is not None else max_order + _ceil_log2_inverse(tau) + 1
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
-        if self.K > 0:
+        tables = _SEQ_TABLES.get(seq)
+        # a gate on [1, K] decides a prefix of the comparisons of any gate
+        # on a longer window, so it Holds wherever that one Held
+        certified = tables[0].get(("gate", cfg), 0) if tables is not None else 0
+        if self.K > certified:
             # m_k nondecreasing on [0, K] is M' log-convex on [1, K]
             gate = is_log_convex(seq, (1, self.K), "derived", cfg)
             if gate.outcome == INCONCLUSIVE:
@@ -319,9 +324,10 @@ class BangFunction:
         oracle = _log_convex_global_oracle(seq)
         self.tail_scope = "global" if oracle is not None else "window"
         self.tail_provenance = oracle
-        tables = _SEQ_TABLES.get(seq)
         if tables is None:
             tables = _SEQ_TABLES[seq] = ({}, {})
+        if self.K > certified:
+            tables[0]["gate", cfg] = self.K
         self._enc_cache, self._trig_cache = tables
 
     # -- enclosures, memoized in the sequence's tables ---------------------------

@@ -45,6 +45,7 @@ from .comb import (
 )
 from .criteria import (
     dc_partial_sum,
+    dc_partial_sums,
     derivation_closure_estimate,
     inclusion_estimate,
     quasianalytic_verdict,
@@ -444,8 +445,7 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
     cfg = ScalarConfig(mode="interval", bits=config.precision)
     if args.curve:
         rows = []
-        for N in range(args.N + 1):
-            s = dc_partial_sum(seq, N, cfg)
+        for N, s in enumerate(dc_partial_sums(seq, args.N, cfg)):
             lo, hi = _scalar_cells(s, config.digits)
             rows.append((N, lo, hi))
         if args.emit:

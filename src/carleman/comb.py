@@ -391,11 +391,20 @@ def stirling_sweep(
     for p in p_set:
         if p < 2:
             raise ValueError("root exponents must be >= 2")
+        den_p, num_p = den ** p, num ** p
+        den_pn, num_pn = 1, 1
         for n in range(1, n_max + 1):
             pn = p * n
-            # integer comparison n**m * den**pn <= m! * num**pn, both sides
-            # carried from m - 1 by one small factor
-            left, right = den ** pn, num ** pn
+            den_pn *= den_p
+            num_pn *= num_p
+            # integer comparison n**m * den**pn <= m! * num**pn.  From m - 1
+            # to m the right side over the left changes by the factor m / n,
+            # so it is smallest at m = n: one comparison there decides every
+            # m.  Only a (p, n) that fails it walks the m, carrying both
+            # sides from m - 1 by one small factor
+            if n ** n * den_pn <= factorial(n) * num_pn:
+                continue
+            left, right = den_pn, num_pn
             for m in range(1, pn + 1):
                 left *= n
                 right *= m
@@ -516,18 +525,30 @@ def taylor_remainder_reconstruct(
     f0 = _coerce_jet(f_jet_at_0, n, "f jet at 0")
     Fj = _coerce_jet(F_jet_at_xi, n + 1, "F jet at xi")
 
-    # derivatives of P(t) = sum_{j<n} f^(j)(0) t**(p j) / j! at xi
+    # derivatives of P(t) = sum_{j<n} f^(j)(0) t**(p j) / j! at xi; the j = 0
+    # term is constant, so f^(0)(0) never enters.  The coefficients
+    # f^(j)(0) / j! are integers c_j over one denominator
+    if any(isinstance(v, Interval) for v in f0[1:n]):
+        raise TypeError("expected an exact rational, got Interval")
+    cs = [f0[j] / factorial(j) for j in range(1, n)]
+    cden = math.lcm(*(c.denominator for c in cs))
+    cs = [0] + [c.numerator * (cden // c.denominator) for c in cs]
+    xn, xd = xiq.numerator, xiq.denominator
+    yn, yd = xn ** p, xd ** p
+
     def P_deriv(k: int) -> Fraction:
-        total = Fraction(0)
-        for j in range(n):
+        # the terms j >= j0 have t-degree p j >= k: xi**r times a polynomial
+        # in y = xi**p, evaluated by Horner's rule in integers
+        j0 = -(-k // p)
+        r = p * j0 - k
+        acc, scale = 0, 1
+        for j in range(n - 1, j0 - 1, -1):
             e = p * j
-            if e < k:
-                continue
-            falling = 1
-            for i in range(k):
-                falling *= e - i
-            total += f0[j] * falling * xiq ** (e - k) / factorial(j)
-        return total
+            acc = acc * yn + cs[j] * (factorial(e) // factorial(e - k)) * scale
+            scale *= yd
+        if scale == 1:
+            return Fraction(0)
+        return Fraction(acc * xn ** r, cden * (scale // yd) * xd ** r)
 
     root = _binomial_root_series(p, n) if p >= 2 else TruncatedPowerSeries(
         (Fraction(1),) + (Fraction(0),) * (n - 1), 1, n

@@ -12,7 +12,7 @@ precision refinement.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .scalar import (
     DEFAULT_CONFIG,
@@ -46,23 +46,42 @@ def dc_partial_sum(seq: WeightSequence, N: int, cfg: ScalarConfig = DEFAULT_CONF
     """Partial Carleman sum: sum_{n=0}^{N} M_n / ((n+1) M_{n+1})."""
     if N < 0:
         raise SequenceError("partial-sum bound N must be nonnegative")
+    for exact, enclosure in _partial_sums(seq, N):
+        pass
+    return make_scalar(cfg, exact, enclosure)
 
-    def exact_total() -> Optional[Fraction]:
-        total = Fraction(0)
-        for n in range(N + 1):
-            a, b = seq.exact(n), seq.exact(n + 1)
-            if a is None or b is None:
-                return None
-            total += a / ((n + 1) * b)
-        return total
 
-    def enclosure(bits: int) -> Interval:
-        total = Interval.point(0)
-        for n in range(N + 1):
-            total = total + seq.enclosure(n, bits) / (seq.enclosure(n + 1, bits) * (n + 1))
-        return total
+def dc_partial_sums(
+    seq: WeightSequence, N: int, cfg: ScalarConfig = DEFAULT_CONFIG
+) -> Iterator[Scalar]:
+    """``dc_partial_sum(seq, m, cfg)`` for m = 0, 1, ..., N in turn, each from
+    the one before it: the whole curve sums N + 1 terms."""
+    for exact, enclosure in _partial_sums(seq, N):
+        yield make_scalar(cfg, exact, enclosure)
 
-    return make_scalar(cfg, exact_total(), enclosure)
+
+def _partial_sums(
+    seq: WeightSequence, N: int
+) -> Iterator[Tuple[Optional[Fraction], Callable[[int], Interval]]]:
+    """For m = 0, ..., N: the exact partial sum up to m (None from the first
+    term that is not rational on) and a function of the bits enclosing it.
+    The enclosures extend one running total per bit size, adding each term
+    once; each must be asked for before the next m is drawn."""
+    exact = Fraction(0)
+    running = {}  # bits -> (terms summed, their enclosure)
+    for m in range(N + 1):
+        if exact is not None:
+            a, b = seq.exact(m), seq.exact(m + 1)
+            exact = None if a is None or b is None else exact + a / ((m + 1) * b)
+
+        def enclosure(bits: int, m: int = m) -> Interval:
+            done, total = running.get(bits, (0, Interval.point(0)))
+            for n in range(done, m + 1):
+                total = total + seq.enclosure(n, bits) / (seq.enclosure(n + 1, bits) * (n + 1))
+            running[bits] = (m + 1, total)
+            return total
+
+        yield exact, enclosure
 
 
 def _flatten_power_sub(seq: WeightSequence) -> Tuple[WeightSequence, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .scalar import (
     DEFAULT_CONFIG,
@@ -148,16 +148,20 @@ def _check_window(window: Window, min_start: int = 0) -> Window:
 
 
 RootRep = Tuple[Fraction, int]  # value == q ** (1/d), q > 0, d >= 1
+IntRoot = Tuple[int, int, int]  # (num, den, d): value == (num/den) ** (1/d)
 
 
 class WeightSequence:
     """Base class.  Subclasses implement ``_exact`` and, when values are not
     rational, ``_enclosure``; ``_root`` provides an exact q**(1/d) form when
-    one exists (used for exact certified comparisons)."""
+    one exists (used for exact certified comparisons).  ``_int_form`` and
+    ``_int_forms`` give the same forms as integer triples, one index at a
+    time and in one batch."""
 
     def __init__(self):
         self._exact_cache = {}
         self._root_cache = {}
+        self._int_cache = {}
         self._enclosure_cache = {}
 
     # -- representation hooks ------------------------------------------------
@@ -174,6 +178,19 @@ class WeightSequence:
         if q is None:
             raise NotImplementedError(f"{type(self).__name__} has no enclosure rule")
         return Interval.point(q)
+
+    def _int_form(self, n: int) -> Optional[IntRoot]:
+        rep = self.as_root(n)
+        if rep is None:
+            return None
+        q, d = rep
+        return q.numerator, q.denominator, d
+
+    def _int_forms(self) -> List[IntRoot]:
+        """The forms of M_0, M_1, ... that one batch can give, up to the first
+        index without a form or outside the sequence; the batch reads nothing
+        that could raise.  Empty here: every read goes through ``_int_form``."""
+        return []
 
     # -- public accessors ----------------------------------------------------
 
@@ -403,9 +420,10 @@ class Custom(WeightSequence):
             vals = tuple(_as_fraction(v) for v in table)
             if not vals:
                 raise SequenceError("custom table must be nonempty")
-            if any(v <= 0 for v in vals):
+            if any(v.numerator <= 0 for v in vals):
                 raise SequenceError("custom sequence values must be strictly positive")
             self._table = vals if vals[0] == 1 else tuple(v / vals[0] for v in vals)
+            self._forms = None
         else:
             self._table = None
             v0 = _as_fraction(rule(0))
@@ -428,6 +446,13 @@ class Custom(WeightSequence):
         if v <= 0:
             raise SequenceError(f"custom rule produced a nonpositive value at n={n}")
         return v / self._norm
+
+    def _int_forms(self) -> List[IntRoot]:
+        if self._table is None:
+            return []
+        if self._forms is None:
+            self._forms = [(v.numerator, v.denominator, 1) for v in self._table]
+        return self._forms
 
     def describe(self) -> str:
         return self.name
@@ -500,16 +525,24 @@ def compare_products(
     return refine_sign(diff, cfg)
 
 
-IntRoot = Tuple[int, int, int]  # (num, den, d): value == (num/den) ** (1/d)
-
-
 def _int_root(seq: WeightSequence, n: int) -> Optional[IntRoot]:
-    """``seq.as_root(n)`` with the fraction split into integers, or None."""
-    rep = seq.as_root(n)
-    if rep is None:
-        return None
-    q, d = rep
-    return q.numerator, q.denominator, d
+    """An integer root form of M_n, or None when it has none; memoized on the
+    sequence.  The fraction num/den need not be reduced."""
+    cache = seq._int_cache
+    # as in as_root: only validated indices are stored
+    if type(n) is int and n in cache:
+        return cache[n]
+    seq._validate_index(n)
+    form = cache[n] = seq._int_form(n)
+    return form
+
+
+def _int_roots(seq: WeightSequence, lo: int, hi: int) -> List[IntRoot]:
+    """The integer root forms of M_lo, ..., M_hi that the sequence's batch
+    holds, as a new list.  It may stop early, at an index without a form or
+    outside the sequence; the caller reads from there on with ``_int_root``,
+    which decides or raises exactly as an unbatched read would."""
+    return seq._int_forms()[lo : hi + 1]
 
 
 def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> int:
@@ -519,7 +552,8 @@ def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> 
     Equal to ``compare_products([(seq, i, a), (seq, k, b)], [(seq, j, a + b)])``
     on exact forms, without its factor lists.  Both sides are positive, so
     taking their gcd(a, b)-th root, or raising them to a root degree, keeps
-    the sign.
+    the sign.  The hull and the log-convexity sweep decide triples of one
+    root degree inline, with fewer powers, and call this for the others.
     """
     g = math.gcd(a, b)
     if g != 1:
@@ -528,16 +562,10 @@ def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> 
     ni, di, ri = fi
     nj, dj, rj = fj
     nk, dk, rk = fk
-    if ri == rj == rk:
-        # one root degree: cleared by raising to it; M_j**(a + b) splits
-        # over the powers a and b
-        left = (ni * dj) ** a * (nk * dj) ** b
-        right = (nj * di) ** a * (nj * dk) ** b
-    else:
-        r = math.lcm(ri, rj, rk)
-        a, b, c = a * r // ri, b * r // rk, (a + b) * r // rj
-        left = ni ** a * nk ** b * dj ** c
-        right = nj ** c * di ** a * dk ** b
+    r = math.lcm(ri, rj, rk)
+    a, b, c = a * r // ri, b * r // rk, (a + b) * r // rj
+    left = ni ** a * nk ** b * dj ** c
+    right = nj ** c * di ** a * dk ** b
     return (left > right) - (left < right)
 
 
@@ -641,14 +669,17 @@ def is_log_convex(
         raise ValueError("which must be 'base' or 'derived'")
     a, b = _check_window(window, min_start=1)
     base = which == "base"
-    # integer root forms of M_{n-1}, M_n, M_{n+1} for the base sweep, read in
-    # compare_products' order (M_n, M_{n-1}, M_{n+1}) and never past a point
-    # without a form, so both paths raise at the same bad index; cur is False
-    # while M_n is unread
-    prev, cur = None, False
+    # integer root forms of M_{n-1}, M_n, M_{n+1} for the base sweep: first
+    # from the sequence's batch, then read one at a time in compare_products'
+    # order (M_n, M_{n-1}, M_{n+1}) and never past a point without a form, so
+    # both paths raise at the same bad index; cur is False while M_n is unread
+    forms = _int_roots(seq, a - 1, b + 1) if base else []
+    prev, cur = (forms[0], forms[1]) if len(forms) > 1 else (None, False)
     for n in range(a, b + 1):
         nxt = None
-        if base:
+        if n - a + 2 < len(forms):
+            nxt = forms[n - a + 2]
+        elif base:
             if cur is False:
                 cur = _int_root(seq, n)
             if n == a and cur is not None:
@@ -656,7 +687,13 @@ def is_log_convex(
             if cur is not None and prev is not None:
                 nxt = _int_root(seq, n + 1)
         if nxt is not None:
-            sign = -_three_point_sign(prev, cur, nxt, 1, 1)
+            if prev[2] == cur[2] == nxt[2]:
+                # one root degree: M_n**2 against M_{n-1} M_{n+1}, cleared
+                left = cur[0] * cur[0] * prev[1] * nxt[1]
+                right = prev[0] * nxt[0] * cur[1] * cur[1]
+                sign = (left > right) - (left < right)
+            else:
+                sign = -_three_point_sign(prev, cur, nxt, 1, 1)
         else:
             # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
             ls, rs = (1, 1) if base else (n, n + 1)

@@ -38,6 +38,7 @@ from .seqcore import (
     WeightSequence,
     Window,
     _int_root,
+    _int_roots,
     _three_point_sign,
     compare_products,
 )
@@ -71,7 +72,21 @@ def _turn_sign(
     """
     fi, fj, fk = forms[i], forms[j], forms[k]
     if fi is not None and fj is not None and fk is not None:
-        return _three_point_sign(fi, fj, fk, k - j, j - i)
+        a, b = k - j, j - i
+        if fi[2] == fj[2] == fk[2]:
+            # one root degree: cleared by raising to it; M_j**(a + b) splits
+            # over the powers a and b
+            g = math.gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            ni, di, _ = fi
+            nj, dj, _ = fj
+            nk, dk, _ = fk
+            left = (ni * dj) ** a * (nk * dj) ** b
+            right = (nj * di) ** a * (nj * dk) ** b
+            return (left > right) - (left < right)
+        return _three_point_sign(fi, fj, fk, a, b)
     sign = compare_products(
         [(seq, i, k - j), (seq, k, j - i)],
         [(seq, j, k - i)],
@@ -87,15 +102,21 @@ def _turn_sign(
 def _lower_log_hull(seq: WeightSequence, n_max: int, cfg: ScalarConfig) -> Tuple[int, ...]:
     """Monotone-chain lower hull vertex indices on [0, n_max >= 2], keeping
     collinear points."""
-    # each form is read once, in the order compare_products first reads it
-    # (0, 2, 1 at the first turn, then k as the sweep reaches it), so both
-    # paths raise at the same bad index
-    forms: List[Optional[IntRoot]] = [_int_root(seq, 0), None]
+    # the forms come from the sequence's batch, then one read each, in the
+    # order compare_products first reads them (0, 2, 1 at the first turn,
+    # then k as the sweep reaches it), so both paths raise at the same bad
+    # index
+    forms: List[Optional[IntRoot]] = _int_roots(seq, 0, n_max)
+    known = len(forms)
+    forms += [None] * (n_max + 1 - known)
+    if known == 0:
+        forms[0] = _int_root(seq, 0)
     stack = [0, 1]
     for k in range(2, n_max + 1):
-        forms.append(_int_root(seq, k))
-        if k == 2:
-            forms[1] = _int_root(seq, 1)
+        if k >= known:
+            forms[k] = _int_root(seq, k)
+            if k == 2 and known < 2:
+                forms[1] = _int_root(seq, 1)
         while len(stack) >= 2 and _turn_sign(seq, stack[-2], stack[-1], k, cfg, forms) < 0:
             stack.pop()
         stack.append(k)
@@ -114,10 +135,16 @@ class Regularized(WeightSequence):
 
     def __init__(self, base: WeightSequence, n_max: int, vertices: Tuple[int, ...]):
         super().__init__()
+        vertices = tuple(vertices)
+        if vertices[:1] != (0,) or vertices[-1] != n_max or any(
+            a >= b for a, b in zip(vertices, vertices[1:])
+        ):
+            raise SequenceError(f"hull vertices must increase from 0 to {n_max}, got {vertices}")
         self.base = base
         self.n_max = n_max
         self.vertices = vertices
         self._vertex_set = frozenset(vertices)
+        self._forms: Optional[List[IntRoot]] = None
 
     def _validate_index(self, n: int):
         super()._validate_index(n)
@@ -145,17 +172,60 @@ class Regularized(WeightSequence):
     def _root(self, n: int) -> Optional[RootRep]:
         if n in self._vertex_set:
             return self.base.as_root(n)
-        a, b = self._bracket(n)
-        ra, rb = self.base.as_root(a), self.base.as_root(b)
-        if ra is None or rb is None:
+        form = _int_root(self, n)
+        if form is None:
             return None
-        (qa, da), (qb, db) = ra, rb
-        lcm = da * db // math.gcd(da, db)
-        x, y = (b - n) * lcm // da, (n - a) * lcm // db
-        # qa**x * qb**y from integer powers, with one gcd in the Fraction
-        num = qa.numerator ** x * qb.numerator ** y
-        den = qa.denominator ** x * qb.denominator ** y
-        return (Fraction(num, den), lcm * (b - a))
+        num, den, d = form
+        return (Fraction(num, den), d)
+
+    def _int_form(self, n: int) -> Optional[IntRoot]:
+        forms = self._int_forms()
+        if n < len(forms):
+            return forms[n]
+        if n in self._vertex_set:
+            return _int_root(self.base, n)
+        a, b = self._bracket(n)
+        fa, fb = _int_root(self.base, a), _int_root(self.base, b)
+        if fa is None or fb is None:
+            return None
+        (na, da, ra), (nb, db, rb) = fa, fb
+        lcm = ra * rb // math.gcd(ra, rb)
+        x, y = (b - n) * lcm // ra, (n - a) * lcm // rb
+        return (na ** x * nb ** y, da ** x * db ** y, lcm * (b - a))
+
+    def _int_forms(self) -> List[IntRoot]:
+        """The forms of the points from 0 to the end of the last segment
+        whose two vertices the base's batch holds.  Inside a segment
+        [a, b] the form at n is (M_a**(b-n) * M_b**(n-a)) ** (1/(b-a)) with
+        the powers carried from point to point; no fraction is reduced."""
+        if self._forms is not None:
+            return self._forms
+        base = _int_roots(self.base, 0, self.n_max)
+        vs = self.vertices
+        if len(vs) == len(base) == self.n_max + 1:
+            forms = base  # every point is a vertex
+        elif not base:
+            forms = []
+        else:
+            forms = [base[0]]
+            for a, b in zip(vs, vs[1:]):
+                if b >= len(base):
+                    break
+                (na, da, ra), (nb, db, rb) = base[a], base[b]
+                lcm = ra * rb // math.gcd(ra, rb)
+                sa, sb, d = lcm // ra, lcm // rb, lcm * (b - a)
+                # (num, den) of M_a**(j sa) and of M_b**(j sb), j < b - a
+                pa, pb = [(1, 1)], [(1, 1)]
+                sna, sda, snb, sdb = na ** sa, da ** sa, nb ** sb, db ** sb
+                for _ in range(b - a - 1):
+                    pa.append((pa[-1][0] * sna, pa[-1][1] * sda))
+                    pb.append((pb[-1][0] * snb, pb[-1][1] * sdb))
+                for j in range(1, b - a):
+                    (xa, ya), (xb, yb) = pa[b - a - j], pb[j]
+                    forms.append((xa * xb, ya * yb, d))
+                forms.append(base[b])
+        self._forms = forms
+        return forms
 
     def _enclosure(self, n: int, bits: int) -> Interval:
         if n in self._vertex_set:

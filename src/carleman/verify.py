@@ -9,6 +9,7 @@ an accuracy knob for reported enclosures, never a soundness knob.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from contextvars import ContextVar
@@ -50,6 +51,8 @@ from .seqcore import (
     Verdict,
     WeightSequence,
     Witness,
+    _int_root,
+    _int_roots,
     is_log_convex,
 )
 from .transforms import log_convex_regularization
@@ -367,22 +370,22 @@ def _cp_periodicity(config: RunConfig) -> CheckOutcome:
 # -- randomized identities ----------------------------------------------------------
 
 
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_diff(coeffs):
-    return [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
 def _poly_jet(coeffs, x, order):
-    out, cur = [], list(coeffs)
+    """The values at x of the polynomial with these coefficients (constant
+    first) and of its first ``order`` derivatives.  Every derivative is
+    evaluated by Horner's rule in integers over one common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    cur = [c.numerator * (den // c.denominator) for c in coeffs]
+    xn, xd = x.numerator, x.denominator
+    out = []
     for _ in range(order + 1):
-        out.append(_poly_eval(cur, x))
-        cur = _poly_diff(cur)
+        # acc / xd**(len(cur) - 1) is the polynomial cur at x
+        acc, scale = 0, 1
+        for c in reversed(cur):
+            acc = acc * xn + c * scale
+            scale *= xd
+        out.append(Fraction(acc, den * (scale // xd)))
+        cur = [c * i for i, c in enumerate(cur)][1:] or [0]
     return out
 
 
@@ -440,9 +443,20 @@ def _family_verdicts(config: RunConfig) -> CheckOutcome:
 
 
 def _random_table(rng: random.Random, length: int) -> List[Fraction]:
-    return [Fraction(1)] + [
-        Fraction(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(length)
-    ]
+    """1 and then ``length`` fractions a/b with a and b drawn uniformly from
+    1..4096: the draws of ``rng.randint(1, 4096)``, taken as 13 random bits
+    with values of 4096 and above redrawn."""
+    draw = rng.getrandbits
+    values = [Fraction(1)]
+    for _ in range(length):
+        a = draw(13)
+        while a >= 4096:
+            a = draw(13)
+        b = draw(13)
+        while b >= 4096:
+            b = draw(13)
+        values.append(Fraction(a + 1, b + 1))
+    return values
 
 
 @_check("powersub-identity", "power substitution with p = 1 is the identity")
@@ -488,11 +502,10 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
     for case in range(config.transform_cases):
         seq = Custom(table=_random_table(rng, N))
         reg = log_convex_regularization(seq, window)
-        for n in range(N + 1):
-            # q**(1/d) > e, cross-multiplied on integers
-            q, d = reg.as_root(n)
-            e = seq.exact(n)
-            if q.numerator * e.denominator ** d > e.numerator ** d * q.denominator:
+        forms, reg_forms = _root_forms(seq, N), _root_forms(reg, N)
+        for n, ((qn, qd, d), (en, ed, _)) in enumerate(zip(reg_forms, forms)):
+            # (qn/qd)**(1/d) > en/ed, cross-multiplied on integers
+            if qn * ed ** d > en ** d * qd:
                 return _outcome(
                     Verdict.fails(window, Witness(n, (f"case={case}", "not a minorant")))
                 )
@@ -501,14 +514,21 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
                 Verdict.fails(window, Witness(case, ("output not log-convex",)))
             )
         reg2 = log_convex_regularization(reg, window)
-        for n in range(N + 1):
-            ra, rb = reg.as_root(n), reg2.as_root(n)
+        for n, (fa, fb) in enumerate(zip(reg_forms, _root_forms(reg2, N))):
             # equal root forms are equal values; only differing forms need powers
-            if ra != rb and ra[0] ** rb[1] != rb[0] ** ra[1]:
+            if fa != fb and fa[0] ** fb[2] * fb[1] ** fa[2] != fb[0] ** fa[2] * fa[1] ** fb[2]:
                 return _outcome(
                     Verdict.fails(window, Witness(n, (f"case={case}", "not idempotent")))
                 )
     return _outcome(Verdict.holds(window))
+
+
+def _root_forms(seq: WeightSequence, N: int) -> list:
+    """The integer root forms of M_0, ..., M_N: the sequence's batch, then
+    one read per index past it."""
+    forms = _int_roots(seq, 0, N)
+    forms.extend(_int_root(seq, n) for n in range(len(forms), N + 1))
+    return forms
 
 
 @_check("induced-germ-lower-bound", "|f^(n)(0)| >= n! * M'_pn / (pn)!")

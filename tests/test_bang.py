@@ -509,3 +509,48 @@ def test_a_sequence_table_dies_with_its_sequence():
     del seq, B
     gc.collect()
     assert len(bang_module._SEQ_TABLES) == count - 1
+
+
+def _counting_gate(monkeypatch):
+    calls = []
+    orig = bang_module.is_log_convex
+
+    def counted(seq, window, which, cfg):
+        calls.append(window)
+        return orig(seq, window, which, cfg)
+
+    monkeypatch.setattr(bang_module, "is_log_convex", counted)
+    return calls
+
+
+def test_the_gate_runs_once_per_sequence_window_and_cfg(monkeypatch):
+    calls = _counting_gate(monkeypatch)
+    seq = IteratedLog(2)
+    cfg = ScalarConfig(bits=128, max_doublings=8)
+    BangFunction(seq, p=2, max_order=8, K=30, cfg=cfg)
+    assert calls == [(1, 30)]
+    # a smaller K decides a prefix of the certified comparisons: no gate
+    for K in (30, 12, 1, 0, 25):
+        BangFunction(seq, p=2, max_order=0, K=K, cfg=cfg)
+    assert calls == [(1, 30)]
+    # a larger K, another cfg or another sequence object reruns it
+    BangFunction(seq, p=2, max_order=8, K=31, cfg=cfg)
+    BangFunction(seq, p=2, max_order=8, K=20, cfg=IVAL)
+    BangFunction(IteratedLog(2), p=2, max_order=8, K=20, cfg=cfg)
+    assert calls == [(1, 30), (1, 31), (1, 20), (1, 20)]
+    BangFunction(seq, p=2, max_order=8, K=31, cfg=cfg)
+    assert len(calls) == 4
+
+
+def test_a_failing_gate_is_never_recorded(monkeypatch):
+    from carleman.bang import GateError
+
+    calls = _counting_gate(monkeypatch)
+    # log-convex up to index 5; M'_6 breaks the ratio order
+    seq = Custom(table=[1, 1, 1, 1, 1, 1, F(1, 10 ** 6), 1, 1, 1])
+    BangFunction(seq, p=2, max_order=2, K=4)
+    for _ in range(2):
+        with pytest.raises(GateError):
+            BangFunction(seq, p=2, max_order=2, K=8)
+    BangFunction(seq, p=2, max_order=2, K=4)
+    assert calls == [(1, 4), (1, 8), (1, 8)]

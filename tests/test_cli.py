@@ -23,6 +23,7 @@ from carleman.cli import (
     report_to_csv_text,
     report_to_json_obj,
 )
+from carleman.criteria import dc_partial_sum
 from carleman.scalar import PrecisionError, ScalarConfig, make_scalar
 from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub
 from carleman.verify import Record, Report, RunConfig, config_to_dict, run_checks
@@ -562,6 +563,39 @@ def test_main_bad_output_path_and_norm_arguments_are_usage_errors(argv, capsys):
     assert rc == 3
     assert captured.err.count("error:") == 1 and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, precision",
+    [
+        ("analytic", 64),
+        ("gevrey(1/2)", 128),
+        ("iterlog(2)", 256),
+        ("powersub(iterlog(1),2)", 128),
+        ("custom(1,3,2,7,5,11,30,31,64,100,99,300,1000,999,4096,5000,9000)", 128),
+    ],
+)
+def test_main_dc_curve_equals_the_partial_sums_one_by_one(spec, precision, capsys):
+    N = 15
+    assert main(["criteria", "dc", "--seq", spec, "--N", str(N), "--curve",
+                 "--precision", str(precision)]) == 0
+    seq = parse_sequence_spec(spec)
+    cfg = ScalarConfig(mode="interval", bits=precision)
+    want = "".join(
+        "{}\t{}\t{}\n".format(n, *cli._scalar_cells(dc_partial_sum(seq, n, cfg), 30))
+        for n in range(N + 1)
+    )
+    assert capsys.readouterr().out == want
+
+
+def test_main_dc_curve_past_a_custom_table_is_refused_as_before(capsys):
+    argv = ["criteria", "dc", "--seq", "custom(1,2,3)", "--N", "4", "--curve"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: index 3 beyond the custom table (length 3)\n"
+    assert main(["criteria", "dc", "--seq", "analytic", "--N", "-1", "--curve"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_main_dc_curve_is_written(tmp_path, capsys):

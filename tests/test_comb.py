@@ -368,6 +368,53 @@ def test_reconstruct_random_polynomials():
         assert got == want, (f, p, n, xi)
 
 
+def _fraction_reconstruct(f0, Fj, p, xi):
+    """The reconstruction with P^(k)(xi) summed term by term on Fractions,
+    the form the integer Horner evaluation replaced."""
+    n = len(Fj) - 1
+
+    def P_deriv(k):
+        total = F(0)
+        for j in range(n):
+            e = p * j
+            if e < k:
+                continue
+            falling = 1
+            for i in range(k):
+                falling *= e - i
+            total += f0[j] * falling * xi ** (e - k) / factorial(j)
+        return total
+
+    root = root_series_coefficients(p, n) if p >= 2 else TruncatedPowerSeries(
+        (F(1),) + (F(0),) * (n - 1), 1, n
+    )
+    power, total = root, F(0)
+    for k in range(1, n + 1):
+        if k > 1:
+            power = power * root
+        alpha = factorial(n) * power.coeff(n) / factorial(k) * xi ** (-(p * n - k))
+        total += (Fj[k] - P_deriv(k)) * alpha
+    return total
+
+
+def test_reconstruct_equals_the_fraction_sum_on_arbitrary_jets():
+    rng = random.Random(17)
+    for _ in range(300):
+        p = rng.choice((1, 2, 3, 4))
+        n = rng.randint(1, 9)
+        f0 = [F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(n + rng.randint(0, 2))]
+        Fj = [F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(n + 1)]
+        xi = F(rng.randint(1, 300), rng.randint(1, 300))
+        got = taylor_remainder_reconstruct(f0, Fj, p, xi).fraction()
+        assert got == _fraction_reconstruct(f0, Fj, p, xi), (p, n, f0, Fj, xi)
+    # f(0) never enters; an interval anywhere else is refused as before
+    Fj = [F(1), F(2), F(3)]
+    got = taylor_remainder_reconstruct([Interval(F(1), F(2)), F(5)], Fj, 2, F(1, 2))
+    assert got.fraction() == _fraction_reconstruct([F(0), F(5)], Fj, 2, F(1, 2))
+    with pytest.raises(TypeError):
+        taylor_remainder_reconstruct([F(1), Interval(F(1), F(2))], Fj, 2, F(1, 2))
+
+
 def test_reconstruct_inconsistent_x_rejected():
     f = [F(1), F(1)]
     F_jet = poly_jet(poly_substitute_power(f, 2), F(1, 2), 2)
@@ -423,6 +470,45 @@ def test_stirling_sweep_hands_on_exactly_the_rejected_triples(monkeypatch):
         assert stirling_sweep(p_set, n_max, cfg).ok
         expected = _rejected_triples(p_set, n_max, lo)
         assert expected and seen == expected, lo
+
+
+def _full_stirling_sweep(p_set, n_max, cfg):
+    """The sweep walking every m of every (p, n), the loop that the single
+    comparison at m = n now guards."""
+    e = comb.iv_e(cfg.bits)
+    num, den = e.lo.numerator, e.lo.denominator
+    for p in p_set:
+        for n in range(1, n_max + 1):
+            pn = p * n
+            left, right = den ** pn, num ** pn
+            for m in range(1, pn + 1):
+                left *= n
+                right *= m
+                if left > right:
+                    single = comb.stirling_ineq_check(p, n, pn - m, cfg)
+                    if not single.ok:
+                        return Verdict(
+                            single.outcome, (1, n_max), witness=single.witness,
+                            trend=single.trend,
+                        )
+    return Verdict.holds((1, n_max))
+
+
+def test_stirling_sweep_equals_the_full_m_loop(monkeypatch):
+    cfg = ScalarConfig(bits=64, max_doublings=2)
+    cases = [((2, 3, 5), 30), ((2,), 1), ((7, 2), 12)]
+    for p_set, n_max in cases:
+        assert stirling_sweep(p_set, n_max, cfg) == _full_stirling_sweep(p_set, n_max, cfg)
+    # lower endpoints of e far too small fail the m = n test; the m loop then
+    # hands the rejected k on, where the certified check Fails or not
+    outcomes = set()
+    for lo, hi in ((F(13, 10), F(3)), (F(1), F(11, 10)), (F(2), F(21, 10))):
+        monkeypatch.setattr(comb, "iv_e", lambda bits, lo=lo, hi=hi: Interval(lo, hi))
+        for p_set, n_max in cases:
+            got = stirling_sweep(p_set, n_max, cfg)
+            assert got == _full_stirling_sweep(p_set, n_max, cfg), (lo, hi, p_set)
+            outcomes.add(got.outcome)
+    assert outcomes == {"holds", "fails", "inconclusive"}
 
 
 def _fraction_composition_sum(k, n):

@@ -182,3 +182,46 @@ def test_the_check_flags_a_module_level_memo():
         assert [n for n, _ in _module_memos(ast.parse(text))] == [name]
     local = "import weakref\ndef f():\n    t = weakref.WeakKeyDictionary()\n    return t\n"
     assert not list(_module_memos(ast.parse(local)))
+
+
+# -- the benchmark tracer's targets -----------------------------------------------------
+
+
+def _tracer_targets():
+    """``TARGETS`` of bench/tracer.py, loaded from its file without running
+    the benchmark."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def _unresolved(targets):
+    """Targets whose attribute path does not name a callable of its layer."""
+    import importlib
+
+    missing = []
+    for layer, attr_path, _group, _keep in targets:
+        obj = importlib.import_module(f"carleman.{layer}")
+        for part in attr_path.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{layer}.{attr_path}")
+    return missing
+
+
+def test_every_tracer_target_names_a_package_function():
+    targets = _tracer_targets()
+    assert len(targets) > 50
+    assert _unresolved(targets) == []
+
+
+def test_the_check_flags_a_renamed_tracer_target():
+    targets = [("transforms", "_turn_sign_renamed", None, True),
+               ("seqcore", "WeightSequence.as_root_renamed", "as_root", False),
+               ("seqcore", "WeightSequence.as_root", "as_root", False)]
+    assert _unresolved(targets) == [
+        "transforms._turn_sign_renamed", "seqcore.WeightSequence.as_root_renamed",
+    ]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from carleman.scalar import ExactUnavailableError, Interval, ScalarConfig
+from carleman.scalar import DEFAULT_CONFIG, ExactUnavailableError, Interval, ScalarConfig
 from carleman.seqcore import (
     Analytic,
     Custom,
@@ -16,6 +16,7 @@ from carleman.seqcore import (
     SequenceError,
     Verdict,
     Witness,
+    _display,
     compare_products,
     default_shift,
     derived_value,
@@ -24,7 +25,7 @@ from carleman.seqcore import (
     ratio,
     value,
 )
-from carleman.transforms import log_convex_regularization
+from carleman.transforms import Regularized, log_convex_regularization
 
 F = Fraction
 EXACT = ScalarConfig(mode="exact")
@@ -323,7 +324,9 @@ def _reference_log_convex(seq, window, which):
             [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], lhs_scale=ls, rhs_scale=rs
         )
         if sign > 0:
-            return n, f"n={n}: " + ", ".join(f"M_{m}={seq.exact(m)}" for m in (n - 1, n, n + 1))
+            return n, f"n={n}: " + ", ".join(
+                f"M_{m}={_display(seq, m, DEFAULT_CONFIG)}" for m in (n - 1, n, n + 1)
+            )
     return None, None
 
 
@@ -371,12 +374,40 @@ def test_log_convexity_matches_the_compare_products_reference():
             assert is_log_convex(seq, (1, 2), which).ok == (n is None)
 
 
+def test_log_convexity_of_regularizations_matches_the_compare_products_reference():
+    rng = random.Random(37)
+    seqs = []
+    for N in (3, 9, 24, 40):
+        random_table = [1] + [F(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(N)]
+        geometric = [F(5, 3) ** n for n in range(N + 1)]
+        for table in (random_table, geometric):
+            reg = log_convex_regularization(Custom(table=table), (0, N))
+            inner = rng.sample(range(1, N), rng.randint(0, N - 1))
+            # interpolation between arbitrary points: log-convex or not
+            arbitrary = Regularized(Custom(table=table), N, tuple(sorted({0, N, *inner})))
+            seqs += [(reg, N), (log_convex_regularization(reg, (0, N)), N), (arbitrary, N)]
+    outcomes = set()
+    for seq, N in seqs:
+        for window in ((1, N - 1), (2, N - 1), (N - 1, N - 1)):
+            v = is_log_convex(seq, window)
+            n, text = _reference_log_convex(seq, window, "base")
+            outcomes.add(v.outcome)
+            if n is None:
+                assert v.ok, (seq.describe(), window)
+            else:
+                assert v.outcome == "fails" and str(v.witness) == text, (seq.describe(), window)
+    assert outcomes == {"holds", "fails"}
+
+
 def test_log_convexity_past_a_custom_table_raises_at_the_reference_index():
     seqs = [
         Custom(table=[1, 2, 4, 8, 16]),  # log-linear: every n ties
         Custom(table=[1, 3, 4, 8, 16]),  # Fails at n=1
         Custom(table=[1, 2, 4, 9, 16]),  # Fails at n=3, the last n with M_{n+1}
         Custom(rule=lambda n: 1 if n in (0, 2) else -1),  # nonpositive at 1 and 3
+        # root forms in one batch up to index 3, the base's table end after it
+        Regularized(Custom(table=[1, 2, 5, 9, 30]), 8, (0, 3, 8)),
+        Regularized(Custom(table=[1, 3, 5, 9, 30]), 8, (0, 1, 2, 3, 8)),
     ]
     windows = ((1, 6), (3, 5), (4, 6), (5, 8), (7, 9))
     for seq in seqs:

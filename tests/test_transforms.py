@@ -17,6 +17,7 @@ from carleman.seqcore import (
     PowerSub,
     SequenceError,
     WeightSequence,
+    _int_roots,
     compare_products,
     is_increasing,
     is_log_convex,
@@ -274,6 +275,14 @@ def test_as_root_memo_hit_still_validates_the_index():
         g.as_root(3.0)
 
 
+def test_regularized_refuses_vertices_that_are_not_a_hull():
+    seq = Custom(table=[1, 2, 4, 8, 100, 1000])
+    for vertices in ((0, 4, 2, 5), (1, 5), (0, 3), (0, 3, 3, 5), (), (0, 5, 6)):
+        with pytest.raises(SequenceError):
+            Regularized(seq, 5, vertices)
+    assert Regularized(seq, 5, [0, 2, 5]).vertices == (0, 2, 5)
+
+
 def test_bracket_agrees_with_a_linear_scan():
     rng = random.Random(11)
     for _ in range(200):
@@ -326,6 +335,57 @@ def test_as_root_equals_the_fraction_power_form():
             if n not in reg.vertices:
                 degrees.add(reg.base.as_root(reg._bracket(n)[0])[1] > 1)
     assert degrees == {False, True}
+
+
+def _old_form_or_error(reg, n):
+    try:
+        return _fraction_power_root(reg, n)
+    except SequenceError as exc:
+        return ("raised", str(exc))
+
+
+def test_batched_forms_equal_the_fraction_power_form():
+    rng = random.Random(29)
+
+    def some_vertices(n_max):
+        inner = rng.sample(range(1, n_max), rng.randint(0, n_max - 1))
+        return tuple(sorted({0, n_max, *inner}))
+
+    regs = []
+    for table in _hull_tables(rng):
+        N = len(table) - 1
+        reg = log_convex_regularization(Custom(table=table), (0, N))
+        regs += [reg, log_convex_regularization(reg, (0, N))]
+        regs.append(Regularized(Custom(table=table), N, some_vertices(N)))
+        regs.append(Regularized(reg, N, some_vertices(N)))
+    for reg in regs:
+        forms = _int_roots(reg, 0, reg.n_max)
+        # every base here has a batch, so the batch covers every point
+        assert len(forms) == reg.n_max + 1
+        for n, (num, den, d) in enumerate(forms):
+            assert (Fraction(num, den), d) == _fraction_power_root(reg, n), (reg.describe(), n)
+        assert [reg.as_root(n) for n in range(reg.n_max + 1)] == [
+            _fraction_power_root(reg, n) for n in range(reg.n_max + 1)
+        ]
+    # a base batch that ends inside the window: the batch stops at the last
+    # segment it covers, and reads past it raise where the old form raises
+    short = Regularized(Custom(table=[1, 2, 5, 9, 30]), 8, (0, 3, 8))
+    assert len(_int_roots(short, 0, 8)) == 4
+    for n in range(9):
+        got = _old_form_or_error(short, n)
+        try:
+            assert short.as_root(n) == got
+        except SequenceError as exc:
+            assert got == ("raised", str(exc)), n
+
+
+def test_a_regularization_with_every_point_a_vertex_reuses_the_base_forms():
+    reg = log_convex_regularization(Custom(table=[3, 1, 9, 3, 7, 30]), (0, 5))
+    assert reg.vertices != tuple(range(6))
+    # the minorant is log-convex with collinear runs kept: all vertices
+    again = log_convex_regularization(reg, (0, 5))
+    assert again.vertices == tuple(range(6))
+    assert all(a is b for a, b in zip(_int_roots(again, 0, 5), _int_roots(reg, 0, 5)))
 
 
 # -- the integer hull sweep against compare_products ---------------------------------
@@ -402,6 +462,9 @@ def test_hull_reads_raise_at_the_reference_index():
         (Custom(table=[1, 2, 5]), 6),
         (Custom(rule=lambda n: 1 if n in (0, 3) else -n), 5),  # nonpositive at 1, 2 and 4
         (Custom(rule=lambda n: 1 if n < 4 else 0), 6),
+        # a batch that ends inside the window, at the base's table end
+        (Regularized(Custom(table=[1, 2, 5, 9, 30]), 8, (0, 3, 8)), 8),
+        (Regularized(Custom(table=[1, 2, 5]), 6, (0, 1, 6)), 6),
     ]
     for seq, n_max in cases:
         with pytest.raises(SequenceError) as want:
