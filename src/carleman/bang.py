@@ -25,6 +25,7 @@ import weakref
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from .comb import composite_derivative
 from .scalar import (
     DEFAULT_CONFIG,
     Interval,
@@ -698,8 +699,6 @@ class PowerCompositeModel:
         self.p = p
 
     def derivative_enclosure(self, n: int, x: Fraction, bits: int) -> Interval:
-        from .comb import composite_derivative
-
         if n == 0:
             return self.base.derivative_enclosure(0, x ** self.p, bits)
         inner = [

@@ -22,9 +22,11 @@ import io
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import __version__
 from .bang import (
     BangFunction,
     BangModel,
@@ -74,7 +76,7 @@ from .seqcore import (
     value,
 )
 from .transforms import log_convex_regularization
-from .verify import Record, Report, RunConfig, check_ids, run_checks, witness_text
+from .verify import Record, Report, RunConfig, check_ids, config_to_dict, run_checks, witness_text
 
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
@@ -359,11 +361,6 @@ def _finish(
 
 
 def _mini_report(config: RunConfig, records: List[Record]) -> Report:
-    import time
-
-    from . import __version__
-    from .verify import config_to_dict
-
     return Report(
         version=__version__,
         config=config_to_dict(config),

@@ -456,12 +456,20 @@ def stirling_factorial_bounds_check(
 # -- composite derivatives and the remainder identity ---------------------------
 
 Jet = Sequence[Union[Fraction, int, Interval]]
+ExactJet = Sequence[RationalLike]
 
 
 def _coerce_jet(jet: Jet, min_len: int, name: str):
     if len(jet) < min_len:
         raise ValueError(f"{name} too short: need at least {min_len} entries")
     return [v if isinstance(v, Interval) else _as_fraction(v) for v in jet]
+
+
+def _exact_jet(jet: ExactJet, min_len: int, name: str) -> List[Fraction]:
+    out = _coerce_jet(jet, min_len, name)
+    if any(isinstance(v, Interval) for v in out):
+        raise TypeError(f"{name} must hold exact rationals, got an Interval")
+    return out
 
 
 def composite_derivative(outer_jet: Jet, inner_jet: Jet, n: int) -> Scalar:
@@ -498,8 +506,8 @@ def composite_derivative(outer_jet: Jet, inner_jet: Jet, n: int) -> Scalar:
 
 
 def taylor_remainder_reconstruct(
-    f_jet_at_0: Jet,
-    F_jet_at_xi: Jet,
+    f_jet_at_0: ExactJet,
+    F_jet_at_xi: ExactJet,
     p: int,
     xi: RationalLike,
     x: Optional[RationalLike] = None,
@@ -522,14 +530,12 @@ def taylor_remainder_reconstruct(
         raise ValueError("xi must be positive")
     if x is not None and _as_fraction(x) != xiq ** p:
         raise ValueError(f"inconsistent xi/x: expected x = xi**{p} = {xiq ** p}")
-    f0 = _coerce_jet(f_jet_at_0, n, "f jet at 0")
-    Fj = _coerce_jet(F_jet_at_xi, n + 1, "F jet at xi")
+    f0 = _exact_jet(f_jet_at_0, n, "f jet at 0")
+    Fj = _exact_jet(F_jet_at_xi, n + 1, "F jet at xi")
 
     # derivatives of P(t) = sum_{j<n} f^(j)(0) t**(p j) / j! at xi; the j = 0
     # term is constant, so f^(0)(0) never enters.  The coefficients
     # f^(j)(0) / j! are integers c_j over one denominator
-    if any(isinstance(v, Interval) for v in f0[1:n]):
-        raise TypeError("expected an exact rational, got Interval")
     cs = [f0[j] / factorial(j) for j in range(1, n)]
     cden = math.lcm(*(c.denominator for c in cs))
     cs = [0] + [c.numerator * (cden // c.denominator) for c in cs]

@@ -11,6 +11,7 @@ precision refinement.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Tuple
 
@@ -98,8 +99,6 @@ def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
     for m in marks:
         s = dc_partial_sum(seq, m, cfg.with_mode("interval"))
         points.append((m, float(s)))
-    import math
-
     growth = None
     if len(points) >= 2 and points[-1][0] > points[-2][0]:
         ds = points[-1][1] - points[-2][1]

@@ -31,10 +31,12 @@ from .scalar import (
     Scalar,
     ScalarConfig,
     _as_fraction,
+    exact_nth_root,
     factorial,
     iv_e,
     iv_exp,
     iv_log,
+    iv_pow,
     make_scalar,
     outward_pow_product,
     refine,
@@ -154,14 +156,12 @@ IntRoot = Tuple[int, int, int]  # (num, den, d): value == (num/den) ** (1/d)
 class WeightSequence:
     """Base class.  Subclasses implement ``_exact`` and, when values are not
     rational, ``_enclosure``; ``_root`` provides an exact q**(1/d) form when
-    one exists (used for exact certified comparisons).  ``_int_form`` and
-    ``_int_forms`` give the same forms as integer triples, one index at a
-    time and in one batch."""
+    one exists (used for exact certified comparisons).  ``_int_forms`` gives
+    a prefix of the same forms as integer triples, in one batch."""
 
     def __init__(self):
         self._exact_cache = {}
         self._root_cache = {}
-        self._int_cache = {}
         self._enclosure_cache = {}
 
     # -- representation hooks ------------------------------------------------
@@ -179,17 +179,11 @@ class WeightSequence:
             raise NotImplementedError(f"{type(self).__name__} has no enclosure rule")
         return Interval.point(q)
 
-    def _int_form(self, n: int) -> Optional[IntRoot]:
-        rep = self.as_root(n)
-        if rep is None:
-            return None
-        q, d = rep
-        return q.numerator, q.denominator, d
-
-    def _int_forms(self) -> List[IntRoot]:
-        """The forms of M_0, M_1, ... that one batch can give, up to the first
-        index without a form or outside the sequence; the batch reads nothing
-        that could raise.  Empty here: every read goes through ``_int_form``."""
+    def _int_forms(self, hi: int) -> List[IntRoot]:
+        """The forms of M_0, M_1, ... that one batch can give: a prefix that
+        reaches M_hi or goes past it, or that stops just before the first
+        index without a form or outside the sequence.  It never raises; the
+        callers read every point past it through ``as_root``.  Empty here."""
         return []
 
     # -- public accessors ----------------------------------------------------
@@ -235,6 +229,9 @@ class Analytic(WeightSequence):
     def _exact(self, n: int) -> Fraction:
         return Fraction(1)
 
+    def _int_forms(self, hi: int) -> List[IntRoot]:
+        return [(1, 1, 1)] * (hi + 1)
+
     def describe(self) -> str:
         return "analytic"
 
@@ -251,8 +248,6 @@ class Gevrey(WeightSequence):
     def _exact(self, n: int) -> Optional[Fraction]:
         if self.s.denominator == 1:
             return Fraction(factorial(n) ** self.s.numerator)
-        from .scalar import exact_nth_root
-
         return exact_nth_root(
             Fraction(factorial(n) ** self.s.numerator), self.s.denominator
         )
@@ -260,12 +255,18 @@ class Gevrey(WeightSequence):
     def _root(self, n: int) -> RootRep:
         return (Fraction(factorial(n) ** self.s.numerator), self.s.denominator)
 
+    def _int_forms(self, hi: int) -> List[IntRoot]:
+        e, d = self.s.numerator, self.s.denominator
+        forms, f = [], 1
+        for n in range(hi + 1):
+            forms.append((f ** e, 1, d))  # f == n!
+            f *= n + 1
+        return forms
+
     def _enclosure(self, n: int, bits: int) -> Interval:
         q, d = self._root(n)
         if d == 1:
             return Interval.point(q)
-        from .scalar import iv_pow
-
         return iv_pow(q, Fraction(1, d), bits)
 
     def describe(self) -> str:
@@ -395,6 +396,9 @@ class PowerSub(WeightSequence):
     def _root(self, n: int) -> Optional[RootRep]:
         return self.base.as_root(self.p * n)
 
+    def _int_forms(self, hi: int) -> List[IntRoot]:
+        return self.base._int_forms(self.p * hi)[:: self.p]
+
     def _enclosure(self, n: int, bits: int) -> Interval:
         return self.base.enclosure(self.p * n, bits)
 
@@ -447,7 +451,7 @@ class Custom(WeightSequence):
             raise SequenceError(f"custom rule produced a nonpositive value at n={n}")
         return v / self._norm
 
-    def _int_forms(self) -> List[IntRoot]:
+    def _int_forms(self, hi: int) -> List[IntRoot]:
         if self._table is None:
             return []
         if self._forms is None:
@@ -525,24 +529,13 @@ def compare_products(
     return refine_sign(diff, cfg)
 
 
-def _int_root(seq: WeightSequence, n: int) -> Optional[IntRoot]:
-    """An integer root form of M_n, or None when it has none; memoized on the
-    sequence.  The fraction num/den need not be reduced."""
-    cache = seq._int_cache
-    # as in as_root: only validated indices are stored
-    if type(n) is int and n in cache:
-        return cache[n]
-    seq._validate_index(n)
-    form = cache[n] = seq._int_form(n)
-    return form
-
-
 def _int_roots(seq: WeightSequence, lo: int, hi: int) -> List[IntRoot]:
     """The integer root forms of M_lo, ..., M_hi that the sequence's batch
-    holds, as a new list.  It may stop early, at an index without a form or
-    outside the sequence; the caller reads from there on with ``_int_root``,
-    which decides or raises exactly as an unbatched read would."""
-    return seq._int_forms()[lo : hi + 1]
+    holds, as a new list; the fraction num/den need not be reduced.  It may
+    stop early, at an index without a form or outside the sequence; the
+    caller decides every comparison past it with ``compare_products``, which
+    decides or raises exactly as on an unbatched sequence."""
+    return seq._int_forms(hi)[lo : hi + 1]
 
 
 def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> int:
@@ -552,8 +545,7 @@ def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> 
     Equal to ``compare_products([(seq, i, a), (seq, k, b)], [(seq, j, a + b)])``
     on exact forms, without its factor lists.  Both sides are positive, so
     taking their gcd(a, b)-th root, or raising them to a root degree, keeps
-    the sign.  The hull and the log-convexity sweep decide triples of one
-    root degree inline, with fewer powers, and call this for the others.
+    the sign.
     """
     g = math.gcd(a, b)
     if g != 1:
@@ -562,6 +554,12 @@ def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> 
     ni, di, ri = fi
     nj, dj, rj = fj
     nk, dk, rk = fk
+    if ri == rj == rk:
+        # one root degree: cleared by raising to it; M_j**(a + b) splits
+        # over the powers a and b
+        left = (ni * dj) ** a * (nk * dj) ** b
+        right = (nj * di) ** a * (nj * dk) ** b
+        return (left > right) - (left < right)
     r = math.lcm(ri, rj, rk)
     a, b, c = a * r // ri, b * r // rk, (a + b) * r // rj
     left = ni ** a * nk ** b * dj ** c
@@ -669,38 +667,19 @@ def is_log_convex(
         raise ValueError("which must be 'base' or 'derived'")
     a, b = _check_window(window, min_start=1)
     base = which == "base"
-    # integer root forms of M_{n-1}, M_n, M_{n+1} for the base sweep: first
-    # from the sequence's batch, then read one at a time in compare_products'
-    # order (M_n, M_{n-1}, M_{n+1}) and never past a point without a form, so
-    # both paths raise at the same bad index; cur is False while M_n is unread
+    # the base sweep decides the points in the sequence's batch on integers;
+    # compare_products decides the rest, and raises at the bad index
     forms = _int_roots(seq, a - 1, b + 1) if base else []
-    prev, cur = (forms[0], forms[1]) if len(forms) > 1 else (None, False)
     for n in range(a, b + 1):
-        nxt = None
-        if n - a + 2 < len(forms):
-            nxt = forms[n - a + 2]
-        elif base:
-            if cur is False:
-                cur = _int_root(seq, n)
-            if n == a and cur is not None:
-                prev = _int_root(seq, n - 1)
-            if cur is not None and prev is not None:
-                nxt = _int_root(seq, n + 1)
-        if nxt is not None:
-            if prev[2] == cur[2] == nxt[2]:
-                # one root degree: M_n**2 against M_{n-1} M_{n+1}, cleared
-                left = cur[0] * cur[0] * prev[1] * nxt[1]
-                right = prev[0] * nxt[0] * cur[1] * cur[1]
-                sign = (left > right) - (left < right)
-            else:
-                sign = -_three_point_sign(prev, cur, nxt, 1, 1)
+        m = n - a
+        if m + 2 < len(forms):
+            sign = -_three_point_sign(forms[m], forms[m + 1], forms[m + 2], 1, 1)
         else:
             # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
             ls, rs = (1, 1) if base else (n, n + 1)
             sign = compare_products(
                 [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], cfg, ls, rs
             )
-        prev, cur = cur, False if nxt is None else nxt
         if sign is None:
             return Verdict.inconclusive(
                 window,

@@ -37,7 +37,6 @@ from .seqcore import (
     SequenceError,
     WeightSequence,
     Window,
-    _int_root,
     _int_roots,
     _three_point_sign,
     compare_products,
@@ -61,32 +60,16 @@ def derived_power_substitution(
 
 
 def _turn_sign(
-    seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig,
-    forms: List[Optional[IntRoot]],
+    seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig, forms: List[IntRoot]
 ) -> int:
     """Certified orientation of (i, log M_i), (j, log M_j), (k, log M_k).
 
     Positive when the middle point lies strictly below the chord (a convex
     corner of the lower hull), zero when collinear.  ``forms`` holds the
-    integer root forms read so far, by index.
+    integer root forms of the sequence's batch, by index.
     """
-    fi, fj, fk = forms[i], forms[j], forms[k]
-    if fi is not None and fj is not None and fk is not None:
-        a, b = k - j, j - i
-        if fi[2] == fj[2] == fk[2]:
-            # one root degree: cleared by raising to it; M_j**(a + b) splits
-            # over the powers a and b
-            g = math.gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            ni, di, _ = fi
-            nj, dj, _ = fj
-            nk, dk, _ = fk
-            left = (ni * dj) ** a * (nk * dj) ** b
-            right = (nj * di) ** a * (nj * dk) ** b
-            return (left > right) - (left < right)
-        return _three_point_sign(fi, fj, fk, a, b)
+    if k < len(forms):
+        return _three_point_sign(forms[i], forms[j], forms[k], k - j, j - i)
     sign = compare_products(
         [(seq, i, k - j), (seq, k, j - i)],
         [(seq, j, k - i)],
@@ -102,21 +85,9 @@ def _turn_sign(
 def _lower_log_hull(seq: WeightSequence, n_max: int, cfg: ScalarConfig) -> Tuple[int, ...]:
     """Monotone-chain lower hull vertex indices on [0, n_max >= 2], keeping
     collinear points."""
-    # the forms come from the sequence's batch, then one read each, in the
-    # order compare_products first reads them (0, 2, 1 at the first turn,
-    # then k as the sweep reaches it), so both paths raise at the same bad
-    # index
-    forms: List[Optional[IntRoot]] = _int_roots(seq, 0, n_max)
-    known = len(forms)
-    forms += [None] * (n_max + 1 - known)
-    if known == 0:
-        forms[0] = _int_root(seq, 0)
+    forms = _int_roots(seq, 0, n_max)
     stack = [0, 1]
     for k in range(2, n_max + 1):
-        if k >= known:
-            forms[k] = _int_root(seq, k)
-            if k == 2 and known < 2:
-                forms[1] = _int_root(seq, 1)
         while len(stack) >= 2 and _turn_sign(seq, stack[-2], stack[-1], k, cfg, forms) < 0:
             stack.pop()
         stack.append(k)
@@ -172,28 +143,19 @@ class Regularized(WeightSequence):
     def _root(self, n: int) -> Optional[RootRep]:
         if n in self._vertex_set:
             return self.base.as_root(n)
-        form = _int_root(self, n)
-        if form is None:
-            return None
-        num, den, d = form
-        return (Fraction(num, den), d)
-
-    def _int_form(self, n: int) -> Optional[IntRoot]:
-        forms = self._int_forms()
+        forms = self._int_forms(n)
         if n < len(forms):
-            return forms[n]
-        if n in self._vertex_set:
-            return _int_root(self.base, n)
+            num, den, d = forms[n]
+            return (Fraction(num, den), d)
         a, b = self._bracket(n)
-        fa, fb = _int_root(self.base, a), _int_root(self.base, b)
-        if fa is None or fb is None:
+        ra, rb = self.base.as_root(a), self.base.as_root(b)
+        if ra is None or rb is None:
             return None
-        (na, da, ra), (nb, db, rb) = fa, fb
-        lcm = ra * rb // math.gcd(ra, rb)
-        x, y = (b - n) * lcm // ra, (n - a) * lcm // rb
-        return (na ** x * nb ** y, da ** x * db ** y, lcm * (b - a))
+        (qa, da), (qb, db) = ra, rb
+        lcm = da * db // math.gcd(da, db)
+        return (qa ** ((b - n) * lcm // da) * qb ** ((n - a) * lcm // db), lcm * (b - a))
 
-    def _int_forms(self) -> List[IntRoot]:
+    def _int_forms(self, hi: int) -> List[IntRoot]:
         """The forms of the points from 0 to the end of the last segment
         whose two vertices the base's batch holds.  Inside a segment
         [a, b] the form at n is (M_a**(b-n) * M_b**(n-a)) ** (1/(b-a)) with

@@ -13,7 +13,7 @@ import math
 import random
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,7 +40,7 @@ from .comb import (
     taylor_remainder_reconstruct,
 )
 from .criteria import quasianalytic_verdict
-from .scalar import Interval, PrecisionError, ScalarConfig
+from .scalar import Interval, PrecisionError, ScalarConfig, decimal_str
 from .seqcore import (
     Analytic,
     Custom,
@@ -51,7 +51,6 @@ from .seqcore import (
     Verdict,
     WeightSequence,
     Witness,
-    _int_root,
     _int_roots,
     is_log_convex,
 )
@@ -525,9 +524,11 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
 
 def _root_forms(seq: WeightSequence, N: int) -> list:
     """The integer root forms of M_0, ..., M_N: the sequence's batch, then
-    one read per index past it."""
+    one ``as_root`` read per index past it."""
     forms = _int_roots(seq, 0, N)
-    forms.extend(_int_root(seq, n) for n in range(len(forms), N + 1))
+    for n in range(len(forms), N + 1):
+        q, d = seq.as_root(n)
+        forms.append((q.numerator, q.denominator, d))
     return forms
 
 
@@ -614,16 +615,12 @@ def _clamp_to_window(config: RunConfig) -> RunConfig:
             "bang_cp_n_max", "envelope_n_max", "transform_window", "germ_n_max",
         )
     }
-    import dataclasses
-
-    return dataclasses.replace(config, **clamped)
+    return replace(config, **clamped)
 
 
 def run_checks(
     config: RunConfig, only: Optional[Sequence[str]] = None
 ) -> Report:
-    from .scalar import decimal_str
-
     config = _clamp_to_window(config)
     records = []
     token = _RUN_SEQUENCES.set({})

@@ -407,12 +407,17 @@ def test_reconstruct_equals_the_fraction_sum_on_arbitrary_jets():
         xi = F(rng.randint(1, 300), rng.randint(1, 300))
         got = taylor_remainder_reconstruct(f0, Fj, p, xi).fraction()
         assert got == _fraction_reconstruct(f0, Fj, p, xi), (p, n, f0, Fj, xi)
-    # f(0) never enters; an interval anywhere else is refused as before
+    # the jets are exact: an interval anywhere is refused, f(0) included,
+    # although f(0) never enters the sum
     Fj = [F(1), F(2), F(3)]
-    got = taylor_remainder_reconstruct([Interval(F(1), F(2)), F(5)], Fj, 2, F(1, 2))
-    assert got.fraction() == _fraction_reconstruct([F(0), F(5)], Fj, 2, F(1, 2))
-    with pytest.raises(TypeError):
-        taylor_remainder_reconstruct([F(1), Interval(F(1), F(2))], Fj, 2, F(1, 2))
+    iv = Interval(F(1), F(2))
+    for f0, Fjet, name in (
+        ([iv, F(5)], Fj, "f jet at 0"),
+        ([F(1), iv], Fj, "f jet at 0"),
+        ([F(1), F(5)], [F(1), F(2), iv], "F jet at xi"),
+    ):
+        with pytest.raises(TypeError, match=name):
+            taylor_remainder_reconstruct(f0, Fjet, 2, F(1, 2))
 
 
 def test_reconstruct_inconsistent_x_rejected():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses, and
-no module but ``scalar`` builds an Interval without its order check."""
+"""Source hygiene: no module of the package imports a name it never uses or
+imports inside a function, and no module but ``scalar`` builds an Interval
+without its order check."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,47 @@ def test_the_check_flags_an_unused_import():
     tree = ast.parse("from typing import Union\nimport os\n\nx = os.sep\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["Union"]
+
+
+# verify parses the bang sequence with cli's parser, and cli imports verify:
+# the one import cycle, broken inside the function
+LOCAL_IMPORT_ALLOWLIST = {("verify", "_build_bang")}
+
+
+def _local_imports(node: ast.AST, path: tuple = (), in_function: bool = False):
+    """(dotted function path, line) of every import inside a function body;
+    classes and functions both extend the path."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+            yield ".".join(path), child.lineno
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _local_imports(child, path + (child.name,), True)
+        elif isinstance(child, ast.ClassDef):
+            yield from _local_imports(child, path + (child.name,), in_function)
+        else:
+            yield from _local_imports(child, path, in_function)
+
+
+def test_only_allowlisted_functions_import_locally():
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, line in _local_imports(tree):
+            key = (path.stem, name)
+            assert key in LOCAL_IMPORT_ALLOWLIST, f"{path.name}:{line} imports inside {name}"
+            found.add(key)
+    # a stale entry would let a new local import of the same name through
+    assert found == LOCAL_IMPORT_ALLOWLIST
+
+
+def test_the_check_flags_a_function_level_import():
+    text = (
+        "import os\n"
+        "def f():\n    import math\n    return math.pi\n"
+        "class A:\n    def g(self):\n        if self:\n            from os import path\n"
+        "        def h():\n            import re\n"
+    )
+    assert list(_local_imports(ast.parse(text))) == [("f", 3), ("A.g", 8), ("A.g.h", 10)]
 
 
 # scalar's builder of op results that skips the lo <= hi check

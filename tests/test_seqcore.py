@@ -17,6 +17,8 @@ from carleman.seqcore import (
     Verdict,
     Witness,
     _display,
+    _int_roots,
+    _three_point_sign,
     compare_products,
     default_shift,
     derived_value,
@@ -337,7 +339,33 @@ def _log_convex_or_error(fn):
         return ("raised", str(exc))
 
 
-def test_log_convexity_matches_the_compare_products_reference():
+def _check_against_reference(seq, window, which):
+    """is_log_convex against the reference; returns the outcome."""
+    v = is_log_convex(seq, window, which)
+    n, text = _reference_log_convex(seq, window, which)
+    if n is None:
+        assert v.ok, (seq.describe(), window, which)
+    else:
+        assert v.outcome == "fails" and v.witness.index == n, (seq.describe(), window, which)
+        assert str(v.witness) == text
+    return v.outcome
+
+
+def _count_compare_products(monkeypatch):
+    from carleman import seqcore
+
+    calls = []
+    orig = seqcore.compare_products
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(seqcore, "compare_products", counted)
+    return calls
+
+
+def test_log_convexity_matches_the_compare_products_reference(monkeypatch):
     rng = random.Random(31)
     tables = []
     for N in (3, 9, 24, 64):
@@ -358,20 +386,34 @@ def test_log_convexity_matches_the_compare_products_reference():
         top = len(table) - 1
         for window in ((1, top - 1), (2, top - 1), (top - 1, top - 1)):
             for which in ("base", "derived"):
-                v = is_log_convex(seq, window, which)
-                n, text = _reference_log_convex(seq, window, which)
-                verdicts.add(v.outcome)
-                if n is None:
-                    assert v.ok, (table, window, which)
-                else:
-                    assert v.outcome == "fails" and v.witness.index == n
-                    assert str(v.witness) == text
+                verdicts.add(_check_against_reference(seq, window, which))
     assert verdicts == {"holds", "fails"}
     # root forms of degree above 1, and interpolated regularization values
     for seq in (Gevrey(F(2, 3)), log_convex_regularization(Custom(table=tables[0]), (0, 3))):
         for which in ("base", "derived"):
             n, _ = _reference_log_convex(seq, (1, 2), which)
             assert is_log_convex(seq, (1, 2), which).ok == (n is None)
+    # the other families with a batch; tables[12], [13] and [15] hold 65
+    # points: random, log-convex and log-convex but for one dent
+    random_, convex, dent = (Custom(table=tables[i]) for i in (12, 13, 15))
+    seqs = [
+        (Analytic(), 30), (Gevrey(2), 30), (PowerSub(random_, 2), 32),
+        (PowerSub(random_, 3), 21), (PowerSub(convex, 2), 32), (PowerSub(dent, 2), 32),
+        (PowerSub(log_convex_regularization(random_, (0, 64)), 2), 32),
+    ]
+    calls = _count_compare_products(monkeypatch)
+    verdicts = set()
+    for seq, top in seqs:
+        for window in ((1, top - 1), (2, top - 1), (top - 1, top - 1)):
+            verdicts.add(_check_against_reference(seq, window, "base"))
+    assert verdicts == {"holds", "fails"}
+    # the base sweep over a batch never calls compare_products; a rule has no
+    # batch, so every n goes to it
+    assert calls == []
+    rule = Custom(rule=lambda n: F(n * n % 7 + 1, n % 5 + 1))
+    for window in ((1, 19), (4, 19)):
+        _check_against_reference(rule, window, "base")
+    assert calls
 
 
 def test_log_convexity_of_regularizations_matches_the_compare_products_reference():
@@ -408,6 +450,8 @@ def test_log_convexity_past_a_custom_table_raises_at_the_reference_index():
         # root forms in one batch up to index 3, the base's table end after it
         Regularized(Custom(table=[1, 2, 5, 9, 30]), 8, (0, 3, 8)),
         Regularized(Custom(table=[1, 3, 5, 9, 30]), 8, (0, 1, 2, 3, 8)),
+        PowerSub(Custom(table=[1, 2, 5, 9, 30, 80, 250]), 2),  # base table ends at 6
+        PowerSub(Custom(rule=lambda n: 1 if n < 5 else -1), 2),  # nonpositive from 5
     ]
     windows = ((1, 6), (3, 5), (4, 6), (5, 8), (7, 9))
     for seq in seqs:
@@ -424,16 +468,39 @@ def test_log_convexity_past_a_custom_table_raises_at_the_reference_index():
 
 
 def test_log_convexity_without_root_forms_uses_compare_products(monkeypatch):
-    from carleman import seqcore
-
-    calls = []
-    orig = seqcore.compare_products
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(seqcore, "compare_products", counted)
+    calls = _count_compare_products(monkeypatch)
     assert is_log_convex(Gevrey(F(1, 2)), (1, 12)).ok and calls == []
     assert is_log_convex(IteratedLog(1), (1, 6)).ok
     assert len(calls) == 6
+
+
+def test_three_point_sign_matches_compare_products():
+    rng = random.Random(41)
+    N = 16
+    tables = [
+        Custom(table=[1] + [F(rng.randint(1, 999), rng.randint(1, 999)) for _ in range(N)])
+        for _ in range(4)
+    ]
+    # geometric tables tie on every collinear triple; regularizations mix
+    # vertices of degree 1 with interpolants of higher degree, which tie
+    # inside a segment
+    tables += [Custom(table=[F(3, 7) ** n for n in range(N + 1)]), Custom(table=[1] * (N + 1))]
+    regs = [log_convex_regularization(t, (0, N)) for t in tables[:4]]
+    seqs = tables + regs + [Gevrey(F(2, 3)), PowerSub(Gevrey(F(1, 2)), 2)]
+    seen = set()
+    for seq in seqs:
+        forms = _int_roots(seq, 0, N)
+        assert len(forms) == N + 1
+        for _ in range(60):
+            i, j, k = sorted(rng.sample(range(N + 1), 3))
+            g = rng.choice((1, 1, 2, 3))
+            # the hull's exponents, or arbitrary ones
+            a, b = rng.choice(((k - j, j - i), (rng.randint(1, 6), rng.randint(1, 6))))
+            a, b = a * g, b * g
+            want = compare_products([(seq, i, a), (seq, k, b)], [(seq, j, a + b)])
+            assert _three_point_sign(forms[i], forms[j], forms[k], a, b) == want, (seq, i, j, k, a, b)
+            degrees = "equal" if forms[i][2] == forms[j][2] == forms[k][2] else "mixed"
+            seen.add((degrees, want, math.gcd(a, b) > 1))
+    assert {d for d, _, _ in seen} == {"equal", "mixed"}
+    assert {w for _, w, _ in seen} == {-1, 0, 1}
+    assert {("equal", 0, True), ("mixed", 0, False), ("mixed", 1, True)} <= seen

@@ -388,6 +388,38 @@ def test_a_regularization_with_every_point_a_vertex_reuses_the_base_forms():
     assert all(a is b for a, b in zip(_int_roots(again, 0, 5), _int_roots(reg, 0, 5)))
 
 
+def _root_or_error(seq, n):
+    try:
+        return seq.as_root(n)
+    except SequenceError:
+        return None
+
+
+def test_every_batch_is_a_prefix_of_the_root_forms():
+    table = Custom(table=[1, 2, 5, 9, 30])
+    rule = Custom(rule=lambda n: n + 1)
+    reg = log_convex_regularization(Custom(table=[3, 1, 9, 3, 7, 30, 2, 5, 8]), (0, 8))
+    batched = [
+        (Analytic(), 12), (Gevrey(2), 12), (Gevrey(F(2, 3)), 12), (table, 3), (table, 9),
+        (PowerSub(table, 2), 6), (PowerSub(Gevrey(F(1, 2)), 3), 8), (PowerSub(reg, 2), 4),
+        (reg, 8), (log_convex_regularization(reg, (0, 8)), 8),
+        (Regularized(table, 8, (0, 3, 8)), 8), (Regularized(table, 8, (0, 1, 2, 8)), 8),
+        (Regularized(Gevrey(F(1, 2)), 9, (0, 4, 9)), 9),
+    ]
+    for seq, h in batched:
+        forms = _int_roots(seq, 0, h)
+        assert len(forms) <= h + 1
+        for n, (num, den, d) in enumerate(forms):
+            assert (F(num, den), d) == seq.as_root(n), (seq.describe(), n)
+        # a short batch stops just before the first index without a form
+        if len(forms) <= h:
+            assert _root_or_error(seq, len(forms)) is None, seq.describe()
+    # the families without a batch give none, although they have forms
+    for seq in (rule, PowerSub(rule, 2), IteratedLog(1), Regularized(IteratedLog(1), 4, (0, 4))):
+        assert seq.as_root(0) == (1, 1)
+        assert _int_roots(seq, 0, 4) == []
+
+
 # -- the integer hull sweep against compare_products ---------------------------------
 
 
@@ -439,12 +471,21 @@ def test_hull_vertices_match_the_compare_products_reference(monkeypatch):
     seqs = [(t, t.length - 1) for t in tables]
     seqs += [(log_convex_regularization(t, (0, n)), n) for t, n in seqs]
     seqs += [(Gevrey(F(1, 2)), 30), (Gevrey(F(2, 3)), 30), (PowerSub(Gevrey(F(2, 3)), 2), 20)]
+    # tables[20] and tables[21] hold 65 points, random and log-convex
+    seqs += [(Analytic(), 20), (Gevrey(2), 20), (PowerSub(tables[20], 2), 32)]
+    seqs += [(PowerSub(tables[20], 3), 21), (PowerSub(tables[21], 2), 32)]
+    seqs += [(PowerSub(log_convex_regularization(tables[20], (0, 64)), 2), 32)]
     calls = _counting(monkeypatch, transforms, "compare_products")
     for seq, n_max in seqs:
         expected = _reference_hull(seq, n_max)
         assert log_convex_regularization(seq, (0, n_max)).vertices == expected, seq.describe()
-    # every point has an exact form: no turn went to compare_products
+    # every family here has a batch that covers the window: no turn went to
+    # compare_products
     assert calls == []
+    # a rule has no batch: every turn goes to compare_products
+    rule = Custom(rule=lambda n: F(n * n % 7 + 1, n % 5 + 1))
+    assert log_convex_regularization(rule, (0, 20)).vertices == _reference_hull(rule, 20)
+    assert len(calls) >= 19
 
 
 def test_hull_without_root_forms_falls_back_to_compare_products(monkeypatch):
@@ -465,6 +506,8 @@ def test_hull_reads_raise_at_the_reference_index():
         # a batch that ends inside the window, at the base's table end
         (Regularized(Custom(table=[1, 2, 5, 9, 30]), 8, (0, 3, 8)), 8),
         (Regularized(Custom(table=[1, 2, 5]), 6, (0, 1, 6)), 6),
+        (PowerSub(Custom(table=[1, 2, 5, 9, 30]), 2), 4),  # base index 6 past the table
+        (PowerSub(Custom(rule=lambda n: 1 if n < 5 else -n), 2), 5),  # nonpositive at 6
     ]
     for seq, n_max in cases:
         with pytest.raises(SequenceError) as want:
