@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -713,42 +714,42 @@ _COMMANDS = {
 }
 
 
-def _invoked_leaf(argv: Sequence[str]) -> Tuple[str, ...]:
-    """The command and action ``argv`` names: its first two positional words.
-
-    The top-level and group parsers take no option but ``-h``, which takes
-    no value, so the first word not starting with '-' is the command and the
-    next one the action.  A name that is no leaf matches nothing below.
-    """
-    return tuple(a for a in argv if not a.startswith("-"))[:2]
+def _add_children(parser, dest: str, entries: dict, words: Optional[List[str]]) -> None:
+    """The subparsers of ``entries`` under ``parser``: only the child that
+    ``words`` names first, or every child when it names none of them.  A
+    pruned level lists every name in its metavar, so usage lines keep their
+    bytes; a full one keeps argparse's own, which its choice errors print."""
+    name = words[0] if words else None
+    pruned = name in entries
+    sub = parser.add_subparsers(
+        dest=dest, required=True, parser_class=_Parser,
+        metavar="{" + ",".join(entries) + "}" if pruned else None,
+    )
+    for child, entry in ({name: entries[name]} if pruned else entries).items():
+        p = sub.add_parser(child, help=entry[0])
+        if isinstance(entry[1], dict):
+            _add_children(p, "action", entry[1], words[1:] if pruned else None)
+            continue
+        for flag, kwargs in entry[2] + _COMMON_ARGS:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=entry[1])
 
 
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """Every command and action with its help text and handler, but
-    arguments only on the leaf ``argv`` invokes, or on every leaf when
-    ``argv`` is None.  A leaf's arguments appear only in its own help and
-    errors, so ``main`` prints and parses exactly as with the full parser."""
-    invoked = None if argv is None else _invoked_leaf(argv)
+    """The parser of every command and action when ``argv`` is None, else
+    only of those along the path ``argv`` names; ``main`` prints and parses
+    ``argv`` exactly as with the full parser.
 
-    def add_leaf(sub, name, path, leaf):
-        help_text, handler, arguments = leaf
-        p = sub.add_parser(name, help=help_text)
-        if invoked is None or invoked[: len(path)] == path:
-            for flag, kwargs in arguments + _COMMON_ARGS:
-                p.add_argument(flag, **kwargs)
-        p.set_defaults(handler=handler)
-
+    The path is the words that lead ``argv``, up to the first that starts
+    with '-': no parser has read an option before them, so the first is the
+    command and the next the action.  Past an option, argparse's own rules
+    decide what is a word ('-1', '-' and '--' can be), so the path stops.
+    """
+    words = None
+    if argv is not None:
+        words = list(itertools.takewhile(lambda a: not a.startswith("-"), argv))
     parser = _Parser(prog="carleman", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, entry in _COMMANDS.items():
-        if not isinstance(entry[1], dict):
-            add_leaf(sub, command, (command,), entry)
-            continue
-        help_text, actions = entry
-        group = sub.add_parser(command, help=help_text)
-        group_sub = group.add_subparsers(dest="action", required=True, parser_class=_Parser)
-        for action, leaf in actions.items():
-            add_leaf(group_sub, action, (command, action), leaf)
+    _add_children(parser, "command", _COMMANDS, words)
     return parser
 
 

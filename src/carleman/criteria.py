@@ -223,6 +223,15 @@ def _sweep_roots(
     return best, best_n, values
 
 
+def _window_max(
+    best: Interval, cfg: ScalarConfig, sweep: Callable[[int], Interval]
+) -> Scalar:
+    """The window max as a scalar, from ``best``, the sweep's result at
+    ``cfg.bits``; ``sweep`` runs again only at other bits."""
+    exact = best.lo if best.is_point() else None
+    return make_scalar(cfg, exact, lambda bits: best if bits == cfg.bits else sweep(bits))
+
+
 def _closure_global_oracle(seq: WeightSequence) -> Optional[str]:
     base, _p = _flatten_power_sub(seq)
     if isinstance(base, Analytic):
@@ -241,10 +250,7 @@ def derivation_closure_estimate(
     a, b = _check_window(window, min_start=1)
     shifted = _ShiftedView(seq, 1)
     best, best_n, values = _sweep_roots(shifted, seq, (a, b), cfg.bits)
-    exact = best.lo if best.is_point() else None
-    scalar = make_scalar(
-        cfg, exact, lambda bits: _sweep_roots(shifted, seq, (a, b), bits)[0]
-    )
+    scalar = _window_max(best, cfg, lambda bits: _sweep_roots(shifted, seq, (a, b), bits)[0])
     oracle = _closure_global_oracle(seq)
     if oracle is not None:
         verdict = Verdict.holds(window, scope="global", provenance=oracle)
@@ -286,8 +292,7 @@ def inclusion_estimate(
     """Window max of (M_n/N_n)**(1/n) plus a boundedness verdict."""
     a, b = _check_window(window, min_start=1)
     best, best_n, values = _sweep_roots(M, N, (a, b), cfg.bits)
-    exact = best.lo if best.is_point() else None
-    scalar = make_scalar(cfg, exact, lambda bits: _sweep_roots(M, N, (a, b), bits)[0])
+    scalar = _window_max(best, cfg, lambda bits: _sweep_roots(M, N, (a, b), bits)[0])
     oracle = _inclusion_global_oracle(M, N)
     if oracle is not None:
         verdict = Verdict.holds(window, scope="global", provenance=oracle)

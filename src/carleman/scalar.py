@@ -336,36 +336,50 @@ def _iv(lo: Fraction, hi: Fraction) -> Interval:
 _ROUND_ONCE_GUARD = 32
 
 
-def _directed_power_product(factors, wp: int, rnd: str):
-    """A lower ('f') or upper ('c') bound, as an mpf tuple at ``wp`` bits, of
-    prod v**e over the (v, e) pairs; every v is a positive rational.
+_OTHER_WAY = {"f": "c", "c": "f"}
 
-    Factors with e < 0 go to one denominator, which is bounded the other way.
-    """
-    inv = "c" if rnd == "f" else "f"
+
+def _directed_term(v: Fraction, e: int, wp: int, rnd: str):
+    """The factor v**e of a product bounded below ('f') or above ('c'), as
+    an mpf tuple at ``wp`` bits; v is a positive rational.  That is v**e
+    rounded by ``rnd`` when e > 0, and the divisor v**-e rounded the other
+    way when e < 0; None when e == 0."""
+    if e == 0:
+        return None
+    if e < 0:
+        e, rnd = -e, _OTHER_WAY[rnd]
+    return libmp.mpf_pow_int(_rounded_tuple(v, wp, rnd), e, wp, rnd)
+
+
+def _directed_product(a: Fraction, p: int, tb, q: int, wp: int, rnd: str):
+    """A lower ('f') or upper ('c') bound, as an mpf tuple at ``wp`` bits, of
+    a**p * b**q, where ``tb`` is the directed term of b**q for that bound.
+    Terms with a negative exponent go to one denominator."""
+    inv = _OTHER_WAY[rnd]
     num = den = libmp.fone
-    for v, e in factors:
+    for t, e in ((_directed_term(a, p, wp, rnd), p), (tb, q)):
         if e > 0:
-            t = libmp.mpf_pow_int(_rounded_tuple(v, wp, rnd), e, wp, rnd)
             num = libmp.mpf_mul(num, t, wp, rnd)
         elif e < 0:
-            t = libmp.mpf_pow_int(_rounded_tuple(v, wp, inv), -e, wp, inv)
             den = libmp.mpf_mul(den, t, wp, inv)
     return libmp.mpf_div(num, den, wp, rnd)
 
 
-def _round_once(factors, bits: int, wp: int, rnd: str) -> Fraction:
-    """prod v**e rounded by ``rnd`` to a ``bits``-bit dyadic.
+def _round_once(
+    a: Fraction, p: int, b: Fraction, q: int, b_terms, bits: int, wp: int, rnd: str
+) -> Fraction:
+    """a**p * b**q rounded by ``rnd`` to a ``bits``-bit dyadic; ``b_terms``
+    are the directed terms of b**q for its lower and its upper bound.
 
     Both directed bounds are rounded to ``bits``; when they agree, the exact
     value, which lies between them, rounds to the same dyadic (Ziv's test).
     Otherwise the exact value is rounded.
     """
-    lower = libmp.mpf_pos(_directed_power_product(factors, wp, "f"), bits, rnd)
-    upper = libmp.mpf_pos(_directed_power_product(factors, wp, "c"), bits, rnd)
+    lower = libmp.mpf_pos(_directed_product(a, p, b_terms[0], q, wp, "f"), bits, rnd)
+    upper = libmp.mpf_pos(_directed_product(a, p, b_terms[1], q, wp, "c"), bits, rnd)
     if lower == upper:
         return _fraction_from_mpf_tuple(lower)
-    return _round_exact(factors, bits, rnd)
+    return _round_exact(((a, p), (b, q)), bits, rnd)
 
 
 def _round_exact(factors, bits: int, rnd: str) -> Fraction:
@@ -381,7 +395,9 @@ def _round_exact(factors, bits: int, rnd: str) -> Fraction:
     return _fraction_from_mpf_tuple(_rounded_ratio(num, den, bits, rnd))
 
 
-def outward_pow_product(a: Interval, p: int, b: Interval, q: int, bits: int) -> Interval:
+def outward_pow_product(
+    a: Interval, p: int, b: Interval, q: int, bits: int, b_memo: Optional[dict] = None
+) -> Interval:
     """``(a.pow_int(p) * b.pow_int(q)).outward(bits)``, equal by value, for
     any signs of ``p`` and ``q``.
 
@@ -389,17 +405,24 @@ def outward_pow_product(a: Interval, p: int, b: Interval, q: int, bits: int) -> 
     endpoint powers, rounded once from directed bounds at bits plus a guard;
     the exact power, with endpoints of ``p`` times the input size, is formed
     only when those bounds straddle a ``bits``-bit dyadic.  Every other input
-    evaluates the exact expression.
+    evaluates the exact expression.  ``b_memo``, a dict a caller keeps for
+    one ``b`` and ``q``, holds the directed powers of ``b`` by working
+    precision, so that they are computed once for every ``a``.
     """
     if a.lo > 0 and b.lo > 0:
         wp = bits + _ROUND_ONCE_GUARD + abs(p).bit_length() + abs(q).bit_length()
         # x**e grows with x for e > 0 and shrinks for e < 0
         a_lo, a_hi = (a.lo, a.hi) if p >= 0 else (a.hi, a.lo)
         b_lo, b_hi = (b.lo, b.hi) if q >= 0 else (b.hi, b.lo)
+        b_terms = None if b_memo is None else b_memo.get(wp)
+        if b_terms is None:
+            b_terms = tuple(_directed_term(v, q, wp, r) for v in (b_lo, b_hi) for r in "fc")
+            if b_memo is not None:
+                b_memo[wp] = b_terms
         # the floor of the smaller exact product is at most the ceiling of
         # the larger one
-        lo = _round_once(((a_lo, p), (b_lo, q)), bits, wp, "f")
-        hi = _round_once(((a_hi, p), (b_hi, q)), bits, wp, "c")
+        lo = _round_once(a_lo, p, b_lo, q, b_terms[:2], bits, wp, "f")
+        hi = _round_once(a_hi, p, b_hi, q, b_terms[2:], bits, wp, "c")
         return _iv(lo, hi)
     return (a.pow_int(p) * b.pow_int(q)).outward(bits)
 

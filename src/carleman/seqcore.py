@@ -324,7 +324,7 @@ class IteratedLog(WeightSequence):
         if k < 1:
             raise SequenceError("iterated-log depth k must be >= 1")
         self.k = k
-        self._base_log = {}  # bits -> enclosure of L(s)
+        self._base_log = {}  # bits -> (enclosure of L(s), its powers' memo)
         if offset is None:
             self.shift = default_shift(k, cfg)
             self._default_shift = True
@@ -367,13 +367,15 @@ class IteratedLog(WeightSequence):
         if n == 0:
             return Interval.point(1)
         s = self.shift
-        if bits not in self._base_log:
-            self._base_log[bits] = _log_chain(s, self.k, bits)
+        base = self._base_log.get(bits)
+        if base is None:
+            base = self._base_log[bits] = (_log_chain(s, self.k, bits), {})
         # rounded once to dyadics: the exact power quotient has endpoints
         # about s + n times the size of L's, a gigabit at the default shift
-        # of depth 3
+        # of depth 3; the directed powers of L(s)**s are kept per precision
+        base_log, memo = base
         return outward_pow_product(
-            _log_chain(s + n, self.k, bits), s + n, self._base_log[bits], -s, bits + 8
+            _log_chain(s + n, self.k, bits), s + n, base_log, -s, bits + 8, memo
         )
 
     def describe(self) -> str:
@@ -518,15 +520,35 @@ def compare_products(
         return (left > right) - (left < right)
 
     def diff(bits: int) -> Interval:
-        left = Interval.point(lhs_scale)
-        for seq, n, e in lhs:
-            left = left * seq.enclosure(n, bits).pow_int(e)
-        right = Interval.point(rhs_scale)
-        for seq, n, e in rhs:
-            right = right * seq.enclosure(n, bits).pow_int(e)
-        return left - right
+        # every enclosure is strictly positive, so lhs lies in [a/b, c/d]
+        # with a, b, c, d the scaled products of the endpoint numerators and
+        # denominators, and rhs in [e/f, g/h]; the returned interval holds
+        # b d f h (lhs - rhs), which has its sign, with no gcd on the way
+        a, b, c, d = _endpoint_products(lhs, ln, ld, bits)
+        e, f, g, h = _endpoint_products(rhs, rn, rd, bits)
+        return Interval(a * d * f * h - g * b * d * f, c * b * f * h - e * b * d * h)
 
     return refine_sign(diff, cfg)
+
+
+def _endpoint_products(
+    factors: Sequence[Factor], num: int, den: int, bits: int
+) -> Tuple[int, int, int, int]:
+    """num/den times the product of the factors' enclosures at ``bits``, as
+    the unreduced fractions a/b of its lower and c/d of its upper endpoint.
+    A weight's enclosure is strictly positive; any other is refused."""
+    a = c = num
+    b = d = den
+    for seq, n, e in factors:
+        enc = seq.enclosure(n, bits)
+        lo, hi = enc.lo, enc.hi
+        if lo.numerator <= 0:
+            raise SequenceError(f"the enclosure of M_{n} of {seq.describe()} is not positive")
+        a *= lo.numerator ** e
+        b *= lo.denominator ** e
+        c *= hi.numerator ** e
+        d *= hi.denominator ** e
+    return a, b, c, d
 
 
 def _int_roots(seq: WeightSequence, lo: int, hi: int) -> List[IntRoot]:
@@ -547,18 +569,25 @@ def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> 
     taking their gcd(a, b)-th root, or raising them to a root degree, keeps
     the sign.
     """
-    g = math.gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
+    if a == b:
+        a = b = 1  # their gcd is a
+    else:
+        g = math.gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
     ni, di, ri = fi
     nj, dj, rj = fj
     nk, dk, rk = fk
     if ri == rj == rk:
         # one root degree: cleared by raising to it; M_j**(a + b) splits
-        # over the powers a and b
-        left = (ni * dj) ** a * (nk * dj) ** b
-        right = (nj * di) ** a * (nj * dk) ** b
+        # over the powers a and b, which the log-convexity sweep's a = b = 1
+        # needs none of
+        if a == b == 1:
+            left, right = ni * nk * dj * dj, nj * nj * di * dk
+        else:
+            left = (ni * dj) ** a * (nk * dj) ** b
+            right = (nj * di) ** a * (nj * dk) ** b
         return (left > right) - (left < right)
     r = math.lcm(ri, rj, rk)
     a, b, c = a * r // ri, b * r // rk, (a + b) * r // rj

@@ -89,6 +89,23 @@ CLI_USAGE_ERROR_SHA256 = {
         "844ea212e4a8f7bfaa4f6abaeff353f1f32cee7cc4d541385511baffd2ae07b8",
     "--bogus bang eval":
         "fac5cc5cf36ab0d94fa1a7fadc59037797b523444c1deb2c93f9c99b239b64dd",
+    # the root usage after a level that names one command, and a missing
+    # action
+    "seq show --seq analytic --bogus":
+        "4df833e5fc337c0c4ef5ff64650d787378c8f7c86068ec7e79011c97e584f3ac",
+    "seq":
+        "9e416d25dc266a61e505bf4c07c93ba0d46f69d172cce2b68d4fd2d42c205e19",
+}
+
+# sha256 of the stdout of argv that asks for help itself, at COLUMNS=70: the
+# short flag on a group and on a leaf, and --help before a command
+CLI_HELP_ARGV_SHA256 = {
+    "bang -h":
+        "91dd9ebd2d98edf4b4fd6e71485ff17d7547bfd9cd2d912cd03edf2975758ddd",
+    "bang eval -h":
+        "a94207e51c2b37511c65bba95fdb7dced197b8852b344c571dedde1ed33ee211",
+    "--help seq show":
+        "e4a8f7f6aa106759d6ff9f93b7805e6edbba357e003b895b210235c0a6420ea9",
 }
 
 
@@ -677,6 +694,15 @@ def test_cli_help_is_byte_identical(words, monkeypatch, capsys):
     assert _sha256(capsys.readouterr().out) == CLI_HELP_SHA256[words]
 
 
+@pytest.mark.parametrize("words", sorted(CLI_HELP_ARGV_SHA256))
+def test_cli_help_flags_anywhere_are_byte_identical(words, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "70")
+    with pytest.raises(SystemExit) as exc:
+        main(words.split())
+    assert exc.value.code == 0
+    assert _sha256(capsys.readouterr().out) == CLI_HELP_ARGV_SHA256[words]
+
+
 @pytest.mark.parametrize("words", sorted(CLI_USAGE_ERROR_SHA256), ids=_argv_id)
 def test_cli_usage_errors_are_byte_identical(words, monkeypatch, capsys):
     """The usage and error text of refused argv is pinned byte for byte.
@@ -693,22 +719,37 @@ def test_cli_usage_errors_are_byte_identical(words, monkeypatch, capsys):
     assert _sha256(captured.err) == CLI_USAGE_ERROR_SHA256[words]
 
 
+def _children(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def _leaf_options(parser, *path):
     for name in path:
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = sub.choices[name]
+        parser = _children(parser)[name]
     return {s for a in parser._actions for s in a.option_strings}
 
 
-def test_parser_builds_arguments_only_for_the_invoked_leaf():
+def test_parser_builds_only_the_invoked_path():
     full = cli.build_parser()
+    assert set(_children(full)) == set(cli._COMMANDS)
+    for command, entry in cli._COMMANDS.items():
+        if isinstance(entry[1], dict):
+            assert set(_children(_children(full)[command])) == set(entry[1])
     assert "--order" in _leaf_options(full, "bang", "eval")
     assert "--only" in _leaf_options(full, "verify")
     lazy = cli.build_parser(["bang", "eval", "--order", "2"])
+    assert list(_children(lazy)) == ["bang"]
+    assert list(_children(_children(lazy)["bang"])) == ["eval"]
     assert _leaf_options(lazy, "bang", "eval") == _leaf_options(full, "bang", "eval")
-    assert _leaf_options(lazy, "bang", "build") == {"-h", "--help"}
-    assert _leaf_options(lazy, "verify") == {"-h", "--help"}
-    # every leaf keeps its handler, so usage and help list the same names
-    assert lazy.parse_args(["verify"]).handler is cli._cmd_verify
-    assert _leaf_options(cli.build_parser(["--help"]), "seq", "show") == {"-h", "--help"}
-    assert "--only" in _leaf_options(cli.build_parser(["verify"]), "verify")
+    assert lazy.parse_args(["bang", "eval", "--order", "2"]).handler is cli._cmd_bang_eval
+    assert list(_children(cli.build_parser(["verify"]))) == ["verify"]
+    # a command with no action builds every action below it
+    group = cli.build_parser(["seq"])
+    assert list(_children(group)) == ["seq"]
+    assert set(_children(_children(group)["seq"])) == {"show", "test"}
+    # a path that names no command, or starts with an option, builds all
+    for argv in ([], ["--help"], ["nosuch", "show"], ["--", "seq", "show"], ["-1", "seq"]):
+        parser = cli.build_parser(argv)
+        assert set(_children(parser)) == set(cli._COMMANDS), argv
+        assert _leaf_options(parser, "seq", "show") == _leaf_options(full, "seq", "show"), argv

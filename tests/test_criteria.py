@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from carleman import criteria
 from carleman.criteria import (
     dc_partial_sum,
     derivation_closure_estimate,
@@ -166,3 +167,29 @@ def test_window_validation():
         derivation_closure_estimate(Analytic(), (0, 4))
     with pytest.raises(SequenceError):
         inclusion_estimate(Analytic(), Analytic(), (3, 2))
+
+
+@pytest.mark.parametrize("which", ["closure", "inclusion"])
+def test_interval_estimates_sweep_each_index_once(which, monkeypatch):
+    real = criteria._root_of_ratio
+    calls = []
+
+    def spy(num, den, n, root, bits):
+        calls.append((n, bits))
+        return real(num, den, n, root, bits)
+
+    monkeypatch.setattr(criteria, "_root_of_ratio", spy)
+    cfg = ScalarConfig(mode="interval", bits=128)
+    a, b = 1, 12
+    seq = IteratedLog(2)
+    if which == "closure":
+        est, _ = derivation_closure_estimate(seq, (a, b), cfg)
+        num, den = criteria._ShiftedView(seq, 1), seq
+    else:
+        other = PowerSub(IteratedLog(1), 2)
+        est, _ = inclusion_estimate(seq, other, (a, b), cfg)
+        num, den = seq, other
+    assert sorted(calls) == [(n, cfg.bits) for n in range(a, b + 1)]
+    # the endpoints of the max swept again, rounded as make_scalar rounds them
+    best = criteria._sweep_roots(num, den, (a, b), cfg.bits)[0].outward(cfg.bits)
+    assert (est.lo, est.hi) == (best.lo, best.hi)

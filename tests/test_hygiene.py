@@ -164,16 +164,19 @@ def test_the_package_never_rounds_through_from_rational():
 
 
 # module-level memos that may outlive a run: the per-bits mpmath contexts and
-# the extremal series' tables, which die with their sequence
-MEMO_ALLOWLIST = {("scalar", "_iv_ctx"), ("scalar", "_mp_ctx"), ("bang", "_SEQ_TABLES")}
+# the extremal series' tables, which die with their sequence.  functools
+# caches hold only the two contexts, keyed by precision; a memo of values
+# lives on an object (the per-sequence caches, bang's weak table)
+FUNCTOOLS_CACHE_ALLOWLIST = {("scalar", "_iv_ctx"), ("scalar", "_mp_ctx")}
+MEMO_ALLOWLIST = FUNCTOOLS_CACHE_ALLOWLIST | {("bang", "_SEQ_TABLES")}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 WEAK_TABLES = {"WeakKeyDictionary", "WeakValueDictionary"}
 
 
 def _called_name(node: ast.AST):
     """The last name part of a Name or Attribute, seen through a call:
-    ``lru_cache``, ``functools.lru_cache`` and ``lru_cache(maxsize=None)``
-    all give ``lru_cache``."""
+    ``WeakKeyDictionary``, ``weakref.WeakKeyDictionary`` and
+    ``WeakKeyDictionary()`` all give ``WeakKeyDictionary``."""
     if isinstance(node, ast.Call):
         node = node.func
     if isinstance(node, ast.Name):
@@ -183,13 +186,40 @@ def _called_name(node: ast.AST):
     return None
 
 
-def _module_memos(tree: ast.Module):
-    """(name, line) of every function with a functools cache decorator, at
-    any depth, and of every module-level weak table assignment."""
+def _functools_caches(tree: ast.Module):
+    """(name, line) of every use of functools' ``lru_cache`` or ``cache``,
+    under any alias: the name of the function it decorates, at any depth,
+    or ``<wrapper>`` where it is used other than as a decorator."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in CACHE_DECORATORS}
+
+    def is_cache(node):
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        )
+
+    decorators = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if any(_called_name(d) in CACHE_DECORATORS for d in node.decorator_list):
-                yield node.name, node.lineno
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d  # lru_cache(maxsize=None)
+                if is_cache(d):
+                    decorators.add(d)
+                    yield node.name, node.lineno
+    for node in ast.walk(tree):
+        if is_cache(node) and node not in decorators:
+            yield "<wrapper>", node.lineno
+
+
+def _module_memos(tree: ast.Module):
+    """(name, line) of every functools cache, as ``_functools_caches``
+    gives them, and of every module-level weak table assignment."""
+    yield from _functools_caches(tree)
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -224,6 +254,30 @@ def test_the_check_flags_a_module_level_memo():
         assert [n for n, _ in _module_memos(ast.parse(text))] == [name]
     local = "import weakref\ndef f():\n    t = weakref.WeakKeyDictionary()\n    return t\n"
     assert not list(_module_memos(ast.parse(local)))
+
+
+def test_functools_caches_hold_only_the_mpmath_contexts():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, line in _functools_caches(tree):
+            key = (path.stem, name)
+            assert key in FUNCTOOLS_CACHE_ALLOWLIST, f"{path.name}:{line} adds the functools cache {name}"
+            found.add(key)
+    assert found == FUNCTOOLS_CACHE_ALLOWLIST
+
+
+def test_the_check_flags_every_functools_cache():
+    snippets = {
+        "import functools as ft\n@ft.cache\ndef f(x):\n    return x\n": ["f"],
+        "from functools import lru_cache as memo\ndef f():\n    @memo(8)\n    def g(x):\n        return x\n": ["g"],
+        "import functools\nlength = functools.lru_cache(maxsize=None)(len)\n": ["<wrapper>"],
+        "from functools import cache\nclass A:\n    size = cache(len)\n": ["<wrapper>"],
+        # a local named cache, and a cache of another module, are no functools cache
+        "import mylib\ndef f(d):\n    cache = d\n    return cache\n@mylib.cache\ndef g():\n    pass\n": [],
+    }
+    for text, names in snippets.items():
+        assert [n for n, _ in _functools_caches(ast.parse(text))] == names, text
 
 
 # -- the benchmark tracer's targets -----------------------------------------------------

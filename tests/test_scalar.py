@@ -360,3 +360,25 @@ def test_outward_pow_product_non_positive_inputs_take_the_exact_path(monkeypatch
         assert (got.lo, got.hi) == (want.lo, want.hi)
     with pytest.raises(ZeroDivisionError):
         outward_pow_product(Interval(F(0), F(1)), -1, Interval.point(1), 1, 64)
+
+
+def test_outward_pow_product_memo_of_b_gives_the_same_roundings(monkeypatch):
+    terms = _spy(monkeypatch, scalar, "_directed_term")
+    rng = random.Random(29)
+    b_counts = set()
+    for q in (-40, -1, 3):
+        b = _random_positive_interval(rng)
+        memo = {}
+        for bits in (64, 64, 128, 512):
+            for _ in range(6):
+                a, p = _random_positive_interval(rng), rng.randint(-40, 80)
+                terms.clear()
+                got = outward_pow_product(a, p, b, q, bits, memo)
+                b_counts.add(sum(v is b.lo or v is b.hi for v, *_ in terms))
+                want = outward_pow_product(a, p, b, q, bits)
+                assert (got.lo, got.hi) == (want.lo, want.hi)
+        # keyed by the working precision alone: ints, not the endpoints
+        assert memo and all(type(k) is int for k in memo)
+    # b's four terms are made at the first call at a working precision and
+    # read from the memo at every later one
+    assert b_counts == {0, 4}

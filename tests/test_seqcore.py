@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from carleman.scalar import DEFAULT_CONFIG, ExactUnavailableError, Interval, ScalarConfig
+from carleman import seqcore
+from carleman.scalar import (
+    DEFAULT_CONFIG,
+    ExactUnavailableError,
+    Interval,
+    ScalarConfig,
+    outward_pow_product,
+    refine_sign,
+)
 from carleman.seqcore import (
     Analytic,
     Custom,
@@ -15,8 +23,10 @@ from carleman.seqcore import (
     PowerSub,
     SequenceError,
     Verdict,
+    WeightSequence,
     Witness,
     _display,
+    _log_chain,
     _int_roots,
     _three_point_sign,
     compare_products,
@@ -504,3 +514,118 @@ def test_three_point_sign_matches_compare_products():
     assert {d for d, _, _ in seen} == {"equal", "mixed"}
     assert {w for _, w, _ in seen} == {-1, 0, 1}
     assert {("equal", 0, True), ("mixed", 0, False), ("mixed", 1, True)} <= seen
+
+
+# -- the integer interval branch against the Interval products it replaced ---------
+
+
+def _interval_product_diff(lhs, rhs, lhs_scale, rhs_scale):
+    """lhs_scale prod(lhs) - rhs_scale prod(rhs) as Interval products: the
+    interval branch of compare_products before it worked on integers."""
+
+    def diff(bits):
+        left = Interval.point(lhs_scale)
+        for seq, n, e in lhs:
+            left = left * seq.enclosure(n, bits).pow_int(e)
+        right = Interval.point(rhs_scale)
+        for seq, n, e in rhs:
+            right = right * seq.enclosure(n, bits).pow_int(e)
+        return left - right
+
+    return diff
+
+
+class _EnclosedOnly(WeightSequence):
+    """A sequence read through its enclosures alone, so that every
+    comparison on it takes the interval branch."""
+
+    def __init__(self, base):
+        super().__init__()
+        self.base = base
+
+    def _exact(self, n):
+        return None
+
+    def _enclosure(self, n, bits):
+        return self.base.enclosure(n, bits)
+
+
+def _sign_of(x):
+    return (x > 0) - (x < 0)
+
+
+def test_interval_branch_decides_as_the_interval_products(monkeypatch):
+    diffs = []
+
+    def spy(diff, cfg):
+        diffs.append(diff)
+        return refine_sign(diff, cfg)
+
+    monkeypatch.setattr(seqcore, "refine_sign", spy)
+    it1, it2 = IteratedLog(1), IteratedLog(2)
+    it1_off, it2_off = IteratedLog(1, 5), IteratedLog(2, 20)
+    gev = _EnclosedOnly(Gevrey(F(1, 2)))
+    ps = PowerSub(it2, 3)
+    reg = log_convex_regularization(it1_off, (0, 12))
+    assert reg.as_root(5) is None
+    tie = _EnclosedOnly(Custom(table=[1, 2, 4, 8]))
+    cases = []
+    for seq in (it1, it2, it1_off, it2_off, gev, ps, reg):
+        for n in (1, 4, 7):
+            cases.append(([(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], 1, 1))
+            cases.append(([(seq, n, 1)], [(seq, n + 1, 1)], F(n + 2, 3), 1))
+        # the hull's largest exponents
+        cases.append(([(seq, 2, 32), (seq, 10, 32)], [(seq, 6, 64)], 1, 1))
+        cases.append(([(seq, 1, 64)], [(seq, 0, 63), (seq, 2, 1)], 7, F(5, 2)))
+        # sides 2**-300 apart, relatively: decided only after doublings
+        cases.append(([(seq, 3, 2)], [(seq, 3, 1), (seq, 3, 1)], 1 + F(1, 2 ** 300), 1))
+    # exact factors next to irrational ones, and an exact tie on intervals
+    cases.append(([(Custom(table=[1, F(9, 7)]), 1, 3), (it2, 4, 1)], [(Analytic(), 5, 2), (gev, 3, 1)], 1, 2))
+    cases.append(([(Gevrey(3), 4, 1), (it1, 2, 5)], [(it1, 3, 5)], F(2, 11), 3))
+    cases.append(([(tie, 1, 2)], [(tie, 0, 1), (tie, 2, 1)], 1, 1))
+    cases.append(([(tie, 2, 3)], [(tie, 3, 2)], 4, 1))
+    cfg = ScalarConfig(bits=128)
+    ladder = [cfg.bits << i for i in range(cfg.max_doublings + 1)]
+    signs, escalated = set(), False
+    for lhs, rhs, ls, rs in cases:
+        diffs.clear()
+        got = compare_products(lhs, rhs, cfg, ls, rs)
+        (diff,) = diffs
+        ref = _interval_product_diff(lhs, rhs, ls, rs)
+        assert got == refine_sign(ref, cfg)
+        # up to the bits that decide: a positive multiple of the Interval
+        # difference has the signs of its endpoints
+        for step, bits in enumerate(ladder):
+            new, old = diff(bits), ref(bits)
+            ends = (_sign_of(old.lo), _sign_of(old.hi))
+            assert (_sign_of(new.lo), _sign_of(new.hi)) == ends
+            if ends[1] < 0 or ends[0] > 0 or ends == (0, 0):
+                break  # refine_sign's decision
+        escalated |= step > 0
+        signs.add(got)
+    assert signs == {-1, 0, 1} and escalated
+
+
+def test_interval_branch_refuses_an_enclosure_that_is_not_positive():
+    class Sloppy(_EnclosedOnly):
+        def _enclosure(self, n, bits):
+            return Interval(F(-1, 2), F(3))
+
+    seq = Sloppy(Analytic())
+    with pytest.raises(SequenceError):
+        compare_products([(seq, 1, 2)], [(seq, 2, 1)], IVAL)
+
+
+def test_iterated_log_keeps_the_powers_of_its_constant_per_precision():
+    it = IteratedLog(2, 20)
+    s, k = it.shift, it.k
+    for bits in (128, 256, 128):
+        for n in range(1, 13):
+            want = outward_pow_product(
+                _log_chain(s + n, k, bits), s + n, _log_chain(s, k, bits), -s, bits + 8
+            )
+            got = it._enclosure(n, bits)
+            assert (got.lo, got.hi) == (want.lo, want.hi), (n, bits)
+    assert sorted(it._base_log) == [128, 256]
+    # one memo per precision, keyed by the working precision of each call
+    assert all(memo and all(type(wp) is int for wp in memo) for _, memo in it._base_log.values())
