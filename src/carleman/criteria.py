@@ -191,9 +191,6 @@ class _ShiftedView(WeightSequence):
         self.base = base
         self.shift = shift
 
-    def _exact(self, n):
-        return self.base.exact(n + self.shift)
-
     def _root(self, n):
         return self.base.as_root(n + self.shift)
 

@@ -154,10 +154,11 @@ IntRoot = Tuple[int, int, int]  # (num, den, d): value == (num/den) ** (1/d)
 
 
 class WeightSequence:
-    """Base class.  Subclasses implement ``_exact`` and, when values are not
-    rational, ``_enclosure``; ``_root`` provides an exact q**(1/d) form when
-    one exists (used for exact certified comparisons).  ``_int_forms`` gives
-    a prefix of the same forms as integer triples, in one batch."""
+    """Base class.  Subclasses implement ``_root``, the one exact hook: the
+    form q**(1/d) of M_n, or None when there is none.  ``exact`` (the value
+    when it is rational) and the default ``_enclosure`` derive from it;
+    sequences without exact forms override ``_enclosure``.  ``_int_forms``
+    gives a prefix of the same forms as integer triples, in one batch."""
 
     def __init__(self):
         self._exact_cache = {}
@@ -166,18 +167,17 @@ class WeightSequence:
 
     # -- representation hooks ------------------------------------------------
 
-    def _exact(self, n: int) -> Optional[Fraction]:
-        raise NotImplementedError
-
     def _root(self, n: int) -> Optional[RootRep]:
-        q = self.exact(n)
-        return (q, 1) if q is not None else None
+        raise NotImplementedError
 
     def _enclosure(self, n: int, bits: int) -> Interval:
         q = self.exact(n)
-        if q is None:
+        if q is not None:
+            return Interval.point(q)
+        rep = self.as_root(n)
+        if rep is None:
             raise NotImplementedError(f"{type(self).__name__} has no enclosure rule")
-        return Interval.point(q)
+        return iv_pow(rep[0], Fraction(1, rep[1]), bits)
 
     def _int_forms(self, hi: int) -> List[IntRoot]:
         """The forms of M_0, M_1, ... that one batch can give: a prefix that
@@ -192,7 +192,12 @@ class WeightSequence:
         self._validate_index(n)
         cache = self._exact_cache
         if n not in cache:
-            cache[n] = self._exact(n)
+            rep = self.as_root(n)
+            if rep is None:
+                cache[n] = None
+            else:
+                q, d = rep
+                cache[n] = q if d == 1 else exact_nth_root(q, d)
         return cache[n]
 
     def as_root(self, n: int) -> Optional[RootRep]:
@@ -226,8 +231,8 @@ class WeightSequence:
 class Analytic(WeightSequence):
     """M_n = 1 for all n."""
 
-    def _exact(self, n: int) -> Fraction:
-        return Fraction(1)
+    def _root(self, n: int) -> RootRep:
+        return (Fraction(1), 1)
 
     def _int_forms(self, hi: int) -> List[IntRoot]:
         return [(1, 1, 1)] * (hi + 1)
@@ -245,13 +250,6 @@ class Gevrey(WeightSequence):
         if self.s < 0:
             raise SequenceError("Gevrey exponent must be nonnegative")
 
-    def _exact(self, n: int) -> Optional[Fraction]:
-        if self.s.denominator == 1:
-            return Fraction(factorial(n) ** self.s.numerator)
-        return exact_nth_root(
-            Fraction(factorial(n) ** self.s.numerator), self.s.denominator
-        )
-
     def _root(self, n: int) -> RootRep:
         return (Fraction(factorial(n) ** self.s.numerator), self.s.denominator)
 
@@ -262,12 +260,6 @@ class Gevrey(WeightSequence):
             forms.append((f ** e, 1, d))  # f == n!
             f *= n + 1
         return forms
-
-    def _enclosure(self, n: int, bits: int) -> Interval:
-        q, d = self._root(n)
-        if d == 1:
-            return Interval.point(q)
-        return iv_pow(q, Fraction(1, d), bits)
 
     def describe(self) -> str:
         return f"gevrey({self.s})"
@@ -357,9 +349,6 @@ class IteratedLog(WeightSequence):
     def has_default_shift(self) -> bool:
         return self._default_shift
 
-    def _exact(self, n: int) -> Optional[Fraction]:
-        return Fraction(1) if n == 0 else None
-
     def _root(self, n: int) -> Optional[RootRep]:
         return (Fraction(1), 1) if n == 0 else None
 
@@ -391,9 +380,6 @@ class PowerSub(WeightSequence):
             raise SequenceError("power-substitution exponent p must be a positive integer")
         self.base = base
         self.p = p
-
-    def _exact(self, n: int) -> Optional[Fraction]:
-        return self.base.exact(self.p * n)
 
     def _root(self, n: int) -> Optional[RootRep]:
         return self.base.as_root(self.p * n)
@@ -441,17 +427,17 @@ class Custom(WeightSequence):
     def length(self) -> Optional[int]:
         return len(self._table) if self._table is not None else None
 
-    def _exact(self, n: int) -> Fraction:
+    def _root(self, n: int) -> RootRep:
         if self._table is not None:
             if n >= len(self._table):
                 raise SequenceError(
                     f"index {n} beyond the custom table (length {len(self._table)})"
                 )
-            return self._table[n]
+            return (self._table[n], 1)
         v = _as_fraction(self._rule(n))
         if v <= 0:
             raise SequenceError(f"custom rule produced a nonpositive value at n={n}")
-        return v / self._norm
+        return (v / self._norm, 1)
 
     def _int_forms(self, hi: int) -> List[IntRoot]:
         if self._table is None:

@@ -25,7 +25,6 @@ from .scalar import (
     Scalar,
     ScalarConfig,
     _GUARD_BITS,
-    exact_nth_root,
     factorial,
     iv_pow,
     make_scalar,
@@ -131,15 +130,6 @@ class Regularized(WeightSequence):
         a = vs[i - 1]
         return (a, a) if a == n else (a, vs[i])
 
-    def _exact(self, n: int) -> Optional[Fraction]:
-        if n in self._vertex_set:
-            return self.base.exact(n)
-        rep = self.as_root(n)
-        if rep is None:
-            return None
-        q, d = rep
-        return q if d == 1 else exact_nth_root(q, d)
-
     def _root(self, n: int) -> Optional[RootRep]:
         if n in self._vertex_set:
             return self.base.as_root(n)
@@ -192,13 +182,8 @@ class Regularized(WeightSequence):
     def _enclosure(self, n: int, bits: int) -> Interval:
         if n in self._vertex_set:
             return self.base.enclosure(n, bits)
-        rep = self.as_root(n)
-        if rep is not None:
-            q, d = rep
-            exact = exact_nth_root(q, d) if d > 1 else q
-            if exact is not None:
-                return Interval.point(exact)
-            return iv_pow(q, Fraction(1, d), bits)
+        if self.as_root(n) is not None:
+            return super()._enclosure(n, bits)
         a, b = self._bracket(n)
         # a < n < b: the root degree is at least 2, so iv_pow's log rounds
         # the product at bits + _GUARD_BITS; it is rounded once here instead

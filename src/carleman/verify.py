@@ -501,8 +501,8 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
     for case in range(config.transform_cases):
         seq = Custom(table=_random_table(rng, N))
         reg = log_convex_regularization(seq, window)
-        forms, reg_forms = _root_forms(seq, N), _root_forms(reg, N)
-        for n, ((qn, qd, d), (en, ed, _)) in enumerate(zip(reg_forms, forms)):
+        forms, reg_forms = _int_roots(seq, 0, N), _int_roots(reg, 0, N)
+        for n, ((qn, qd, d), (en, ed, _)) in enumerate(zip(reg_forms, forms, strict=True)):
             # (qn/qd)**(1/d) > en/ed, cross-multiplied on integers
             if qn * ed ** d > en ** d * qd:
                 return _outcome(
@@ -513,23 +513,13 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
                 Verdict.fails(window, Witness(case, ("output not log-convex",)))
             )
         reg2 = log_convex_regularization(reg, window)
-        for n, (fa, fb) in enumerate(zip(reg_forms, _root_forms(reg2, N))):
+        for n, (fa, fb) in enumerate(zip(reg_forms, _int_roots(reg2, 0, N), strict=True)):
             # equal root forms are equal values; only differing forms need powers
             if fa != fb and fa[0] ** fb[2] * fb[1] ** fa[2] != fb[0] ** fa[2] * fa[1] ** fb[2]:
                 return _outcome(
                     Verdict.fails(window, Witness(n, (f"case={case}", "not idempotent")))
                 )
     return _outcome(Verdict.holds(window))
-
-
-def _root_forms(seq: WeightSequence, N: int) -> list:
-    """The integer root forms of M_0, ..., M_N: the sequence's batch, then
-    one ``as_root`` read per index past it."""
-    forms = _int_roots(seq, 0, N)
-    for n in range(len(forms), N + 1):
-        q, d = seq.as_root(n)
-        forms.append((q.numerator, q.denominator, d))
-    return forms
 
 
 @_check("induced-germ-lower-bound", "|f^(n)(0)| >= n! * M'_pn / (pn)!")

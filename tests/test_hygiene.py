@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses or
-imports inside a function, and no module but ``scalar`` builds an Interval
-without its order check."""
+imports inside a function, no module but ``scalar`` builds an Interval
+without its order check, and no class has a second exact hook."""
 
 import ast
 from pathlib import Path
@@ -278,6 +278,38 @@ def test_the_check_flags_every_functools_cache():
     }
     for text, names in snippets.items():
         assert [n for n, _ in _functools_caches(ast.parse(text))] == names, text
+
+
+# a weight sequence states its exact values once, as ``_root``; ``exact``
+# derives from it, so a second exact hook could disagree with the first
+SECOND_EXACT_HOOK = "_exact"
+
+
+def _class_methods(tree: ast.AST, name: str):
+    """(class, line) of every method ``name`` defined in a class body, at
+    any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == name:
+                    yield node.name, child.lineno
+
+
+def test_no_weight_sequence_defines_a_second_exact_hook():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = list(_class_methods(tree, SECOND_EXACT_HOOK))
+        assert not found, f"{path.name} defines {SECOND_EXACT_HOOK} in {found}; define _root"
+
+
+def test_the_check_flags_an_exact_hook():
+    text = (
+        "def _exact(n):\n    return n\n"
+        "class A:\n    def _root(self, n):\n        return None\n"
+        "class B(A):\n    def _exact(self, n):\n        return 1\n"
+        "def f():\n    class C:\n        def _exact(self, n):\n            pass\n"
+    )
+    assert list(_class_methods(ast.parse(text), SECOND_EXACT_HOOK)) == [("B", 7), ("C", 11)]
 
 
 # -- the benchmark tracer's targets -----------------------------------------------------

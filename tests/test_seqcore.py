@@ -97,6 +97,28 @@ def test_gevrey_rational_exponent():
     assert g.as_root(3) == (F(6), 2)
 
 
+class _RootOnly(WeightSequence):
+    """A sequence that states its values through ``_root`` alone."""
+
+    FORMS = [(F(1), 1), (F(5, 3), 1), (F(9, 4), 2), (F(2), 2), (F(8, 27), 3), None]
+
+    def _root(self, n):
+        return self.FORMS[n]
+
+
+def test_exact_and_enclosures_derive_from_the_root_hook():
+    seq = _RootOnly()
+    assert [seq.exact(n) for n in range(6)] == [1, F(5, 3), F(3, 2), None, F(2, 3), None]
+    for n, q in ((1, F(5, 3)), (2, F(3, 2)), (4, F(2, 3))):
+        enc = seq.enclosure(n, IVAL.bits)
+        assert enc.lo == enc.hi == q
+    # sqrt(2) at the working bits
+    enc = seq.enclosure(3, IVAL.bits)
+    assert enc.lo ** 2 < 2 < enc.hi ** 2 and enc.width < F(1, 2 ** 120)
+    with pytest.raises(NotImplementedError):
+        seq.enclosure(5, IVAL.bits)
+
+
 def test_is_increasing_examples():
     assert is_increasing(Analytic(), (1, 16)).ok
     assert is_increasing(Analytic(), (1, 16)).scope == "global"
@@ -543,7 +565,7 @@ class _EnclosedOnly(WeightSequence):
         super().__init__()
         self.base = base
 
-    def _exact(self, n):
+    def _root(self, n):
         return None
 
     def _enclosure(self, n, bits):

@@ -191,9 +191,6 @@ class _GeometricIrrational(WeightSequence):
     """M_n = sqrt(2)**n: log-linear with no exact root form, so hull ties
     cannot be resolved by intervals."""
 
-    def _exact(self, n):
-        return F(2) ** (n // 2) if n % 2 == 0 else None
-
     def _root(self, n):
         return None
 
