@@ -34,6 +34,7 @@ from .scalar import (
     Scalar,
     ScalarConfig,
     _as_fraction,
+    _rounded_ratio,
     factorial,
     iv_cos_sin,
     iv_e,
@@ -195,7 +196,22 @@ def _dyadic(iv: Interval) -> Dyadic:
         if d & (d - 1):
             raise ValueError(f"interval endpoint {q} is not a dyadic rational")
         ends.append((q.numerator, 1 - d.bit_length()))
-    (lo, elo), (hi, ehi) = ends
+    return _common_exponent(*ends)
+
+
+def _dyadic_of_mpf(tlo, thi) -> Dyadic:
+    """``_dyadic`` of the interval between two ordered mpf tuples."""
+    ends = []
+    for sign, man, exp, _bc in (tlo, thi):
+        man = -int(man) if sign else int(man)
+        ends.append((man << exp, 0) if exp >= 0 else (man, exp))
+    return _common_exponent(*ends)
+
+
+def _common_exponent(lo_end: Tuple[int, int], hi_end: Tuple[int, int]) -> Dyadic:
+    """Two endpoints m * 2**e, given as (m, e), at their smaller exponent;
+    an integer endpoint has e = 0, any other an odd m."""
+    (lo, elo), (hi, ehi) = lo_end, hi_end
     e = min(elo, ehi)
     return lo << (elo - e), hi << (ehi - e), e
 
@@ -369,15 +385,32 @@ class BangFunction:
         )
 
 
+# the neutral second factor of outward_pow_product
+_ONE = Interval.point(1)
+
+
 def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Dyadic:
-    """M'_k (2 m_k)**(n-k), compressed; independent of the evaluation point."""
+    """M'_k (2 m_k)**(n-k), compressed; independent of the evaluation point.
+
+    Both factors are positive, so the product's endpoints are the products
+    of theirs, each rounded once to ``bits + 8`` bits from its unreduced
+    integer quotient."""
 
     key = ("coef", n, k, bits)
     if key not in B._enc_cache:
+        two_key = ("2m", k, bits)
+        if two_key not in B._enc_cache:
+            B._enc_cache[two_key] = B._ratio(k, bits) * 2
         # compress after the power: (2 m_k)**(n-k) has k-scaled denominators
-        two_m = B._ratio(k, bits) * 2
-        powed = outward_pow_product(two_m, n - k, Interval.point(1), 0, bits + 8)
-        B._enc_cache[key] = _dyadic((B._mprime(k, bits) * powed).outward(bits + 8))
+        powed = outward_pow_product(B._enc_cache[two_key], n - k, _ONE, 0, bits + 8)
+        mp = B._mprime(k, bits)
+        if mp.lo.numerator <= 0:
+            raise SequenceError(f"the enclosure of M'_{k} of {B.seq.describe()} is not positive")
+        ends = [
+            _rounded_ratio(m.numerator * w.numerator, m.denominator * w.denominator, bits + 8, rnd)
+            for m, w, rnd in ((mp.lo, powed.lo, "f"), (mp.hi, powed.hi, "c"))
+        ]
+        B._enc_cache[key] = _dyadic_of_mpf(*ends)
     return B._enc_cache[key]
 
 

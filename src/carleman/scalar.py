@@ -5,14 +5,18 @@ Three representations cover every real quantity in the toolkit:
 * exact rationals (``fractions.Fraction``), used whenever a value is exactly
   representable;
 * intervals with exact rational endpoints: ring operations are computed
-  exactly on the endpoints, and transcendental functions are enclosed via
-  mpmath's directed-rounding interval context.  Enclosures that need a power
-  or a quotient of intervals (``outward_pow_product``) are rounded once to
-  dyadics; the result equals rounding the exact value, which is formed only
-  when directed bounds cannot decide the rounding.  The order invariant
-  lo <= hi is checked where endpoints come from outside (callers, mpmath
-  results); ring-op and rounding results are built ordered by their sign
-  cases and skip the check;
+  exactly on the endpoints, and transcendental functions are enclosed by
+  mpmath's directed-rounding interval kernels (``libmp.mpi_*``).  Endpoints
+  cross to mpmath as mpf tuples, and a ``Fraction`` is built only where an
+  ``Interval`` leaves this module: a dyadic endpoint is read off its bits,
+  and an mpf result becomes a ``Fraction`` without a gcd, its mantissa being
+  odd.  Enclosures that need a power or a quotient of intervals
+  (``outward_pow_product``) are rounded once to dyadics; the result equals
+  rounding the exact value, which is formed only when directed bounds cannot
+  decide the rounding.  The order invariant lo <= hi is checked where
+  endpoints come from callers; ring-op, rounding and mpmath results are
+  built ordered by their sign cases or by directed rounding of monotone
+  kernels and skip the check;
 * adjustable-precision floats (mpmath ``mpf``), for exploratory output only.
 
 Every Holds/Fails verdict in the package is derived from the first two
@@ -57,13 +61,6 @@ class ExactUnavailableError(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
-def _iv_ctx(bits: int) -> "mpmath.ctx_iv.MPIntervalContext":
-    ctx = mpmath.ctx_iv.MPIntervalContext()
-    ctx.prec = bits + _GUARD_BITS
-    return ctx
-
-
-@lru_cache(maxsize=None)
 def _mp_ctx(bits: int) -> "mpmath.ctx_mp.MPContext":
     ctx = mpmath.ctx_mp.MPContext()
     ctx.prec = bits
@@ -79,20 +76,53 @@ def _as_fraction(v: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(v).__name__}")
 
 
+_new_object = object.__new__
+
+
+def _reduced_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime ints n and d > 0, equal, by ``==``,
+    ``hash`` and type, to ``Fraction(n, d)``, built without its gcd and its
+    argument dispatch.  Only results in lowest terms by construction come
+    through here."""
+    q = _new_object(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 def _fraction_from_mpf_tuple(t) -> Fraction:
+    """The value of a normalized mpf tuple, whose mantissa is odd, so that
+    man / 2**-exp is in lowest terms."""
     sign, man, exp, _bc = t
     if man == 0:
         if exp == 0:
-            return Fraction(0)
+            return _reduced_fraction(0, 1)
         raise RangeError("non-finite interval endpoint")
-    man = int(man)
-    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -value if sign else value
+    man = -int(man) if sign else int(man)
+    if exp >= 0:
+        return _reduced_fraction(man << exp, 1)
+    return _reduced_fraction(man, 1 << -exp)
 
 
 def _rounded_tuple(q: Fraction, bits: int, rnd: str):
-    """q as an mpf tuple with a ``bits``-bit mantissa, rounded by ``rnd``."""
-    return _rounded_ratio(q.numerator, q.denominator, bits, rnd)
+    """q as an mpf tuple with a ``bits``-bit mantissa, rounded by ``rnd``.
+
+    A dyadic q whose odd part fits in ``bits`` bits is read off its bits;
+    every other q is rounded by ``_rounded_ratio``, which gives the same
+    tuple on a dyadic."""
+    p, d = q.numerator, q.denominator
+    if p and not d & (d - 1):
+        man = -p if p < 0 else p
+        if d == 1:
+            zeros = (man & -man).bit_length() - 1
+            man >>= zeros
+            exp = zeros
+        else:
+            exp = 1 - d.bit_length()  # p is odd: q is in lowest terms
+        bc = man.bit_length()
+        if bc <= bits:
+            return (int(p < 0), libmp.MPZ(man), exp, bc)
+    return _rounded_ratio(p, d, bits, rnd)
 
 
 def _rounded_ratio(p: int, d: int, bits: int, rnd: str):
@@ -210,7 +240,7 @@ class Interval:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def strictly_positive(self) -> bool:
-        return self.lo > 0
+        return self.lo.numerator > 0
 
     def __neg__(self) -> "Interval":
         return _iv(-self.hi, -self.lo)
@@ -311,7 +341,6 @@ class Interval:
         return f"[{mpmath.nstr(mpmath.mpf(float(self.lo)), 12)}, {mpmath.nstr(mpmath.mpf(float(self.hi)), 12)}]"
 
 
-_new_object = object.__new__
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
 
@@ -354,15 +383,18 @@ def _directed_term(v: Fraction, e: int, wp: int, rnd: str):
 def _directed_product(a: Fraction, p: int, tb, q: int, wp: int, rnd: str):
     """A lower ('f') or upper ('c') bound, as an mpf tuple at ``wp`` bits, of
     a**p * b**q, where ``tb`` is the directed term of b**q for that bound.
-    Terms with a negative exponent go to one denominator."""
+    Terms with a negative exponent go to one denominator; a lone term with a
+    positive exponent is the bound itself."""
     inv = _OTHER_WAY[rnd]
-    num = den = libmp.fone
+    num = den = None
     for t, e in ((_directed_term(a, p, wp, rnd), p), (tb, q)):
         if e > 0:
-            num = libmp.mpf_mul(num, t, wp, rnd)
+            num = t if num is None else libmp.mpf_mul(num, t, wp, rnd)
         elif e < 0:
-            den = libmp.mpf_mul(den, t, wp, inv)
-    return libmp.mpf_div(num, den, wp, rnd)
+            den = t if den is None else libmp.mpf_mul(den, t, wp, inv)
+    if den is None:
+        return libmp.fone if num is None else num
+    return libmp.mpf_div(libmp.fone if num is None else num, den, wp, rnd)
 
 
 def _round_once(
@@ -409,7 +441,7 @@ def outward_pow_product(
     one ``b`` and ``q``, holds the directed powers of ``b`` by working
     precision, so that they are computed once for every ``a``.
     """
-    if a.lo > 0 and b.lo > 0:
+    if a.lo.numerator > 0 and b.lo.numerator > 0:
         wp = bits + _ROUND_ONCE_GUARD + abs(p).bit_length() + abs(q).bit_length()
         # x**e grows with x for e > 0 and shrinks for e < 0
         a_lo, a_hi = (a.lo, a.hi) if p >= 0 else (a.hi, a.lo)
@@ -427,52 +459,78 @@ def outward_pow_product(
     return (a.pow_int(p) * b.pow_int(q)).outward(bits)
 
 
-def _to_iv(ctx, x: Interval):
-    prec = ctx.prec
-    tlo = _rounded_tuple(x.lo, prec, "f")
-    thi = _rounded_tuple(x.hi, prec, "c")
-    return ctx.make_mpf((tlo, thi))
+def _to_mpi(x: Interval, wp: int):
+    """x outward-rounded to a pair of mpf tuples at ``wp`` bits."""
+    return _rounded_tuple(x.lo, wp, "f"), _rounded_tuple(x.hi, wp, "c")
 
 
-def _from_iv(v) -> Interval:
-    ta, tb = v._mpi_
-    return Interval(_fraction_from_mpf_tuple(ta), _fraction_from_mpf_tuple(tb))
+def _from_mpi(t) -> Interval:
+    """The Interval of an mpf tuple pair from a directed-rounding kernel,
+    ordered by construction."""
+    return _iv(_fraction_from_mpf_tuple(t[0]), _fraction_from_mpf_tuple(t[1]))
 
 
-def _unary(fn_name: str):
+def _unary(fn_name: str, mpi_fn):
     def op(x: Union[Interval, RationalLike], bits: int) -> Interval:
         iv = x if isinstance(x, Interval) else Interval.point(x)
-        ctx = _iv_ctx(bits)
+        wp = bits + _GUARD_BITS
         try:
-            return _from_iv(getattr(ctx, fn_name)(_to_iv(ctx, iv)))
+            return _from_mpi(mpi_fn(_to_mpi(iv, wp), wp))
         except (libmp.ComplexResult, RangeError) as exc:
             raise ValueError(f"{fn_name} outside the real domain: {iv}") from exc
 
     return op
 
 
-iv_exp = _unary("exp")
-iv_log = _unary("log")
-iv_cos = _unary("cos")
-iv_sin = _unary("sin")
-iv_sqrt = _unary("sqrt")
+iv_exp = _unary("exp", libmp.mpi_exp)
+iv_log = _unary("log", libmp.mpi_log)
+iv_cos = _unary("cos", libmp.mpi_cos)
+iv_sin = _unary("sin", libmp.mpi_sin)
+iv_sqrt = _unary("sqrt", libmp.mpi_sqrt)
+
+
+def iv_log_chain(x: Union[Interval, RationalLike], k: int, bits: int) -> Interval:
+    """``iv_log`` applied k >= 1 times at ``bits``, equal by value.
+
+    Each step's endpoints have at most bits + _GUARD_BITS bits, the
+    precision the next step rounds to, so they stay mpf tuples in between
+    and only the last step's become Fractions."""
+    iv = x if isinstance(x, Interval) else Interval.point(x)
+    wp = bits + _GUARD_BITS
+    t = _to_mpi(iv, wp)
+    for step in range(k):
+        try:
+            out = libmp.mpi_log(t, wp)
+            # log 0 is -inf; a negative endpoint raised already
+            if out[0][1] == 0 and out[0][2]:
+                raise RangeError("non-finite interval endpoint")
+        except (libmp.ComplexResult, RangeError) as exc:
+            arg = iv if step == 0 else _from_mpi(t)
+            raise ValueError(f"log outside the real domain: {arg}") from exc
+        t = out
+    return _from_mpi(t)
 
 
 def iv_cos_sin(x: Union[Interval, RationalLike], bits: int) -> Tuple[Interval, Interval]:
     """``(iv_cos(x, bits), iv_sin(x, bits))`` from one argument reduction:
     mpmath computes both parts of each in one ``mpi_cos_sin`` call."""
     iv = x if isinstance(x, Interval) else Interval.point(x)
-    ctx = _iv_ctx(bits)
-    c, s = libmp.mpi_cos_sin(_to_iv(ctx, iv)._mpi_, ctx.prec)
-    return _from_iv(ctx.make_mpf(c)), _from_iv(ctx.make_mpf(s))
+    wp = bits + _GUARD_BITS
+    c, s = libmp.mpi_cos_sin(_to_mpi(iv, wp), wp)
+    return _from_mpi(c), _from_mpi(s)
+
+
+def _constant(mpf_fn, bits: int) -> Interval:
+    wp = bits + _GUARD_BITS
+    return _from_mpi((mpf_fn(wp, "f"), mpf_fn(wp, "c")))
 
 
 def iv_e(bits: int) -> Interval:
-    return _from_iv(_iv_ctx(bits).e)
+    return _constant(libmp.mpf_e, bits)
 
 
 def iv_pi(bits: int) -> Interval:
-    return _from_iv(_iv_ctx(bits).pi)
+    return _constant(libmp.mpf_pi, bits)
 
 
 def iv_pow(x: Union[Interval, RationalLike], exponent: RationalLike, bits: int) -> Interval:
@@ -481,7 +539,7 @@ def iv_pow(x: Union[Interval, RationalLike], exponent: RationalLike, bits: int) 
     q = _as_fraction(exponent)
     if q.denominator == 1:
         return iv.pow_int(q.numerator)
-    if iv.lo <= 0:
+    if iv.lo.numerator <= 0:
         raise ValueError("rational powers need a strictly positive base interval")
     return iv_exp(iv_log(iv, bits) * q, bits)
 

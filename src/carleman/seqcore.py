@@ -35,7 +35,7 @@ from .scalar import (
     factorial,
     iv_e,
     iv_exp,
-    iv_log,
+    iv_log_chain,
     iv_pow,
     make_scalar,
     outward_pow_product,
@@ -265,13 +265,6 @@ class Gevrey(WeightSequence):
         return f"gevrey({self.s})"
 
 
-def _log_chain(m: RationalLike, k: int, bits: int) -> Interval:
-    x = Interval.point(m)
-    for _ in range(k):
-        x = iv_log(x, bits)
-    return x
-
-
 def _tetration_e(k: int, bits: int) -> Interval:
     """Enclosure of exp applied k-1 times to e (e, e**e, e**(e**e), ...)."""
     x = iv_e(bits)
@@ -330,7 +323,7 @@ class IteratedLog(WeightSequence):
     def _validate_shift(self, cfg: ScalarConfig):
         def decide(bits: int) -> Optional[bool]:
             try:
-                base = _log_chain(self.shift, self.k, bits)
+                base = iv_log_chain(self.shift, self.k, bits)
             except ValueError as exc:
                 raise SequenceError(
                     f"offset {self.shift} leaves the {self.k}-fold log undefined"
@@ -358,13 +351,13 @@ class IteratedLog(WeightSequence):
         s = self.shift
         base = self._base_log.get(bits)
         if base is None:
-            base = self._base_log[bits] = (_log_chain(s, self.k, bits), {})
+            base = self._base_log[bits] = (iv_log_chain(s, self.k, bits), {})
         # rounded once to dyadics: the exact power quotient has endpoints
         # about s + n times the size of L's, a gigabit at the default shift
         # of depth 3; the directed powers of L(s)**s are kept per precision
         base_log, memo = base
         return outward_pow_product(
-            _log_chain(s + n, self.k, bits), s + n, base_log, -s, bits + 8, memo
+            iv_log_chain(s + n, self.k, bits), s + n, base_log, -s, bits + 8, memo
         )
 
     def describe(self) -> str:

@@ -13,6 +13,7 @@ from carleman.bang import (
     CpModel,
     PolynomialModel,
     PowerCompositeModel,
+    _bang_coef,
     _bang_majorant,
     _bang_sum,
     _cp_series_interval,
@@ -35,6 +36,7 @@ from carleman.scalar import (
     iv_cos,
     iv_e,
     iv_sin,
+    outward_pow_product,
 )
 from carleman.seqcore import Custom, Gevrey, IteratedLog, SequenceError
 
@@ -554,3 +556,22 @@ def test_a_failing_gate_is_never_recorded(monkeypatch):
             BangFunction(seq, p=2, max_order=2, K=8)
     BangFunction(seq, p=2, max_order=2, K=4)
     assert calls == [(1, 4), (1, 8), (1, 8)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bang_coef_equals_the_rounded_interval_product(k):
+    B = BangFunction(IteratedLog(k), p=2, max_order=8, K=40)
+    for bits in (128, 256, 512):
+        for n in (0, 1, 5, 8):
+            for kk in range(B.K + 1):
+                two_m = B._ratio(kk, bits) * 2
+                powed = outward_pow_product(two_m, n - kk, Interval.point(1), 0, bits + 8)
+                want = _dyadic((B._mprime(kk, bits) * powed).outward(bits + 8))
+                assert _bang_coef(B, n, kk, bits) == want, (n, kk, bits)
+
+
+def test_bang_coef_refuses_a_nonpositive_weight_enclosure():
+    B = BangFunction(IteratedLog(1), p=2, max_order=2, K=6)
+    B._enc_cache["mp", 3, 64] = Interval(F(0), F(5))
+    with pytest.raises(SequenceError):
+        _bang_coef(B, 2, 3, 64)

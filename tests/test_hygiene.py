@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no module but ``scalar`` builds an Interval
-without its order check, and no class has a second exact hook."""
+without its order check or a Fraction without its gcd, and no class has a
+second exact hook."""
 
 import ast
 from pathlib import Path
@@ -154,6 +155,81 @@ def test_the_check_flags_a_builder_reference():
     assert not list(_references(ast.parse("from carleman.scalar import _iv_ctx\n"), TRUSTED_BUILDER))
 
 
+# scalar's builder of Fractions already in lowest terms, which skips the gcd
+FRACTION_BUILDER = "_reduced_fraction"
+
+
+def test_the_fraction_builder_is_defined_in_scalar():
+    tree = ast.parse((SRC / "scalar.py").read_text(encoding="utf-8"))
+    assert FRACTION_BUILDER in [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+
+
+# the scalar tests compare the builder with the Fraction constructor
+@pytest.mark.parametrize(
+    "path", [p for p in OTHER_FILES if p != ROOT / "tests" / "test_scalar.py"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_only_scalar_builds_a_fraction_without_its_gcd(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_references(tree, FRACTION_BUILDER))
+    assert not lines, f"{path.name} references scalar.{FRACTION_BUILDER} on lines {lines}"
+
+
+# the private fields of a Fraction; only the builder writes them
+FRACTION_FIELDS = {"_numerator", "_denominator"}
+FIELD_WRITERS = {("scalar", FRACTION_BUILDER)}
+
+
+def _writes_a_field(node: ast.AST) -> bool:
+    """An attribute store, a setattr-style call naming a field, or the
+    ``__set__`` of a field descriptor, called or bound to a name."""
+    if isinstance(node, ast.Attribute):
+        if node.attr == "__set__":
+            return isinstance(node.value, ast.Attribute) and node.value.attr in FRACTION_FIELDS
+        return node.attr in FRACTION_FIELDS and isinstance(node.ctx, ast.Store)
+    return isinstance(node, ast.Call) and _called_name(node) in ("setattr", "__setattr__") and any(
+        isinstance(a, ast.Constant) and a.value in FRACTION_FIELDS for a in node.args
+    )
+
+
+def _field_writes(node: ast.AST, path: tuple = ()):
+    """(dotted function or class path, line) of every write to a Fraction
+    field; module-level writes have the empty path."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _field_writes(child, path + (child.name,))
+            continue
+        if _writes_a_field(child):
+            yield ".".join(path), child.lineno
+        yield from _field_writes(child, path)
+
+
+def test_only_the_fraction_builder_writes_fraction_fields():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, line in _field_writes(tree):
+            key = (path.stem, name)
+            assert key in FIELD_WRITERS, f"{path.name}:{line} writes a Fraction field in {name or '<module>'}"
+            found.add(key)
+    assert found == FIELD_WRITERS
+
+
+def test_the_check_flags_a_fraction_field_write():
+    text = (
+        "def f(q):\n    q._numerator = 1\n"
+        "class A:\n    def g(self, q):\n        setattr(q, '_denominator', 2)\n"
+        "        object.__setattr__(q, '_numerator', 3)\n"
+        "set_den = Fraction._denominator.__set__\n"
+        "Fraction._numerator.__set__(q, 4)\n"
+        "n, q._denominator = 1, 2\n"
+        "def h(q):\n    return q._numerator + q.numerator\n"
+    )
+    assert list(_field_writes(ast.parse(text))) == [
+        ("f", 2), ("A.g", 5), ("A.g", 6), ("", 7), ("", 8), ("", 9),
+    ]
+
+
 # mpmath's rational rounding scans its operands byte by byte; scalar rounds
 # p/d in integers instead, to the same tuples
 def test_the_package_never_rounds_through_from_rational():
@@ -163,11 +239,11 @@ def test_the_package_never_rounds_through_from_rational():
     assert list(_references(ast.parse("from mpmath import libmp\nlibmp.from_rational(1, 3, 8, 'n')\n"), "from_rational"))
 
 
-# module-level memos that may outlive a run: the per-bits mpmath contexts and
-# the extremal series' tables, which die with their sequence.  functools
-# caches hold only the two contexts, keyed by precision; a memo of values
-# lives on an object (the per-sequence caches, bang's weak table)
-FUNCTOOLS_CACHE_ALLOWLIST = {("scalar", "_iv_ctx"), ("scalar", "_mp_ctx")}
+# module-level memos that may outlive a run: the per-bits mpmath context of
+# float mode and the extremal series' tables, which die with their sequence.
+# functools caches hold only that context, keyed by precision; a memo of
+# values lives on an object (the per-sequence caches, bang's weak table)
+FUNCTOOLS_CACHE_ALLOWLIST = {("scalar", "_mp_ctx")}
 MEMO_ALLOWLIST = FUNCTOOLS_CACHE_ALLOWLIST | {("bang", "_SEQ_TABLES")}
 CACHE_DECORATORS = {"lru_cache", "cache"}
 WEAK_TABLES = {"WeakKeyDictionary", "WeakValueDictionary"}

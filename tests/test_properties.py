@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import mpmath
 from hypothesis import given, settings
 from mpmath import libmp
 
 from carleman.criteria import dc_partial_sum
-from carleman.scalar import Interval, ScalarConfig, _rounded_ratio, decimal_str
-from carleman.seqcore import Custom, PowerSub, is_increasing, is_log_convex
+from carleman.scalar import Interval, ScalarConfig, _rounded_ratio, decimal_str, iv_pow
+from carleman.seqcore import Custom, IteratedLog, PowerSub, is_increasing, is_log_convex
 from carleman.transforms import log_convex_regularization
 
 F = Fraction
@@ -226,3 +227,54 @@ def ratio_operands(draw):
 def test_round_to_nearest_equals_mpmath(operands):
     p, d, bits = operands
     assert _rounded_ratio(p, d, bits, "n") == libmp.from_rational(p, d, bits, "n")
+
+
+# -- enclosures contain a high-precision reference ---------------------------------------
+
+
+def _mpf_fraction(x) -> F:
+    sign, man, exp, _ = x._mpf_
+    v = F(int(man)) * F(2) ** exp
+    return -v if sign else v
+
+
+# the shifts of both depths at their default, shared across examples
+_DEFAULT_LOGS = {k: IteratedLog(k) for k in (1, 2)}
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=40)),
+    st.integers(min_value=1, max_value=60),
+    st.sampled_from([64, 128, 256]),
+)
+@settings(max_examples=60, deadline=None)
+def test_iterated_log_enclosure_contains_a_reference(k, offset, n, bits):
+    # L(s) > 0 needs s >= 2 for the log and s >= 3 for the log of the log
+    if offset is None:
+        seq = _DEFAULT_LOGS[k]
+    else:
+        seq = IteratedLog(k, offset=max(offset, k + 1))
+    s = seq.shift
+    with mpmath.workprec(4 * bits):
+
+        def L(x):
+            v = mpmath.mpf(x)
+            for _ in range(k):
+                v = mpmath.log(v)
+            return v
+
+        ref = mpmath.exp((s + n) * mpmath.log(L(s + n)) - s * mpmath.log(L(s)))
+    assert seq.enclosure(n, bits).contains(_mpf_fraction(ref))
+
+
+@given(
+    fractions(max_num=10 ** 6, min_value=F(1, 10 ** 6)).filter(lambda q: q > 0),
+    st.integers(min_value=2, max_value=12),
+    st.sampled_from([64, 128, 256]),
+)
+@settings(max_examples=100, deadline=None)
+def test_iv_pow_root_contains_a_reference(x, m, bits):
+    with mpmath.workprec(4 * bits):
+        ref = mpmath.root(mpmath.mpf(x.numerator) / x.denominator, m)
+    assert iv_pow(x, F(1, m), bits).contains(_mpf_fraction(ref))

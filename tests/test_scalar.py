@@ -1,10 +1,14 @@
 """Interval/scalar arithmetic: exactness, soundness, directed rounding."""
 
+import math
 import random
 import sys
 from fractions import Fraction
 
+import hypothesis.strategies as st
+import mpmath
 import pytest
+from hypothesis import given, settings
 from mpmath import libmp
 
 from carleman import scalar
@@ -16,6 +20,8 @@ from carleman.scalar import (
     RangeError,
     Scalar,
     ScalarConfig,
+    _fraction_from_mpf_tuple,
+    _reduced_fraction,
     _rounded_tuple,
     decimal_str,
     exact_nth_root,
@@ -25,9 +31,11 @@ from carleman.scalar import (
     iv_e,
     iv_exp,
     iv_log,
+    iv_log_chain,
     iv_pi,
     iv_pow,
     iv_sin,
+    iv_sqrt,
     make_scalar,
     outward_pow_product,
     refine,
@@ -116,8 +124,6 @@ def _frac(x) -> Fraction:
 
 
 def test_transcendental_enclosures_contain_reference():
-    import mpmath
-
     mpmath.mp.prec = 400
     e = iv_e(256)
     assert e.lo < _frac(+mpmath.e) < e.hi
@@ -276,9 +282,16 @@ def test_directed_rounding_matches_mpmath():
             sign * F(rng.getrandbits(400) << rng.randint(0, 1500), 1 << rng.randint(0, 1500)),
             sign * F((1 << rng.randint(1, 300)) + rng.choice((-1, 1)), 3 ** rng.randint(0, 40)),
         ]
+    # dyadics read off their bits: odd parts of bits - 1, bits and bits + 1
+    # bits, integers with long runs of trailing zero bits, negatives
+    for bits in (8, 53, 137, 264):
+        for size in (bits - 1, bits, bits + 1):
+            odd = (1 << (size - 1)) | rng.getrandbits(size - 1) | 1
+            for s in (1, -1):
+                values += [s * F(odd, 1 << rng.randint(1, 300)), s * F(odd << rng.randint(0, 700))]
     for q in values:
         for bits in (8, 53, 137, 264):
-            for rnd in ("f", "c"):
+            for rnd in ("f", "c", "n"):
                 want = libmp.from_rational(q.numerator, q.denominator, bits, rnd)
                 assert _rounded_tuple(q, bits, rnd) == want, (q, bits, rnd)
 
@@ -382,3 +395,119 @@ def test_outward_pow_product_memo_of_b_gives_the_same_roundings(monkeypatch):
     # b's four terms are made at the first call at a working precision and
     # read from the memo at every later one
     assert b_counts == {0, 4}
+
+
+def test_reduced_fraction_builder_equals_the_fraction_constructor():
+    rng = random.Random(5)
+    pairs = [(0, 1), (1, 1), (-1, 1), (3, 4), (-(2 ** 521 - 1), 1 << 600), (1 << 900, 1)]
+    for _ in range(300):
+        n, d = rng.getrandbits(rng.randint(1, 700)) * rng.choice((1, -1)), rng.getrandbits(300) + 1
+        g = math.gcd(n, d)
+        pairs.append((n // g, d // g))
+    for n, d in pairs:
+        got, want = _reduced_fraction(n, d), F(n, d)
+        assert got == want and hash(got) == hash(want) and type(got) is type(want) is F
+        assert (got.numerator, got.denominator) == (n, d)
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert got + F(1, 3) == want + F(1, 3) and got * 7 == want * 7 and -got == -want
+        assert (got < F(1, 2)) == (want < F(1, 2)) and repr(got) == repr(want)
+        assert {got: 1}[want] == 1
+
+
+def test_mpf_tuples_become_reduced_fractions():
+    rng = random.Random(8)
+    for _ in range(300):
+        v = F(rng.getrandbits(200) * rng.choice((1, -1)), rng.getrandbits(200) + 1)
+        t = libmp.from_rational(v.numerator, v.denominator, rng.randint(8, 300), "n")
+        got = _fraction_from_mpf_tuple(t)
+        assert got == _frac_of_tuple(t) and hash(got) == hash(_frac_of_tuple(t))
+    with pytest.raises(RangeError):
+        _fraction_from_mpf_tuple(libmp.finf)
+
+
+def _frac_of_tuple(t) -> Fraction:
+    sign, man, exp, _ = t
+    v = F(int(man)) * F(2) ** exp
+    return -v if sign else v
+
+
+# -- the transcendentals against mpmath's interval-object path ----------------------
+
+
+def _ctx_path(name: str, x, bits: int):
+    """iv_<name>(x, bits) through an mpmath interval context and its ivmpf
+    objects: the endpoints rounded outward at bits + 16, the context's
+    function, and a domain error as ValueError."""
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = bits + 16
+    iv = x if isinstance(x, Interval) else Interval.point(x)
+    arg = ctx.make_mpf(tuple(
+        libmp.from_rational(q.numerator, q.denominator, ctx.prec, rnd)
+        for q, rnd in ((iv.lo, "f"), (iv.hi, "c"))
+    ))
+    try:
+        ends = getattr(ctx, name)(arg)._mpi_
+    except libmp.ComplexResult:
+        return f"{name} outside the real domain: {iv}"
+    if any(t[1] == 0 and t[2] for t in ends):  # an infinite endpoint
+        return f"{name} outside the real domain: {iv}"
+    return Interval(*map(_frac_of_tuple, ends))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_UNARY = {"exp": iv_exp, "log": iv_log, "cos": iv_cos, "sin": iv_sin, "sqrt": iv_sqrt}
+
+
+@st.composite
+def _transcendental_args(draw):
+    def end():
+        return draw(st.fractions(min_value=-3000, max_value=3000, max_denominator=10 ** 12))
+
+    a, b = end(), end()
+    if draw(st.booleans()):
+        return min(a, b)  # a point, given as a rational
+    return Interval(min(a, b), max(a, b))
+
+
+@given(_transcendental_args(), st.sampled_from([8, 53, 128, 300]))
+@settings(max_examples=80, deadline=None)
+def test_each_transcendental_equals_the_interval_object_path(x, bits):
+    for name, fn in _UNARY.items():
+        assert _outcome(fn, x, bits) == _ctx_path(name, x, bits), (name, x, bits)
+    assert iv_cos_sin(x, bits) == (_ctx_path("cos", x, bits), _ctx_path("sin", x, bits))
+
+
+@pytest.mark.parametrize("bits", [8, 64, 256])
+def test_transcendental_edge_cases_equal_the_interval_object_path(bits):
+    args = [
+        Interval(F(0), F(1)), Interval(F(-1), F(2)), Interval(F(-2), F(-1)), F(0),
+        F(1), Interval(F(-5, 2), F(0)), F(-10 ** 6), Interval(F(10 ** 5), F(10 ** 5 + 1)),
+    ]
+    for x in args:
+        for name, fn in _UNARY.items():
+            assert _outcome(fn, x, bits) == _ctx_path(name, x, bits), (name, x, bits)
+    ctx = mpmath.ctx_iv.MPIntervalContext()
+    ctx.prec = bits + 16
+    assert iv_e(bits) == Interval(*map(_frac_of_tuple, ctx.e._mpi_))
+    assert iv_pi(bits) == Interval(*map(_frac_of_tuple, ctx.pi._mpi_))
+
+
+def _nested_logs(x, k: int, bits: int):
+    for _ in range(k):
+        x = iv_log(x, bits)
+    return x
+
+
+def test_log_chain_equals_nested_logs():
+    args = [F(0), F(1), F(2), F(3), F(16), F(-4), F(15), F(3814280), F(10 ** 40 + 7, 3),
+            Interval(F(1, 2), F(9)), Interval(F(2), F(3)), Interval(F(3, 2), F(7, 4))]
+    for x in args:
+        for k in (1, 2, 3):
+            for bits in (8, 64, 256):
+                assert _outcome(iv_log_chain, x, k, bits) == _outcome(_nested_logs, x, k, bits)

@@ -12,6 +12,7 @@ from carleman.scalar import (
     ExactUnavailableError,
     Interval,
     ScalarConfig,
+    iv_log_chain,
     outward_pow_product,
     refine_sign,
 )
@@ -26,7 +27,6 @@ from carleman.seqcore import (
     WeightSequence,
     Witness,
     _display,
-    _log_chain,
     _int_roots,
     _three_point_sign,
     compare_products,
@@ -644,7 +644,7 @@ def test_iterated_log_keeps_the_powers_of_its_constant_per_precision():
     for bits in (128, 256, 128):
         for n in range(1, 13):
             want = outward_pow_product(
-                _log_chain(s + n, k, bits), s + n, _log_chain(s, k, bits), -s, bits + 8
+                iv_log_chain(s + n, k, bits), s + n, iv_log_chain(s, k, bits), -s, bits + 8
             )
             got = it._enclosure(n, bits)
             assert (got.lo, got.hi) == (want.lo, want.hi), (n, bits)
