@@ -17,9 +17,9 @@ import sys
 from fractions import Fraction
 
 from carleman.bang import BangFunction, _bang_majorant, bang_derivative
-from carleman.cli import ConfigError, parse_sequence_spec
 from carleman.scalar import PrecisionError, ScalarConfig, factorial
 from carleman.seqcore import SequenceError
+from carleman.verify import ConfigError, parse_sequence_spec
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,9 @@ import csv
 import sys
 from itertools import islice
 
-from carleman.cli import ConfigError, parse_sequence_spec
 from carleman.criteria import dc_partial_sums
 from carleman.scalar import ScalarConfig, decimal_str
+from carleman.verify import ConfigError, parse_sequence_spec
 
 DEFAULT_FAMILIES = [
     "analytic",

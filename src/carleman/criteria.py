@@ -61,13 +61,21 @@ def dc_partial_sums(
         yield make_scalar(cfg, exact, enclosure)
 
 
+# the guard of the running partial sums: after m + 1 roundings a total lies
+# within (m + 1) 2**-64 of its size of the unrounded one, so rounded to
+# ``bits`` for output it moves only that close to a ``bits``-bit dyadic (a
+# 16-bit guard moved emitted digits at 64 to 96 bits)
+_SUM_GUARD_BITS = 64
+
+
 def _partial_sums(
     seq: WeightSequence, N: int
 ) -> Iterator[Tuple[Optional[Fraction], Callable[[int], Interval]]]:
     """For m = 0, ..., N: the exact partial sum up to m (None from the first
     term that is not rational on) and a function of the bits enclosing it.
     The enclosures extend one running total per bit size, adding each term
-    once; each must be asked for before the next m is drawn."""
+    once and rounding outward at bits + ``_SUM_GUARD_BITS``; each must be
+    asked for before the next m is drawn."""
     exact = Fraction(0)
     running = {}  # bits -> (terms summed, their enclosure)
     for m in range(N + 1):
@@ -78,7 +86,8 @@ def _partial_sums(
         def enclosure(bits: int, m: int = m) -> Interval:
             done, total = running.get(bits, (0, Interval.point(0)))
             for n in range(done, m + 1):
-                total = total + seq.enclosure(n, bits) / (seq.enclosure(n + 1, bits) * (n + 1))
+                term = seq.enclosure(n, bits) / (seq.enclosure(n + 1, bits) * (n + 1))
+                total = (total + term).outward(bits + _SUM_GUARD_BITS)
             running[bits] = (m + 1, total)
             return total
 
@@ -94,7 +103,7 @@ def _flatten_power_sub(seq: WeightSequence) -> Tuple[WeightSequence, int]:
 
 
 def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
-    marks = sorted({max(1, N // 4), max(2, N // 2), N})
+    marks = sorted({m for m in (max(1, N // 4), max(2, N // 2), N) if 0 <= m <= N})
     points = []
     for m in marks:
         s = dc_partial_sum(seq, m, cfg.with_mode("interval"))
@@ -118,8 +127,9 @@ def quasianalytic_verdict(seq: WeightSequence, cfg: ScalarConfig = DEFAULT_CONFI
     flat, total_p = _flatten_power_sub(seq)
     trend_window = _TREND_WINDOW
     if isinstance(flat, Custom) and flat.length is not None:
-        trend_window = min(trend_window, max(1, (flat.length - 2) // total_p))
-    window = (0, trend_window)
+        # the partial sum up to N reads M_{p(N+1)}, at most the table's last entry
+        trend_window = min(trend_window, (flat.length - 1) // total_p - 1)
+    window = (0, max(0, trend_window))
     base, p = flat, total_p
     if isinstance(base, Analytic) or (isinstance(base, Gevrey) and base.s == 0):
         return Verdict.holds(
@@ -240,32 +250,6 @@ def _closure_global_oracle(seq: WeightSequence) -> Optional[str]:
     return None
 
 
-def derivation_closure_estimate(
-    seq: WeightSequence, window: Window = (1, 64), cfg: ScalarConfig = DEFAULT_CONFIG
-) -> EstimateResult:
-    """Window max of (M_{n+1}/M_n)**(1/n) plus a boundedness verdict."""
-    a, b = _check_window(window, min_start=1)
-    shifted = _ShiftedView(seq, 1)
-    best, best_n, values = _sweep_roots(shifted, seq, (a, b), cfg.bits)
-    scalar = _window_max(best, cfg, lambda bits: _sweep_roots(shifted, seq, (a, b), bits)[0])
-    oracle = _closure_global_oracle(seq)
-    if oracle is not None:
-        verdict = Verdict.holds(window, scope="global", provenance=oracle)
-    else:
-        tail = [(n, float(r.midpoint)) for n, r in values[-3:]]
-        growth = tail[-1][1] / tail[-2][1] if len(tail) >= 2 and tail[-2][1] else None
-        verdict = Verdict.inconclusive(
-            window,
-            trend=Trend(
-                last=tuple(tail),
-                growth=growth,
-                note=f"window max ~{float(best.midpoint):.6g} at n={best_n}",
-            ),
-            provenance="boundedness of the sup is not finitely observable",
-        )
-    return scalar, verdict
-
-
 def _inclusion_global_oracle(
     M: WeightSequence, N: WeightSequence
 ) -> Optional[str]:
@@ -275,9 +259,45 @@ def _inclusion_global_oracle(
         return "constant numerator over weights bounded below by 1"
     if isinstance(M, Gevrey) and isinstance(N, Gevrey) and M.s <= N.s:
         return "comparable factorial powers: ratio roots stay at most 1"
-    if isinstance(M, Analytic) and isinstance(N, Analytic):
-        return "identical sequences: every ratio root equals 1"
     return None
+
+
+def _root_estimate(
+    num: WeightSequence,
+    den: WeightSequence,
+    window: Window,
+    cfg: ScalarConfig,
+    oracle: Optional[str],
+    monotone_note: bool = False,
+) -> EstimateResult:
+    """Window max of (num_n/den_n)**(1/n) plus a boundedness verdict: the
+    global Holds of ``oracle`` when one applies, else an Inconclusive with
+    the sweep's tail, which notes monotone growth when ``monotone_note``."""
+    a, b = _check_window(window, min_start=1)
+    best, best_n, values = _sweep_roots(num, den, (a, b), cfg.bits)
+    scalar = _window_max(best, cfg, lambda bits: _sweep_roots(num, den, (a, b), bits)[0])
+    if oracle is not None:
+        return scalar, Verdict.holds(window, scope="global", provenance=oracle)
+    tail = [(n, float(r.midpoint)) for n, r in values[-3:]]
+    growth = tail[-1][1] / tail[-2][1] if len(tail) >= 2 and tail[-2][1] else None
+    note = f"window max ~{float(best.midpoint):.6g} at n={best_n}"
+    if monotone_note and len(values) >= 2 and all(
+        values[i + 1][1].lo >= values[i][1].lo for i in range(len(values) - 1)
+    ):
+        note += "; monotone growth across the window"
+    verdict = Verdict.inconclusive(
+        window,
+        trend=Trend(last=tuple(tail), growth=growth, note=note),
+        provenance="boundedness of the sup is not finitely observable",
+    )
+    return scalar, verdict
+
+
+def derivation_closure_estimate(
+    seq: WeightSequence, window: Window = (1, 64), cfg: ScalarConfig = DEFAULT_CONFIG
+) -> EstimateResult:
+    """Window max of (M_{n+1}/M_n)**(1/n) plus a boundedness verdict."""
+    return _root_estimate(_ShiftedView(seq, 1), seq, window, cfg, _closure_global_oracle(seq))
 
 
 def inclusion_estimate(
@@ -287,23 +307,4 @@ def inclusion_estimate(
     cfg: ScalarConfig = DEFAULT_CONFIG,
 ) -> EstimateResult:
     """Window max of (M_n/N_n)**(1/n) plus a boundedness verdict."""
-    a, b = _check_window(window, min_start=1)
-    best, best_n, values = _sweep_roots(M, N, (a, b), cfg.bits)
-    scalar = _window_max(best, cfg, lambda bits: _sweep_roots(M, N, (a, b), bits)[0])
-    oracle = _inclusion_global_oracle(M, N)
-    if oracle is not None:
-        verdict = Verdict.holds(window, scope="global", provenance=oracle)
-    else:
-        tail = [(n, float(r.midpoint)) for n, r in values[-3:]]
-        growth = tail[-1][1] / tail[-2][1] if len(tail) >= 2 and tail[-2][1] else None
-        note = f"window max ~{float(best.midpoint):.6g} at n={best_n}"
-        if len(values) >= 2 and all(
-            values[i + 1][1].lo >= values[i][1].lo for i in range(len(values) - 1)
-        ):
-            note += "; monotone growth across the window"
-        verdict = Verdict.inconclusive(
-            window,
-            trend=Trend(last=tuple(tail), growth=growth, note=note),
-            provenance="boundedness of the sup is not finitely observable",
-        )
-    return scalar, verdict
+    return _root_estimate(M, N, window, cfg, _inclusion_global_oracle(M, N), monotone_note=True)

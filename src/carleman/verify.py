@@ -1,5 +1,7 @@
 """The certified verification suite: one check per quantitative claim the
-toolkit implements, runnable as a batch with a deterministic report.
+toolkit implements, runnable as a batch with a deterministic report.  This
+module also owns the run's text formats: the sequence and model spec
+language, the config file, and the records and reports every command emits.
 
 Each check returns a Verdict plus optional enclosure endpoints for the
 report.  Sweep checks start their refinement ladder at a moderate mantissa
@@ -20,7 +22,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from . import __version__
 from .bang import (
     BangFunction,
+    BangModel,
+    CpModel,
     GateError,
+    PolynomialModel,
+    PowerCompositeModel,
     bang_derivative,
     bang_envelope_check,
     bang_lower_bound_certify,
@@ -47,6 +53,7 @@ from .seqcore import (
     Gevrey,
     IteratedLog,
     PowerSub,
+    SequenceError,
     Trend,
     Verdict,
     WeightSequence,
@@ -118,12 +125,186 @@ class RunConfig:
         return ScalarConfig(bits=min(128, self.precision), max_doublings=8)
 
 
+# -- the run's text formats: specs, rationals, windows and config files -------------
+
+
+class ConfigError(ValueError):
+    """Invalid config file or sequence/model specification."""
+
+
+def config_to_dict(config: RunConfig) -> dict:
+    out = {}
+    for f in fields(config):
+        v = getattr(config, f.name)
+        if isinstance(v, Fraction):
+            out[f.name] = f"{v.numerator}/{v.denominator}"
+        elif isinstance(v, tuple):
+            out[f.name] = ",".join(
+                f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else str(x)
+                for x in v
+            )
+        else:
+            out[f.name] = v
+    return out
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Rationals as 'a', 'a/b', or the power form '2^-64'."""
+    t = text.strip()
+    try:
+        if "^" in t:
+            base, _, exp = t.partition("^")
+            return Fraction(int(base)) ** int(exp)
+        return Fraction(t)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"cannot parse rational {text!r}") from exc
+
+
+def _split_top_level(text: str) -> List[str]:
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ConfigError(f"unbalanced parentheses in {text!r}")
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if depth != 0:
+        raise ConfigError(f"unbalanced parentheses in {text!r}")
+    parts.append("".join(cur))
+    return [p.strip() for p in parts]
+
+
+def parse_sequence_spec(spec: str) -> WeightSequence:
+    """Sequence expressions: analytic, gevrey(s), iterlog(k[,offset]),
+    powersub(<seq>,p), custom(v0,v1,...)."""
+    s = spec.strip()
+    if not s:
+        raise ConfigError("empty sequence spec")
+    if "(" not in s:
+        if s == "analytic":
+            return Analytic()
+        raise ConfigError(f"unknown sequence family {s!r}")
+    head, _, rest = s.partition("(")
+    if not rest.endswith(")"):
+        raise ConfigError(f"unbalanced parentheses in {spec!r}")
+    args = _split_top_level(rest[:-1])
+    try:
+        if head == "gevrey":
+            (sv,) = args
+            return Gevrey(parse_fraction(sv))
+        if head == "iterlog":
+            if len(args) == 1:
+                return IteratedLog(int(args[0]))
+            k, offset = args
+            return IteratedLog(int(k), int(offset))
+        if head == "powersub":
+            inner, p = args
+            return PowerSub(parse_sequence_spec(inner), int(p))
+        if head == "custom":
+            return Custom(table=[parse_fraction(a) for a in args])
+    except (ValueError, SequenceError) as exc:
+        raise ConfigError(f"invalid sequence spec {spec!r}: {exc}") from exc
+    raise ConfigError(f"unknown sequence family {head!r}")
+
+
+def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig):
+    """Model expressions: poly(c0,...), cp(p), bang(p), compose(<model>,p)."""
+    s = spec.strip()
+    head, _, rest = s.partition("(")
+    if not rest.endswith(")"):
+        raise ConfigError(f"unbalanced parentheses in {spec!r}")
+    args = _split_top_level(rest[:-1])
+    try:
+        if head == "poly":
+            return PolynomialModel([parse_fraction(a) for a in args])
+        if head == "cp":
+            (p,) = args
+            return CpModel(int(p))
+        if head == "bang":
+            (p,) = args
+            B = BangFunction(
+                seq, p=int(p), max_order=config.envelope_n_max,
+                tail_target=config.tail_target,
+            )
+            return BangModel(B)
+        if head == "compose":
+            inner, p = args
+            return PowerCompositeModel(parse_model_spec(inner, seq, config), int(p))
+    except (ValueError, SequenceError) as exc:
+        raise ConfigError(f"invalid model spec {spec!r}: {exc}") from exc
+    raise ConfigError(f"unknown model {head!r}")
+
+
+def _parse_window(text: str) -> Tuple[int, int]:
+    try:
+        a, _, b = text.partition(":")
+        a, b = int(a), int(b)
+    except ValueError as exc:
+        raise ConfigError(f"windows are written a:b, got {text!r}") from exc
+    if a > b:
+        raise ConfigError(f"window {text!r} is reversed: {a} > {b}")
+    return (a, b)
+
+
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _parse_config_value(key: str, raw: str):
+    """A config value, parsed by the type of the field's default: a window
+    is a:b, tuples are comma-separated, rationals as in ``parse_fraction``;
+    ``config_to_dict`` writes each field this way."""
+    default = _FIELD_DEFAULTS[key]  # KeyError: unknown field
+    if key == "window":
+        return _parse_window(raw)
+    if isinstance(default, tuple):
+        item = parse_fraction if isinstance(default[0], Fraction) else int
+        return tuple(item(v) for v in raw.split(","))
+    if isinstance(default, Fraction):
+        return parse_fraction(raw)
+    if isinstance(default, int):
+        return int(raw)
+    return raw.strip()
+
+
+def load_config_file(path: str) -> dict:
+    """Flat key = value text format; # starts a comment."""
+    overrides = {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {body!r}")
+        key, _, raw = body.partition("=")
+        key, raw = key.strip(), raw.strip()
+        try:
+            overrides[key] = _parse_config_value(key, raw)
+        except KeyError:
+            raise ConfigError(f"{path}:{lineno}: unknown config field {key!r}")
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}")
+    return overrides
+
+
+# -- the check registry ------------------------------------------------------------
+
+
 @dataclass
 class CheckOutcome:
     verdict: Verdict
     lower: Optional[Fraction] = None
     upper: Optional[Fraction] = None
-    witness: str = ""
 
 
 CheckFn = Callable[[RunConfig], CheckOutcome]
@@ -138,20 +319,10 @@ def _check(check_id: str, anchor: str):
     return deco
 
 
-def witness_text(verdict: Verdict) -> str:
-    """The report's witness cell: the witness, else the trend, else empty."""
-    if verdict.witness is not None:
-        return str(verdict.witness)
-    if verdict.trend is not None:
-        return str(verdict.trend)
-    return ""
-
-
 def _outcome(verdict: Verdict, enclosure: Optional[Interval] = None) -> CheckOutcome:
-    out = CheckOutcome(verdict, witness=witness_text(verdict))
-    if enclosure is not None:
-        out.lower, out.upper = enclosure.lo, enclosure.hi
-    return out
+    if enclosure is None:
+        return CheckOutcome(verdict)
+    return CheckOutcome(verdict, enclosure.lo, enclosure.hi)
 
 
 def _unit_grid(g: int) -> List[Fraction]:
@@ -252,8 +423,6 @@ def _build_bang(
     spec or a refused parameter is not a gate outcome; its ``ConfigError``
     or ``SequenceError`` propagates.  The spec is parsed once per
     ``run_checks`` call, so every series of the run has one sequence."""
-    from .cli import parse_sequence_spec
-
     seqs = _RUN_SEQUENCES.get()
     spec = config.bang_seq
     if spec not in seqs:
@@ -573,20 +742,28 @@ class Report:
         return 0
 
 
-def config_to_dict(config: RunConfig) -> dict:
-    out = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        if isinstance(v, Fraction):
-            out[f.name] = f"{v.numerator}/{v.denominator}"
-        elif isinstance(v, tuple):
-            out[f.name] = ",".join(
-                f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else str(x)
-                for x in v
-            )
-        else:
-            out[f.name] = v
-    return out
+def _record(
+    rid: str, anchor: str, verdict: Verdict, lower: str = "", upper: str = "",
+    seconds: float = 0.0,
+) -> Record:
+    """The report row of ``verdict``; its witness cell is the witness, else
+    the trend, else empty."""
+    evidence = verdict.witness if verdict.witness is not None else verdict.trend
+    return Record(
+        id=rid, anchor=anchor, verdict=verdict.outcome,
+        witness="" if evidence is None else str(evidence),
+        lower=lower, upper=upper, seconds=seconds,
+    )
+
+
+def _mini_report(config: RunConfig, records: List[Record]) -> Report:
+    """The report of ``records``, sorted by id, under ``config``."""
+    return Report(
+        version=__version__,
+        config=config_to_dict(config),
+        records=sorted(records, key=lambda r: r.id),
+        metadata={"created": time.strftime("%Y-%m-%dT%H:%M:%S"), "decimal_digits": config.digits},
+    )
 
 
 def check_ids() -> List[str]:
@@ -623,23 +800,7 @@ def run_checks(
             elapsed = time.perf_counter() - start
             lower = decimal_str(out.lower, config.digits, "down") if out.lower is not None else ""
             upper = decimal_str(out.upper, config.digits, "up") if out.upper is not None else ""
-            records.append(
-                Record(
-                    id=cid,
-                    anchor=anchor,
-                    verdict=out.verdict.outcome,
-                    witness=out.witness,
-                    lower=lower,
-                    upper=upper,
-                    seconds=round(elapsed, 6),
-                )
-            )
+            records.append(_record(cid, anchor, out.verdict, lower, upper, round(elapsed, 6)))
     finally:
         _RUN_SEQUENCES.reset(token)
-    records.sort(key=lambda r: r.id)
-    return Report(
-        version=__version__,
-        config=config_to_dict(config),
-        records=records,
-        metadata={"created": time.strftime("%Y-%m-%dT%H:%M:%S"), "decimal_digits": config.digits},
-    )
+    return _mini_report(config, records)

@@ -479,7 +479,7 @@ def test_bang_sequence_is_parsed_once_per_run_and_dropped_with_it(monkeypatch):
         parsed.append((spec, weakref.ref(seq)))
         return seq
 
-    monkeypatch.setattr(cli, "parse_sequence_spec", spy)
+    monkeypatch.setattr(verify, "parse_sequence_spec", spy)
     config = RunConfig(window=(1, 3), remainder_cases=5, transform_cases=10)
     for run in (1, 2):
         report = run_checks(config)
@@ -507,6 +507,26 @@ def test_main_criteria_inclusion_inconclusive_is_expected(capsys):
     out = capsys.readouterr().out
     assert rc == 0  # inconclusive, but no oracle was expected here
     assert "INCONCLUSIVE" in out
+
+
+_FACTORIALS = "custom(1,2,6,24,120,720,5040,40320,362880,3628800,39916800,479001600)"
+_FIBONACCI = "custom(1,2,3,5,8,13,21,34,55,89,144,233,377,610,987)"
+
+
+@pytest.mark.parametrize("argv", [
+    # the trend's partial sums stay inside the table, however short
+    ["seq", "test", "--seq", f"powersub({_FACTORIALS},2)", "--window", "1:1"],
+    ["seq", "test", "--seq", "custom(1,2,8)", "--window", "1:1"],
+    # no family oracle covers a table, power-substituted or not: no resolution is expected
+    ["seq", "test", "--seq", f"powersub({_FACTORIALS},2)", "--window", "1:3"],
+    ["criteria", "closure", "--seq", f"powersub({_FIBONACCI},2)", "--window", "1:6"],
+    ["criteria", "closure", "--seq", _FIBONACCI, "--window", "1:6"],
+], ids=lambda argv: " ".join(argv[:2]) + " " + argv[3][:8] + " " + argv[-1])
+def test_custom_tables_without_a_family_oracle_exit_0(argv, capsys):
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "INCONCLUSIVE" in out and "FAILS" not in out
 
 
 def test_cli_entry_point_subprocess():

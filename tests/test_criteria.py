@@ -126,6 +126,18 @@ def test_derivation_closure_custom_squared_exponent():
         assert ratio == F(2) ** (2 * n + 1)
 
 
+def test_only_inclusion_notes_monotone_growth():
+    # both sweeps grow across the window: the closure's ratio roots are
+    # 2**(3n + 3 + 1/n), the inclusion's roots over constant weights 2**(n*n)
+    seq = Custom(rule=lambda n: F(2) ** (n ** 3), name="cubic")
+    _, closure = derivation_closure_estimate(seq, (1, 8))
+    _, inclusion = inclusion_estimate(seq, Analytic(), (1, 8))
+    assert closure.outcome == inclusion.outcome == "inconclusive"
+    assert [v for _, v in closure.trend.last] == sorted(v for _, v in closure.trend.last)
+    assert "monotone growth" not in closure.trend.note
+    assert inclusion.trend.note.endswith("; monotone growth across the window")
+
+
 def test_inclusion_identity():
     g = Gevrey(1)
     est, verdict = inclusion_estimate(g, g, (1, 16), EXACT)
@@ -193,3 +205,39 @@ def test_interval_estimates_sweep_each_index_once(which, monkeypatch):
     # the endpoints of the max swept again, rounded as make_scalar rounds them
     best = criteria._sweep_roots(num, den, (a, b), cfg.bits)[0].outward(cfg.bits)
     assert (est.lo, est.hi) == (best.lo, best.hi)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_quasianalytic_verdict_reads_only_inside_a_custom_table(p):
+    # the trend's last partial sum reads M_{p(N+1)}; a table of any length
+    # gives an Inconclusive over a window its partial sums can read
+    for length in range(1, 17):
+        base = Custom(table=[F(2) ** (n * n) for n in range(length)])
+        seq = base if p == 1 else PowerSub(base, p)
+        v = quasianalytic_verdict(seq)
+        assert v.outcome == "inconclusive", (length, p)
+        top = (length - 1) // p - 1
+        assert v.window == (0, max(0, top))
+        assert [m for m, _ in v.trend.last] == sorted(
+            {m for m in (max(1, top // 4), max(2, top // 2), top) if 0 <= m <= top}
+        )
+
+
+def test_running_partial_sums_stay_near_the_working_precision():
+    import mpmath
+
+    seq, N, bits = IteratedLog(1), 200, 128
+    limit = bits + criteria._SUM_GUARD_BITS + 8
+    for m, (_, enclosure) in enumerate(criteria._partial_sums(seq, N)):
+        total = enclosure(bits)
+        sizes = [x.bit_length() for q in (total.lo, total.hi) for x in (q.numerator, q.denominator)]
+        assert max(sizes) <= limit, (m, sizes)
+    s = seq.shift
+    with mpmath.workprec(4 * bits):
+        # M_n / M_{n+1} = L(s+n)**(s+n) / L(s+n+1)**(s+n+1) with L = log
+        log_L = [mpmath.log(mpmath.log(mpmath.mpf(s + n))) for n in range(N + 2)]
+        ref = mpmath.fsum(
+            mpmath.exp((s + n) * log_L[n] - (s + n + 1) * log_L[n + 1]) / (n + 1)
+            for n in range(N + 1)
+        )
+    assert total.contains(F(ref.man) * F(2) ** ref.exp)

@@ -66,9 +66,8 @@ def test_the_check_flags_an_unused_import():
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["Union"]
 
 
-# verify parses the bang sequence with cli's parser, and cli imports verify:
-# the one import cycle, broken inside the function
-LOCAL_IMPORT_ALLOWLIST = {("verify", "_build_bang")}
+# no import cycle is left to break inside a function
+LOCAL_IMPORT_ALLOWLIST = set()
 
 
 def _local_imports(node: ast.AST, path: tuple = (), in_function: bool = False):
@@ -105,6 +104,49 @@ def test_the_check_flags_a_function_level_import():
         "        def h():\n            import re\n"
     )
     assert list(_local_imports(ast.parse(text))) == [("f", 3), ("A.g", 8), ("A.g.h", 10)]
+
+
+def _cli_imports(tree: ast.AST):
+    """Lines of every import of the package's ``cli``, at any depth:
+    ``from .cli import``, ``from . import cli``, ``import carleman.cli`` and
+    their absolute forms."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name == "carleman.cli" or a.name.startswith("carleman.cli.") for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            package = node.module == "carleman" or (node.level == 1 and node.module is None)
+            if (
+                node.module == "carleman.cli"
+                or (node.level == 1 and node.module == "cli")
+                or (package and any(a.name == "cli" for a in node.names))
+            ):
+                yield node.lineno
+
+
+# cli is the front end: the library owns the formats and reports it prints,
+# and only the ``python -m carleman`` entry point reaches back to it
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "__main__"], ids=lambda p: p.stem
+)
+def test_no_library_module_imports_cli(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_cli_imports(tree))
+    assert not lines, f"{path.name} imports cli on lines {lines}"
+
+
+def test_the_check_flags_a_cli_import():
+    text = (
+        "from .cli import main\n"
+        "from . import bang, cli\n"
+        "import carleman.cli\n"
+        "def f():\n    from carleman.cli import parse_fraction\n"
+        "from carleman import cli as front\n"
+        "from .verify import client\nfrom .. import cli\nimport carleman.client\n"
+    )
+    assert sorted(_cli_imports(ast.parse(text))) == [1, 2, 3, 5, 6]
+    main = ast.parse((SRC / "__main__.py").read_text(encoding="utf-8"))
+    assert list(_cli_imports(main))
 
 
 # scalar's builder of op results that skips the lo <= hi check
