@@ -4,10 +4,13 @@ and class-norm estimation.
 The central object is the series F built from a weight sequence with
 log-convex derived values: term k is M'_k / (2 m_k)**k times an oscillator
 in 2 m_k xi (cosine, or its p-fold analogue C_p).  Term-wise n-th
-derivatives are M'_k (2 m_k)**(n-k) times a shifted oscillator, and for
-k > K >= n log-convexity gives |term_k| <= 2**(n-k) M'_n, so truncating at
-K leaves a geometric tail below M'_n * 2**(n-K+1).  That bound is the only
-tail control available, which dictates two restrictions enforced here:
+derivatives are M'_k (2 m_k)**(n-k) times a shifted oscillator of size at
+most 1, and truncating at K >= n leaves a tail below M'_n times
+``BangFunction.relative_tail(n)``: the classical geometric 2**(n-K+1), from
+m_k nondecreasing alone, or, where the family oracle certifies M log-convex
+globally, the sharper 2**(n-K) (K+1)! / (n! (K+2)**(K+1-n)), at most half of
+it and far less for large K.  Either bound dictates two restrictions
+enforced here:
 
 * the ratio sequence m_k must be certified nondecreasing on [0, K] at
   construction (with a family oracle recording whether log-convexity is
@@ -16,7 +19,7 @@ tail control available, which dictates two restrictions enforced here:
   |C_p^(n)| <= e holds on [-1, 1] only, and for |xi| > 0 the arguments
   2 m_k xi eventually leave every bounded interval, so no certified tail
   exists away from the origin.  At xi = 0 the derivatives are exactly 0 or
-  1 and the geometric bound applies unchanged.
+  1 and both tail bounds apply unchanged.
 """
 
 from __future__ import annotations
@@ -59,17 +62,6 @@ class GateError(SequenceError):
     """The construction gate certified that the derived sequence is not
     log-convex on [1, K].  Every other refusal of a ``BangFunction`` is a
     plain ``SequenceError`` about its parameters or the sequence itself."""
-
-
-def _ceil_log2_inverse(tau: Fraction) -> int:
-    """Smallest integer o with 2**o >= 1/tau."""
-    inv = 1 / tau
-    o = max(0, (inv.numerator // inv.denominator).bit_length())
-    while o > 0 and Fraction(2) ** (o - 1) >= inv:
-        o -= 1
-    while Fraction(2) ** o < inv:
-        o += 1
-    return o
 
 
 # -- the C_p family --------------------------------------------------------------
@@ -284,15 +276,35 @@ _SEQ_TABLES: "weakref.WeakKeyDictionary[WeightSequence, Tuple[dict, dict]]" = (
 )
 
 
+def _relative_tail(n: int, K: int, log_convex: bool) -> Fraction:
+    """``BangFunction.relative_tail`` at truncation K >= n: the sharper bound
+    when M is log-convex globally, the classical one otherwise."""
+    if not log_convex:
+        return Fraction(2) ** (n - K + 1)
+    return Fraction(factorial(K + 1), factorial(n) * (K + 2) ** (K + 1 - n) << (K - n))
+
+
+def _truncation_index(n: int, tau: Fraction, log_convex: bool) -> int:
+    """The smallest K >= n with ``_relative_tail(n, K, log_convex) <= tau``,
+    by doubling and then bisection: the bound falls as K grows."""
+    lo, hi = n - 1, n  # K = lo misses the target (or lies below n)
+    while _relative_tail(n, hi, log_convex) > tau:
+        lo, hi = hi, 2 * hi - n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _relative_tail(n, mid, log_convex) <= tau else (mid, hi)
+    return hi
+
+
 class BangFunction:
     """Truncated extremal series over a weight sequence with log-convex
     derived values.
 
     The oscillator is fixed by ``p``: cosine for p = 2 (``variant`` "cos"),
     C_p otherwise ("cp").  ``max_order`` is the largest derivative order
-    evaluations will request; the truncation index K is chosen so the
-    relative tail 2**(n-K+1) stays below ``tail_target`` for every
-    n <= max_order (or pass K explicitly).
+    evaluations will request; the truncation index K is the smallest one at
+    which ``relative_tail(max_order)``, and with it the relative tail at
+    every n <= max_order, is at most ``tail_target`` (or pass K explicitly).
     Construction certifies m_k nondecreasing on [0, K]: a certified
     violation raises ``GateError`` and an unresolved gate ``PrecisionError``.
     The memoized enclosures belong to ``seq``: every series built on the
@@ -320,7 +332,10 @@ class BangFunction:
         if max_order < 0:
             raise SequenceError("max_order must be nonnegative")
         self.max_order = max_order
-        self.K = K if K is not None else max_order + _ceil_log2_inverse(tau) + 1
+        oracle = _log_convex_global_oracle(seq)
+        self.tail_scope = "global" if oracle is not None else "window"
+        self.tail_provenance = oracle
+        self.K = K if K is not None else _truncation_index(max_order, tau, oracle is not None)
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
         tables = _SEQ_TABLES.get(seq)
@@ -338,9 +353,6 @@ class BangFunction:
                     f"derived sequence is not log-convex: m_{k} > m_{k + 1}; "
                     "the truncation tail bound needs nondecreasing ratios"
                 )
-        oracle = _log_convex_global_oracle(seq)
-        self.tail_scope = "global" if oracle is not None else "window"
-        self.tail_provenance = oracle
         if tables is None:
             tables = _SEQ_TABLES[seq] = ({}, {})
         if self.K > certified:
@@ -376,8 +388,31 @@ class BangFunction:
         return self._trig_cache[key]
 
     def relative_tail(self, n: int) -> Fraction:
-        """Certified relative tail margin 2**(n-K+1) at derivative order n."""
-        return Fraction(2) ** (n - self.K + 1)
+        """Certified bound, relative to M'_n, on the terms k > K of the
+        order-n derivative, for n <= K.
+
+        Term k is t_k = M'_k (2 m_k)**(n-k), with m_k = M'_{k+1} / M'_k,
+        times an oscillator derivative of size at most 1: cos and sin
+        anywhere, C_p at xi = 0, where it is 0 or 1.  As M'_k is M'_n times
+        m_n ... m_{k-1}, t_k = M'_n 2**(n-k) prod_{j=n}^{k-1} m_j / m_k.
+
+        * Scope "window": 2**(n-K+1).  With m nondecreasing, which the gate
+          certifies on [0, K] only, every quotient m_j / m_k is at most 1,
+          so t_k <= M'_n 2**(n-k), whose sum over k > K is M'_n 2**(n-K);
+          the margin keeps a factor 2 on top.
+        * Scope "global", where the family oracle certifies M log-convex:
+          2**(n-K) (K+1)! / (n! (K+2)**(K+1-n)).  Log-convexity makes
+          M_{j+1} / M_j nondecreasing, and m_j = (j+1) M_{j+1} / M_j, so
+          m_j / m_k <= (j+1) / (k+1) for j < k and t_k is at most
+          b_k = M'_n 2**(n-k) k! / (n! (k+1)**(k-n)).  Then
+          b_{k+1} / b_k = ((k+1) / (k+2))**(k+1-n) / 2 <= 1/2, so the sum
+          over k > K is at most 2 b_{K+1}, which is this bound.  It is the
+          classical one times prod_{j=n+1}^{K+1} j / (K+2) / 2, so at most
+          half of it.
+
+        Both bounds grow with n, so the target met at ``max_order`` is met
+        at every lower order."""
+        return _relative_tail(n, self.K, self.tail_scope == "global")
 
     def describe(self) -> str:
         return (
@@ -440,8 +475,9 @@ def _bang_sum(B: BangFunction, n: int, xi: Fraction, bits: int) -> Interval:
 
 def _bang_majorant(B: BangFunction, n: int, bits: int) -> Interval:
     """Enclosure of S_n + tail_n: S_n is the sum over k <= K of
-    |M'_k (2 m_k)**(n-k)|, and tail_n = 2**(n-K+1) M'_n the tail that
-    ``bang_derivative`` widens by.
+    |M'_k (2 m_k)**(n-k)|, and tail_n = ``B.relative_tail(n)`` M'_n the tail
+    that ``bang_derivative`` widens by: the classical 2**(n-K+1) M'_n, or the
+    sharper bound where M is log-convex globally.
 
     Every term of the order-n derivative is such a coefficient times an
     oscillator derivative of size at most 1 (cos and sin anywhere; the C_p
@@ -470,7 +506,8 @@ def bang_derivative(
     B: BangFunction, n: int, xi: RationalLike, cfg: ScalarConfig = DEFAULT_CONFIG
 ) -> Scalar:
     """Term-wise n-th derivative of the truncated series at xi, widened by
-    the certified geometric tail M'_n * 2**(n-K+1).
+    the certified tail M'_n * ``B.relative_tail(n)``: the classical
+    2**(n-K+1), or the sharper bound where M is log-convex globally.
 
     The cosine variant accepts xi in [-1, 1]; the C_p variant only xi = 0
     (no certified tail exists elsewhere; see the module docstring).
@@ -604,10 +641,11 @@ def bang_envelope_check(
     The proof is the triangle inequality.  Term k of the order-n derivative
     is M'_k (2 m_k)**(n-k) times an oscillator derivative of size at most 1,
     so |F^(n)(xi)| <= S_n + tail_n, with S_n the sum of the coefficient
-    sizes over k <= K and tail_n = 2**(n-K+1) M'_n the certified bound on
-    the terms k > K.  Log-convexity puts every term below 2**(n-k) M'_n, so
-    S_n + tail_n <= 2**(n+1) M'_n is expected, and it is certified once per
-    order from the cached coefficients; no trig runs.
+    sizes over k <= K and tail_n = ``B.relative_tail(n)`` M'_n the certified
+    bound on the terms k > K (at most 2**(n-K+1) M'_n, less where M is
+    log-convex globally).  Log-convexity puts every term below
+    2**(n-k) M'_n, so S_n + tail_n <= 2**(n+1) M'_n is expected, and it is
+    certified once per order from the cached coefficients; no trig runs.
 
     The grid is only a fallback: an order the majorant does not decide is
     evaluated at every grid point, and every Fails or Inconclusive, with its
@@ -629,7 +667,7 @@ def bang_envelope_check(
                 return False  # the majorant exceeds the envelope: ask the grid
             return None
 
-        # the geometric tail needs n <= K; above it the grid refuses the order
+        # the tail bounds need n <= K; above it the grid refuses the order
         if n <= B.K and refine(point_free, cfg):
             continue
         verdict = _envelope_on_grid(B, n, xs, window, cfg)

@@ -107,9 +107,15 @@ def _fraction_from_mpf_tuple(t) -> Fraction:
 def _rounded_tuple(q: Fraction, bits: int, rnd: str):
     """q as an mpf tuple with a ``bits``-bit mantissa, rounded by ``rnd``.
 
-    A dyadic q whose odd part fits in ``bits`` bits is read off its bits;
+    A q that ``_exact_tuple`` reads off is its own rounding either way;
     every other q is rounded by ``_rounded_ratio``, which gives the same
     tuple on a dyadic."""
+    return _exact_tuple(q, bits) or _rounded_ratio(q.numerator, q.denominator, bits, rnd)
+
+
+def _exact_tuple(q: Fraction, bits: int):
+    """A dyadic q whose odd part fits in ``bits`` bits as an mpf tuple, read
+    off its bits; None for every other q."""
     p, d = q.numerator, q.denominator
     if p and not d & (d - 1):
         man = -p if p < 0 else p
@@ -122,7 +128,7 @@ def _rounded_tuple(q: Fraction, bits: int, rnd: str):
         bc = man.bit_length()
         if bc <= bits:
             return (int(p < 0), libmp.MPZ(man), exp, bc)
-    return _rounded_ratio(p, d, bits, rnd)
+    return None
 
 
 def _rounded_ratio(p: int, d: int, bits: int, rnd: str):
@@ -368,26 +374,27 @@ _ROUND_ONCE_GUARD = 32
 _OTHER_WAY = {"f": "c", "c": "f"}
 
 
-def _directed_term(v: Fraction, e: int, wp: int, rnd: str):
+def _directed_term(v: Fraction, e: int, wp: int, rnd: str, tv=None):
     """The factor v**e of a product bounded below ('f') or above ('c'), as
     an mpf tuple at ``wp`` bits; v is a positive rational.  That is v**e
     rounded by ``rnd`` when e > 0, and the divisor v**-e rounded the other
-    way when e < 0; None when e == 0."""
+    way when e < 0; None when e == 0.  ``tv`` is v's ``_exact_tuple`` at
+    ``wp`` bits when the caller has it, which serves both directions."""
     if e == 0:
         return None
     if e < 0:
         e, rnd = -e, _OTHER_WAY[rnd]
-    return libmp.mpf_pow_int(_rounded_tuple(v, wp, rnd), e, wp, rnd)
+    return libmp.mpf_pow_int(tv or _rounded_tuple(v, wp, rnd), e, wp, rnd)
 
 
-def _directed_product(a: Fraction, p: int, tb, q: int, wp: int, rnd: str):
+def _directed_product(ta, p: int, tb, q: int, wp: int, rnd: str):
     """A lower ('f') or upper ('c') bound, as an mpf tuple at ``wp`` bits, of
-    a**p * b**q, where ``tb`` is the directed term of b**q for that bound.
-    Terms with a negative exponent go to one denominator; a lone term with a
-    positive exponent is the bound itself."""
+    a**p * b**q, where ``ta`` and ``tb`` are the directed terms of a**p and
+    b**q for that bound.  Terms with a negative exponent go to one
+    denominator; a lone term with a positive exponent is the bound itself."""
     inv = _OTHER_WAY[rnd]
     num = den = None
-    for t, e in ((_directed_term(a, p, wp, rnd), p), (tb, q)):
+    for t, e in ((ta, p), (tb, q)):
         if e > 0:
             num = t if num is None else libmp.mpf_mul(num, t, wp, rnd)
         elif e < 0:
@@ -405,10 +412,13 @@ def _round_once(
 
     Both directed bounds are rounded to ``bits``; when they agree, the exact
     value, which lies between them, rounds to the same dyadic (Ziv's test).
-    Otherwise the exact value is rounded.
+    Otherwise the exact value is rounded.  An a that fits in ``wp`` bits,
+    as every ``iv_log_chain`` result does, is read off once for both.
     """
-    lower = libmp.mpf_pos(_directed_product(a, p, b_terms[0], q, wp, "f"), bits, rnd)
-    upper = libmp.mpf_pos(_directed_product(a, p, b_terms[1], q, wp, "c"), bits, rnd)
+    tv = _exact_tuple(a, wp)
+    ta_lo, ta_hi = (_directed_term(a, p, wp, r, tv) for r in "fc")
+    lower = libmp.mpf_pos(_directed_product(ta_lo, p, b_terms[0], q, wp, "f"), bits, rnd)
+    upper = libmp.mpf_pos(_directed_product(ta_hi, p, b_terms[1], q, wp, "c"), bits, rnd)
     if lower == upper:
         return _fraction_from_mpf_tuple(lower)
     return _round_exact(((a, p), (b, q)), bits, rnd)

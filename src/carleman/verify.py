@@ -466,7 +466,7 @@ def _bang_cp_lower(config: RunConfig) -> CheckOutcome:
     return _bang_lower(config, config.bang_cp_p, config.bang_cp_n_max)
 
 
-@_check("bang-tail-certificate", "relative truncation tail 2**(n-K+1) <= target")
+@_check("bang-tail-certificate", "relative truncation tail <= target (sharper if M is log-convex)")
 def _bang_tail(config: RunConfig) -> CheckOutcome:
     orders = (
         (2, 2 * config.bang_cos_n_max),

@@ -36,7 +36,7 @@ F = Fraction
 CONFIG = RunConfig()
 
 # sha256 of `carleman verify --format csv` at the default configuration
-VERIFY_CSV_SHA256 = "b26925b771aa03c326f041e75e8d1bf4eeb4b52b09e33135026d42547a671882"
+VERIFY_CSV_SHA256 = "46b0fdd4859697eaee33eb44c2c602daa40b5fde8f251e32d6c56a1787a4f220"
 
 # sha256 of the stdout of single commands on irrational weights at 256 and
 # 512 bits, which the default verify CSV does not reach
@@ -44,9 +44,12 @@ CLI_STDOUT_SHA256 = {
     "seq show --seq iterlog(2) --range 0:64 --precision 512":
         "542bd4253f1009c1309647149e508c2b7741bbe9e8faae24e63f0280ff7565f3",
     "bang eval --seq iterlog(1) --p 2 --order 5 --xi=1/3 --precision 256":
-        "07d827591bec1c4dc2b58edcb3c98bcd00780db78f35bd6de7683b5096905c2e",
+        "d873b6cb33fc99448e021c22c19aef3b01325d9230ca9069b1ac9d95a4046936",
     "bang eval --seq iterlog(1) --p 3 --order 6 --xi=0 --precision 256":
-        "0e8bc214e22d2fffcc4de8883d6562b7f08160a1f4acaac6d7e245b440a39663",
+        "8fc61ae8ed59f9ea0f479a56b4e8fe2a5682235f5f4e3568e28ed998bdd9f660",
+    # a window-scope series: classical truncation K and tail
+    "bang build --seq iterlog(1,5) --p 2 --max-order 6":
+        "fed5aed4cb96b42614f391b83fe63dd5688bfae36ec92f845710cbec96fa2e41",
     "criteria dc --seq iterlog(2) --precision 256":
         "e5fe870f00340ff0b06db4ca5b1e1e727640213029eef1a6eb1466b79d11f3ef",
 }

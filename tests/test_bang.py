@@ -1,7 +1,9 @@
 """Extremal series, C_p oscillators, growth envelopes, and class norms."""
 
 import gc
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -38,7 +40,7 @@ from carleman.scalar import (
     iv_sin,
     outward_pow_product,
 )
-from carleman.seqcore import Custom, Gevrey, IteratedLog, SequenceError
+from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub, SequenceError
 
 F = Fraction
 IVAL = ScalarConfig(mode="interval", bits=128)
@@ -145,11 +147,107 @@ def test_bang_gate_rejects_non_log_convex():
 
 
 def test_bang_truncation_policy():
-    B = BangFunction(IteratedLog(2), p=2, max_order=10, tail_target=F(1, 2 ** 64))
-    assert B.K >= 10 + 64 + 1
+    seq = IteratedLog(2)
+    B = BangFunction(seq, p=2, max_order=10, tail_target=F(1, 2 ** 64))
+    assert B.tail_scope == "global"
     for n in range(11):
         assert B.relative_tail(n) <= B.tail_target == F(1, 2 ** 64)
-    assert B.tail_scope == "global"
+    # K is the smallest truncation that meets the target
+    shorter = BangFunction(seq, p=2, max_order=10, tail_target=F(1, 2 ** 64), K=B.K - 1)
+    assert shorter.relative_tail(10) > B.tail_target
+
+
+def _ceil_log2(x: Fraction) -> int:
+    """The smallest o with 2**o >= x, for x >= 1."""
+    return (-(-x.numerator // x.denominator) - 1).bit_length()
+
+
+@pytest.mark.parametrize("tau", [F(1, 2 ** 64), F(3, 10 ** 20), F(1, 2 ** 1000)])
+def test_window_scope_truncation_keeps_the_classical_tail(tau):
+    # no global log-convexity oracle: K and the tail are the classical ones
+    seq = Custom(table=[1] * 1100)
+    for max_order in (0, 6, 20):
+        B = BangFunction(seq, p=2, max_order=max_order, tail_target=tau)
+        assert B.tail_scope == "window"
+        assert B.K == max_order + _ceil_log2(1 / tau) + 1
+        for n in (0, max_order):
+            assert B.relative_tail(n) == F(2) ** (n - B.K + 1)
+
+
+@pytest.mark.parametrize("family", [Analytic, lambda: Custom(table=[1] * 1100)])
+def test_truncation_at_a_tiny_target_is_cheap(family):
+    # K is 431 (global scope) or 1007 (window scope), gate included
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        BangFunction(family(), p=2, max_order=6, tail_target=F(1, 2 ** 1000))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
+
+
+def _mp_fraction(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mp_weight(seq, n: int):
+    """M_n in plain mpmath at the current precision, from the family's
+    definition."""
+    if isinstance(seq, Analytic):
+        return mpmath.mpf(1)
+    if isinstance(seq, Gevrey):
+        return mpmath.factorial(n) ** _mp_fraction(seq.s)
+    if isinstance(seq, IteratedLog):
+
+        def L(x):
+            for _ in range(seq.k):
+                x = mpmath.log(x)
+            return x
+
+        s = seq.shift
+        return L(mpmath.mpf(s + n)) ** (s + n) / L(mpmath.mpf(s)) ** s
+    assert isinstance(seq, PowerSub)
+    return _mp_weight(seq.base, seq.p * n)
+
+
+def _true_tail(seq, n: int, K: int):
+    """The sum over k > K of t_k = M'_k (2 m_k)**(n-k), with M'_k = k! M_k
+    and m_k = M'_{k+1} / M'_k, up to the first term below 2**-200 of the
+    scale M'_n; returns the sum and the scale."""
+    mprime = [mpmath.factorial(k) * _mp_weight(seq, k) for k in range(K + 2)]
+    scale, total = mprime[n], mpmath.mpf(0)
+    for k in itertools.count(K + 1):
+        mprime.append(mpmath.factorial(k + 1) * _mp_weight(seq, k + 1))
+        t = mprime[k] * (2 * mprime[k + 1] / mprime[k]) ** (n - k)
+        total += t
+        if t < scale * mpmath.mpf(2) ** -200:
+            return total, scale
+
+
+# factories, not sequences: a sequence kept alive keeps its series tables
+_GLOBAL_FAMILIES = [
+    Analytic,
+    lambda: Gevrey(F(3, 2)),
+    lambda: IteratedLog(1),
+    lambda: PowerSub(IteratedLog(2), 2),
+]
+
+
+def test_sharper_tail_bounds_the_true_tail():
+    """Soundness of the global-scope tail: relative_tail(n) M'_n is at least
+    the true tail of the untruncated series, summed in mpmath at 4x the
+    working bits, and half of it is not, for at least one case."""
+    halves_fail = False
+    with mpmath.workprec(4 * 128):
+        for family in _GLOBAL_FAMILIES:
+            seq = family()
+            B = BangFunction(seq, p=2, max_order=8, tail_target=F(1, 2 ** 64))
+            assert B.tail_scope == "global"
+            for n in (0, 3, 8):
+                true, scale = _true_tail(seq, n, B.K)
+                bound = _mp_fraction(B.relative_tail(n)) * scale
+                assert bound >= true, (seq.describe(), n)
+                halves_fail |= bound / 2 < true
+    assert halves_fail
 
 
 def test_bang_odd_derivatives_vanish_at_zero():
