@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -78,6 +77,8 @@ from .verify import (
     parse_fraction,
     parse_model_spec,
     parse_sequence_spec,
+    report_to_csv_text,
+    report_to_json_obj,
     run_checks,
 )
 
@@ -116,35 +117,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 # -- report emission ------------------------------------------------------------------
-
-
-def report_to_json_obj(report: Report) -> dict:
-    return {
-        "version": report.version,
-        "config": report.config,
-        "metadata": report.metadata,
-        "records": [dataclasses.asdict(r) for r in report.records],
-    }
-
-
-def report_from_json_obj(obj: dict) -> Report:
-    return Report(
-        version=obj["version"],
-        config=obj["config"],
-        records=[Record(**r) for r in obj["records"]],
-        metadata=obj.get("metadata", {}),
-    )
-
-
-def report_to_csv_text(report: Report) -> str:
-    """Deterministic CSV: the seconds column is left empty (timings live in
-    the JSON metadata; see the module docstring)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(["id", "anchor", "verdict", "witness", "lower", "upper", "seconds"])
-    for r in report.records:
-        writer.writerow([r.id, r.anchor, r.verdict, r.witness, r.lower, r.upper, ""])
-    return buf.getvalue()
 
 
 def _write_text(path: str, text: str, what: str) -> None:

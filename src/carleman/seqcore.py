@@ -156,14 +156,16 @@ IntRoot = Tuple[int, int, int]  # (num, den, d): value == (num/den) ** (1/d)
 class WeightSequence:
     """Base class.  Subclasses implement ``_root``, the one exact hook: the
     form q**(1/d) of M_n, or None when there is none.  ``exact`` (the value
-    when it is rational) and the default ``_enclosure`` derive from it;
-    sequences without exact forms override ``_enclosure``.  ``_int_forms``
-    gives a prefix of the same forms as integer triples, in one batch."""
+    when it is rational), the default ``_enclosure`` and the batch of
+    integer forms ``_int_forms`` derive from it; sequences without exact
+    forms override ``_enclosure``."""
 
     def __init__(self):
         self._exact_cache = {}
         self._root_cache = {}
         self._enclosure_cache = {}
+        self._forms: List[IntRoot] = []
+        self._forms_open = True  # False once an index has no form
 
     # -- representation hooks ------------------------------------------------
 
@@ -180,11 +182,23 @@ class WeightSequence:
         return iv_pow(rep[0], Fraction(1, rep[1]), bits)
 
     def _int_forms(self, hi: int) -> List[IntRoot]:
-        """The forms of M_0, M_1, ... that one batch can give: a prefix that
-        reaches M_hi or goes past it, or that stops just before the first
-        index without a form or outside the sequence.  It never raises; the
-        callers read every point past it through ``as_root``.  Empty here."""
-        return []
+        """The forms ``_root`` gives for M_0, M_1, ..., as integer triples
+        (num, den, d) in one list kept on the sequence: the longest prefix
+        of them that reaches M_hi or goes past it.  The list stops for good
+        just before the first index whose ``_root`` gives None or raises.
+        It never raises; the callers read every point past it through
+        ``as_root``, which raises there as it would without a batch."""
+        forms = self._forms
+        while self._forms_open and len(forms) <= hi:
+            try:
+                rep = self._root(len(forms))
+            except Exception:  # a user rule can raise anything; as_root re-raises it
+                rep = None
+            if rep is None:
+                self._forms_open = False
+            else:
+                forms.append((rep[0].numerator, rep[0].denominator, rep[1]))
+        return forms
 
     # -- public accessors ----------------------------------------------------
 
@@ -234,9 +248,6 @@ class Analytic(WeightSequence):
     def _root(self, n: int) -> RootRep:
         return (Fraction(1), 1)
 
-    def _int_forms(self, hi: int) -> List[IntRoot]:
-        return [(1, 1, 1)] * (hi + 1)
-
     def describe(self) -> str:
         return "analytic"
 
@@ -252,14 +263,6 @@ class Gevrey(WeightSequence):
 
     def _root(self, n: int) -> RootRep:
         return (Fraction(factorial(n) ** self.s.numerator), self.s.denominator)
-
-    def _int_forms(self, hi: int) -> List[IntRoot]:
-        e, d = self.s.numerator, self.s.denominator
-        forms, f = [], 1
-        for n in range(hi + 1):
-            forms.append((f ** e, 1, d))  # f == n!
-            f *= n + 1
-        return forms
 
     def describe(self) -> str:
         return f"gevrey({self.s})"
@@ -377,9 +380,6 @@ class PowerSub(WeightSequence):
     def _root(self, n: int) -> Optional[RootRep]:
         return self.base.as_root(self.p * n)
 
-    def _int_forms(self, hi: int) -> List[IntRoot]:
-        return self.base._int_forms(self.p * hi)[:: self.p]
-
     def _enclosure(self, n: int, bits: int) -> Interval:
         return self.base.enclosure(self.p * n, bits)
 
@@ -408,7 +408,7 @@ class Custom(WeightSequence):
             if any(v.numerator <= 0 for v in vals):
                 raise SequenceError("custom sequence values must be strictly positive")
             self._table = vals if vals[0] == 1 else tuple(v / vals[0] for v in vals)
-            self._forms = None
+            self._forms = [(v.numerator, v.denominator, 1) for v in self._table]
         else:
             self._table = None
             v0 = _as_fraction(rule(0))
@@ -431,13 +431,6 @@ class Custom(WeightSequence):
         if v <= 0:
             raise SequenceError(f"custom rule produced a nonpositive value at n={n}")
         return (v / self._norm, 1)
-
-    def _int_forms(self, hi: int) -> List[IntRoot]:
-        if self._table is None:
-            return []
-        if self._forms is None:
-            self._forms = [(v.numerator, v.denominator, 1) for v in self._table]
-        return self._forms
 
     def describe(self) -> str:
         return self.name
@@ -532,10 +525,10 @@ def _endpoint_products(
 
 def _int_roots(seq: WeightSequence, lo: int, hi: int) -> List[IntRoot]:
     """The integer root forms of M_lo, ..., M_hi that the sequence's batch
-    holds, as a new list; the fraction num/den need not be reduced.  It may
-    stop early, at an index without a form or outside the sequence; the
-    caller decides every comparison past it with ``compare_products``, which
-    decides or raises exactly as on an unbatched sequence."""
+    holds, as a new list; the fraction num/den need not be reduced.  It
+    stops early at the first index without a form or outside the sequence;
+    the caller decides every comparison past it with ``compare_products``,
+    which decides or raises there as ``as_root`` does."""
     return seq._int_forms(hi)[lo : hi + 1]
 
 

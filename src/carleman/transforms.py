@@ -114,7 +114,6 @@ class Regularized(WeightSequence):
         self.n_max = n_max
         self.vertices = vertices
         self._vertex_set = frozenset(vertices)
-        self._forms: Optional[List[IntRoot]] = None
 
     def _validate_index(self, n: int):
         super()._validate_index(n)
@@ -131,6 +130,10 @@ class Regularized(WeightSequence):
         return (a, a) if a == n else (a, vs[i])
 
     def _root(self, n: int) -> Optional[RootRep]:
+        """A vertex's form is the base's, and any other point's is read off
+        the batch.  A point past the batch lies in a segment that the base's
+        batch does not cover and is given no form; its two vertices are read
+        through the base only so that it raises where the base raises."""
         if n in self._vertex_set:
             return self.base.as_root(n)
         forms = self._int_forms(n)
@@ -138,28 +141,24 @@ class Regularized(WeightSequence):
             num, den, d = forms[n]
             return (Fraction(num, den), d)
         a, b = self._bracket(n)
-        ra, rb = self.base.as_root(a), self.base.as_root(b)
-        if ra is None or rb is None:
-            return None
-        (qa, da), (qb, db) = ra, rb
-        lcm = da * db // math.gcd(da, db)
-        return (qa ** ((b - n) * lcm // da) * qb ** ((n - a) * lcm // db), lcm * (b - a))
+        self.base.as_root(a)
+        self.base.as_root(b)
+        return None
 
     def _int_forms(self, hi: int) -> List[IntRoot]:
         """The forms of the points from 0 to the end of the last segment
         whose two vertices the base's batch holds.  Inside a segment
         [a, b] the form at n is (M_a**(b-n) * M_b**(n-a)) ** (1/(b-a)) with
-        the powers carried from point to point; no fraction is reduced."""
-        if self._forms is not None:
+        the powers carried from point to point; no fraction is reduced.
+        The list is built once, for the whole window."""
+        if not self._forms_open:
             return self._forms
         base = _int_roots(self.base, 0, self.n_max)
         vs = self.vertices
         if len(vs) == len(base) == self.n_max + 1:
             forms = base  # every point is a vertex
-        elif not base:
-            forms = []
         else:
-            forms = [base[0]]
+            forms = base[:1]
             for a, b in zip(vs, vs[1:]):
                 if b >= len(base):
                     break
@@ -176,7 +175,7 @@ class Regularized(WeightSequence):
                     (xa, ya), (xb, yb) = pa[b - a - j], pb[j]
                     forms.append((xa * xb, ya * yb, d))
                 forms.append(base[b])
-        self._forms = forms
+        self._forms, self._forms_open = forms, False
         return forms
 
     def _enclosure(self, n: int, bits: int) -> Interval:

@@ -1,7 +1,8 @@
 """The certified verification suite: one check per quantitative claim the
 toolkit implements, runnable as a batch with a deterministic report.  This
 module also owns the run's text formats: the sequence and model spec
-language, the config file, and the records and reports every command emits.
+language, the config file, and the records and reports every command emits,
+with their JSON and CSV writers.
 
 Each check returns a Verdict plus optional enclosure endpoints for the
 report.  Sweep checks start their refinement ladder at a moderate mantissa
@@ -11,11 +12,13 @@ an accuracy knob for reported enclosures, never a soundness knob.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -764,6 +767,35 @@ def _mini_report(config: RunConfig, records: List[Record]) -> Report:
         records=sorted(records, key=lambda r: r.id),
         metadata={"created": time.strftime("%Y-%m-%dT%H:%M:%S"), "decimal_digits": config.digits},
     )
+
+
+def report_to_json_obj(report: Report) -> dict:
+    return {
+        "version": report.version,
+        "config": report.config,
+        "metadata": report.metadata,
+        "records": [asdict(r) for r in report.records],
+    }
+
+
+def report_from_json_obj(obj: dict) -> Report:
+    return Report(
+        version=obj["version"],
+        config=obj["config"],
+        records=[Record(**r) for r in obj["records"]],
+        metadata=obj.get("metadata", {}),
+    )
+
+
+def report_to_csv_text(report: Report) -> str:
+    """Deterministic CSV: the seconds column is left empty, because timings
+    differ from run to run; they live in the JSON records and metadata."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(["id", "anchor", "verdict", "witness", "lower", "upper", "seconds"])
+    for r in report.records:
+        writer.writerow([r.id, r.anchor, r.verdict, r.witness, r.lower, r.upper, ""])
+    return buf.getvalue()
 
 
 def check_ids() -> List[str]:

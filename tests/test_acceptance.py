@@ -27,9 +27,9 @@ from fractions import Fraction
 
 import pytest
 
-from carleman.cli import main, report_to_csv_text
+from carleman.cli import main
 from carleman.comb import composition_sum_oracle, log_power_coefficients
-from carleman.verify import RunConfig, run_checks
+from carleman.verify import RunConfig, report_to_csv_text, run_checks
 
 F = Fraction
 

@@ -19,14 +19,20 @@ from carleman.cli import (
     main,
     parse_fraction,
     parse_sequence_spec,
-    report_from_json_obj,
-    report_to_csv_text,
-    report_to_json_obj,
 )
 from carleman.criteria import dc_partial_sum
 from carleman.scalar import PrecisionError, ScalarConfig, make_scalar
 from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub
-from carleman.verify import Record, Report, RunConfig, config_to_dict, run_checks
+from carleman.verify import (
+    Record,
+    Report,
+    RunConfig,
+    config_to_dict,
+    report_from_json_obj,
+    report_to_csv_text,
+    report_to_json_obj,
+    run_checks,
+)
 
 F = Fraction
 

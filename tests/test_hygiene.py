@@ -430,6 +430,36 @@ def test_the_check_flags_an_exact_hook():
     assert list(_class_methods(ast.parse(text), SECOND_EXACT_HOOK)) == [("B", 7), ("C", 11)]
 
 
+# The batch of integer forms derives from ``_root`` in the base class; only the
+# regularization builds its own, from running powers of its vertex forms.
+BATCH_HOOK = "_int_forms"
+BATCH_OWNERS = {"WeightSequence", "Regularized"}
+
+
+def _other_batches(tree: ast.AST):
+    """(class, line) of every ``_int_forms`` outside the two batch owners."""
+    return [(c, line) for c, line in _class_methods(tree, BATCH_HOOK) if c not in BATCH_OWNERS]
+
+
+def test_only_the_base_class_and_the_regularization_define_a_batch():
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = _other_batches(tree)
+        assert not found, f"{path.name} defines {BATCH_HOOK} in {found}; derive it from _root"
+        owners += [c for c, _ in _class_methods(tree, BATCH_HOOK)]
+    assert sorted(owners) == sorted(BATCH_OWNERS)
+
+
+def test_the_check_flags_a_third_batch():
+    text = (
+        "class WeightSequence:\n    def _int_forms(self, hi):\n        return []\n"
+        "class Regularized(WeightSequence):\n    def _int_forms(self, hi):\n        return []\n"
+        "class Gevrey(WeightSequence):\n    def _int_forms(self, hi):\n        return []\n"
+    )
+    assert _other_batches(ast.parse(text)) == [("Gevrey", 8)]
+
+
 # -- the benchmark tracer's targets -----------------------------------------------------
 
 

@@ -9,8 +9,17 @@ from mpmath import libmp
 
 from carleman.criteria import dc_partial_sum
 from carleman.scalar import Interval, ScalarConfig, _rounded_ratio, decimal_str, iv_pow
-from carleman.seqcore import Custom, IteratedLog, PowerSub, is_increasing, is_log_convex
-from carleman.transforms import log_convex_regularization
+from carleman.seqcore import (
+    Custom,
+    IteratedLog,
+    PowerSub,
+    SequenceError,
+    _int_roots,
+    is_increasing,
+    is_log_convex,
+)
+from carleman.transforms import Regularized, log_convex_regularization
+from carleman.verify import parse_sequence_spec
 
 F = Fraction
 EXACT = ScalarConfig(mode="exact")
@@ -129,6 +138,54 @@ def test_dc_partial_sum_nondecreasing(vals):
         if prev is not None:
             assert cur >= prev
         prev = cur
+
+
+@st.composite
+def sequence_specs(draw):
+    """A gevrey or custom spec, inside zero to two power substitutions."""
+    if draw(st.booleans()):
+        spec = f"gevrey({draw(fractions(max_num=6, min_value=F(0)))})"
+    else:
+        spec = "custom(" + ",".join(str(v) for v in draw(positive_tables())) + ")"
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        spec = f"powersub({spec},{draw(st.integers(min_value=1, max_value=3))})"
+    return spec
+
+
+def _root_prefix(seq, hi):
+    """The forms of M_0, ..., M_hi read through ``as_root``, up to the first
+    index without one or outside the sequence."""
+    forms = []
+    for n in range(hi + 1):
+        try:
+            rep = seq.as_root(n)
+        except SequenceError:
+            break
+        if rep is None:
+            break
+        forms.append(rep)
+    return forms
+
+
+def _assert_batch_is_the_root_prefix(seq, hi):
+    batch = [(F(num, den), d) for num, den, d in _int_roots(seq, 0, hi)]
+    assert batch == _root_prefix(seq, hi), (seq.describe(), hi)
+
+
+@given(sequence_specs(), st.integers(min_value=2, max_value=14), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_batch_is_the_longest_prefix_of_root_forms(spec, hi, data):
+    seq = parse_sequence_spec(spec)
+    _assert_batch_is_the_root_prefix(seq, hi)
+    top = len(_root_prefix(seq, hi)) - 1
+    if top >= 2:
+        reg = log_convex_regularization(seq, (0, top))
+        _assert_batch_is_the_root_prefix(reg, top)
+        _assert_batch_is_the_root_prefix(PowerSub(reg, 2), top)
+    # arbitrary vertices over the whole of [0, hi], which may pass the end
+    # of a custom table
+    inner = data.draw(st.sets(st.integers(min_value=1, max_value=hi - 1)))
+    _assert_batch_is_the_root_prefix(Regularized(seq, hi, (0, *sorted(inner), hi)), hi)
 
 
 # -- results built without the order check ---------------------------------------------

@@ -439,13 +439,16 @@ def test_log_convexity_matches_the_compare_products_reference(monkeypatch):
         for window in ((1, top - 1), (2, top - 1), (top - 1, top - 1)):
             verdicts.add(_check_against_reference(seq, window, "base"))
     assert verdicts == {"holds", "fails"}
-    # the base sweep over a batch never calls compare_products; a rule has no
-    # batch, so every n goes to it
-    assert calls == []
+    # the base sweep over a batch never calls compare_products, and a rule's
+    # batch derives from its forms too
     rule = Custom(rule=lambda n: F(n * n % 7 + 1, n % 5 + 1))
     for window in ((1, 19), (4, 19)):
         _check_against_reference(rule, window, "base")
-    assert calls
+    assert calls == []
+    # a sequence without exact forms past M_0 sends every n to it
+    for window in ((1, 19), (4, 19)):
+        _check_against_reference(IteratedLog(1), window, "base")
+    assert len(calls) == 35
 
 
 def test_log_convexity_of_regularizations_matches_the_compare_products_reference():
@@ -497,6 +500,33 @@ def test_log_convexity_past_a_custom_table_raises_at_the_reference_index():
                     assert got.ok
                 else:
                     assert got.outcome == "fails" and got.witness.index == want[0]
+
+
+def test_a_batch_grows_with_hi_and_stops_for_good_at_the_first_index_without_a_form():
+    calls = []
+
+    def rule(n):
+        calls.append(n)
+        return 1 if n < 5 else -1
+
+    seq = Custom(rule=rule)
+    assert seq._int_forms(3) == [(1, 1, 1)] * 4
+    assert seq._int_forms(10) == [(1, 1, 1)] * 5
+    # the batch read the rule once per index, up to the first bad one
+    assert calls == [0, 0, 1, 2, 3, 4, 5]
+    assert len(seq._int_forms(20)) == 5 and calls[-1] == 5 and len(calls) == 7
+    with pytest.raises(SequenceError, match="nonpositive value at n=5"):
+        seq.as_root(5)
+
+
+def test_a_batch_stops_at_any_error_and_the_sweep_raises_past_it():
+    seq = Custom(rule=lambda n: (1, 3, 1)[n] if n < 3 else 1.5)
+    # a float value is a TypeError in _root; the batch stops before it
+    assert _int_roots(seq, 0, 4) == [(1, 1, 1), (3, 1, 1), (1, 1, 1)]
+    v = is_log_convex(seq, (1, 4))
+    assert v.outcome == "fails" and v.witness.index == 1
+    with pytest.raises(TypeError, match="float"):
+        is_log_convex(seq, (2, 4))
 
 
 def test_log_convexity_without_root_forms_uses_compare_products(monkeypatch):

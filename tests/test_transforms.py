@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from carleman.criteria import _ShiftedView
 from carleman.scalar import Interval, PrecisionError, ScalarConfig, factorial
 from carleman.seqcore import (
     Analytic,
@@ -403,7 +404,13 @@ def test_every_batch_is_a_prefix_of_the_root_forms():
         (Regularized(table, 8, (0, 3, 8)), 8), (Regularized(table, 8, (0, 1, 2, 8)), 8),
         (Regularized(Gevrey(F(1, 2)), 9, (0, 4, 9)), 9),
     ]
-    for seq, h in batched:
+    # rules, iterated logs and shifted views get their batches from _root too
+    derived = [
+        (rule, 4), (PowerSub(rule, 2), 4), (IteratedLog(1), 4),
+        (Regularized(IteratedLog(1), 4, (0, 4)), 4), (_ShiftedView(IteratedLog(1), 1), 4),
+    ]
+    assert [len(_int_roots(seq, 0, h)) for seq, h in derived] == [5, 5, 1, 1, 0]
+    for seq, h in batched + derived:
         forms = _int_roots(seq, 0, h)
         assert len(forms) <= h + 1
         for n, (num, den, d) in enumerate(forms):
@@ -411,10 +418,6 @@ def test_every_batch_is_a_prefix_of_the_root_forms():
         # a short batch stops just before the first index without a form
         if len(forms) <= h:
             assert _root_or_error(seq, len(forms)) is None, seq.describe()
-    # the families without a batch give none, although they have forms
-    for seq in (rule, PowerSub(rule, 2), IteratedLog(1), Regularized(IteratedLog(1), 4, (0, 4))):
-        assert seq.as_root(0) == (1, 1)
-        assert _int_roots(seq, 0, 4) == []
 
 
 # -- the integer hull sweep against compare_products ---------------------------------
@@ -476,12 +479,15 @@ def test_hull_vertices_match_the_compare_products_reference(monkeypatch):
     for seq, n_max in seqs:
         expected = _reference_hull(seq, n_max)
         assert log_convex_regularization(seq, (0, n_max)).vertices == expected, seq.describe()
+    # a rule's batch derives from its forms too
+    rule = Custom(rule=lambda n: F(n * n % 7 + 1, n % 5 + 1))
+    assert log_convex_regularization(rule, (0, 20)).vertices == _reference_hull(rule, 20)
     # every family here has a batch that covers the window: no turn went to
     # compare_products
     assert calls == []
-    # a rule has no batch: every turn goes to compare_products
-    rule = Custom(rule=lambda n: F(n * n % 7 + 1, n % 5 + 1))
-    assert log_convex_regularization(rule, (0, 20)).vertices == _reference_hull(rule, 20)
+    # a sequence without exact forms past M_0: every turn goes to it
+    seq = IteratedLog(1)
+    assert log_convex_regularization(seq, (0, 20)).vertices == _reference_hull(seq, 20)
     assert len(calls) >= 19
 
 
