@@ -15,9 +15,10 @@ Usage:
 import argparse
 import sys
 from fractions import Fraction
+from math import factorial
 
 from carleman.bang import BangFunction, _bang_majorant, bang_derivative
-from carleman.scalar import PrecisionError, ScalarConfig, factorial
+from carleman.scalar import PrecisionError, ScalarConfig
 from carleman.seqcore import SequenceError
 from carleman.verify import ConfigError, parse_sequence_spec
 

@@ -24,8 +24,8 @@ enforced here:
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence, Tuple
 
 from .comb import composite_derivative
@@ -37,8 +37,8 @@ from .scalar import (
     Scalar,
     ScalarConfig,
     _as_fraction,
+    _fraction_from_mpf_tuple,
     _rounded_ratio,
-    factorial,
     iv_cos_sin,
     iv_e,
     make_scalar,
@@ -182,51 +182,14 @@ Dyadic = Tuple[int, int, int]  # the interval [lo * 2**exp, hi * 2**exp], lo <= 
 def _dyadic(iv: Interval) -> Dyadic:
     """Integer mantissas at a common binary exponent for an interval whose
     endpoints are dyadic rationals; any other endpoint raises."""
-    ends = []
-    for q in (iv.lo, iv.hi):
-        d = q.denominator
-        if d & (d - 1):
-            raise ValueError(f"interval endpoint {q} is not a dyadic rational")
-        ends.append((q.numerator, 1 - d.bit_length()))
-    return _common_exponent(*ends)
-
-
-def _dyadic_of_mpf(tlo, thi) -> Dyadic:
-    """``_dyadic`` of the interval between two ordered mpf tuples."""
-    ends = []
-    for sign, man, exp, _bc in (tlo, thi):
-        man = -int(man) if sign else int(man)
-        ends.append((man << exp, 0) if exp >= 0 else (man, exp))
-    return _common_exponent(*ends)
-
-
-def _common_exponent(lo_end: Tuple[int, int], hi_end: Tuple[int, int]) -> Dyadic:
-    """Two endpoints m * 2**e, given as (m, e), at their smaller exponent;
-    an integer endpoint has e = 0, any other an odd m."""
-    (lo, elo), (hi, ehi) = lo_end, hi_end
-    e = min(elo, ehi)
-    return lo << (elo - e), hi << (ehi - e), e
-
-
-def _dyadic_interval(lo: int, hi: int, e: int) -> Interval:
-    if e >= 0:
-        return Interval(Fraction(lo << e), Fraction(hi << e))
-    return Interval(Fraction(lo, 1 << -e), Fraction(hi, 1 << -e))
-
-
-def _dyadic_neg(x: Dyadic) -> Dyadic:
-    lo, hi, e = x
-    return -hi, -lo, e
-
-
-def _dyadic_abs(x: Dyadic) -> Dyadic:
-    """The range of |t| over t in x, with the cases of ``Interval.__abs__``."""
-    lo, hi, e = x
-    if lo >= 0:
-        return x
-    if hi <= 0:
-        return -hi, -lo, e
-    return 0, max(-lo, hi), e
+    lo, hi = iv.lo, iv.hi
+    dlo, dhi = lo.denominator, hi.denominator
+    if dlo & (dlo - 1) or dhi & (dhi - 1):
+        raise ValueError(f"interval {iv!r} has an endpoint that is not a dyadic rational")
+    # q = num / 2**(d.bit_length() - 1) for its denominator d
+    slo, shi = dlo.bit_length(), dhi.bit_length()
+    shift = max(slo, shi)
+    return lo.numerator << (shift - slo), hi.numerator << (shift - shi), 1 - shift
 
 
 def _dyadic_sum(terms: Sequence[Dyadic]) -> Interval:
@@ -237,43 +200,12 @@ def _dyadic_sum(terms: Sequence[Dyadic]) -> Interval:
     e0 = min(e for _, _, e in terms)
     lo = sum(t_lo << (e - e0) for t_lo, _, e in terms)
     hi = sum(t_hi << (e - e0) for _, t_hi, e in terms)
-    return _dyadic_interval(lo, hi, e0)
-
-
-def _dyadic_mul(x: Dyadic, y: Dyadic) -> Dyadic:
-    """Exact product, with the endpoint cases of ``Interval.__mul__``."""
-    (a, b, e), (c, d, f) = x, y
-    if a >= 0:
-        if c >= 0:
-            return a * c, b * d, e + f
-        if d <= 0:
-            return b * c, a * d, e + f
-        return b * c, b * d, e + f
-    if b <= 0:
-        if c >= 0:
-            return a * d, b * c, e + f
-        if d <= 0:
-            return b * d, a * c, e + f
-        return a * d, a * c, e + f
-    if c >= 0:
-        return a * d, b * d, e + f
-    if d <= 0:
-        return b * c, a * c, e + f
-    return min(a * d, b * c), max(a * c, b * d), e + f
+    if e0 >= 0:
+        return Interval(Fraction(lo << e0), Fraction(hi << e0))
+    return Interval(Fraction(lo, 1 << -e0), Fraction(hi, 1 << -e0))
 
 
 # -- Bang-type series -------------------------------------------------------------
-
-# The memo tables of the extremal series, an enclosure table and a trig table
-# per sequence object.  Every key is a function of the sequence and of
-# (k, n, xi, bits) alone: M'_k, m_k, M'_k (2 m_k)**(n-k) and the oscillator
-# values at 2 m_k xi do not depend on p, K or the tail target, so every series
-# built on one sequence shares them, and the tables live exactly as long as
-# the sequence does.  The enclosure table also keeps, under ("gate", cfg),
-# the largest K whose construction gate Held at that cfg.
-_SEQ_TABLES: "weakref.WeakKeyDictionary[WeightSequence, Tuple[dict, dict]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _relative_tail(n: int, K: int, log_convex: bool) -> Fraction:
@@ -307,8 +239,12 @@ class BangFunction:
     every n <= max_order, is at most ``tail_target`` (or pass K explicitly).
     Construction certifies m_k nondecreasing on [0, K]: a certified
     violation raises ``GateError`` and an unresolved gate ``PrecisionError``.
-    The memoized enclosures belong to ``seq``: every series built on the
-    same sequence object shares them.
+    The memoized enclosures belong to ``seq``, in its ``memo``: M'_k,
+    2 m_k, the coefficients M'_k (2 m_k)**(n-k) and the oscillator values
+    at 2 m_k xi depend on the sequence and (k, n, xi, bits) alone, not on
+    p, K or the tail target, so every series built on the same sequence
+    object shares them, and they are freed with it.  The memo also keeps,
+    under ("gate", cfg), the largest K whose construction gate Held at cfg.
     """
 
     def __init__(
@@ -338,11 +274,10 @@ class BangFunction:
         self.K = K if K is not None else _truncation_index(max_order, tau, oracle is not None)
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
-        tables = _SEQ_TABLES.get(seq)
+        memo = seq.memo
         # a gate on [1, K] decides a prefix of the comparisons of any gate
         # on a longer window, so it Holds wherever that one Held
-        certified = tables[0].get(("gate", cfg), 0) if tables is not None else 0
-        if self.K > certified:
+        if self.K > memo.get(("gate", cfg), 0):
             # m_k nondecreasing on [0, K] is M' log-convex on [1, K]
             gate = is_log_convex(seq, (1, self.K), "derived", cfg)
             if gate.outcome == INCONCLUSIVE:
@@ -353,39 +288,38 @@ class BangFunction:
                     f"derived sequence is not log-convex: m_{k} > m_{k + 1}; "
                     "the truncation tail bound needs nondecreasing ratios"
                 )
-        if tables is None:
-            tables = _SEQ_TABLES[seq] = ({}, {})
-        if self.K > certified:
-            tables[0]["gate", cfg] = self.K
-        self._enc_cache, self._trig_cache = tables
+            memo["gate", cfg] = self.K
 
-    # -- enclosures, memoized in the sequence's tables ---------------------------
+    # -- enclosures, memoized on the sequence ---------------------------------
 
     def _mprime(self, k: int, bits: int) -> Interval:
-        key = ("mp", k, bits)
-        if key not in self._enc_cache:
-            self._enc_cache[key] = self.seq.enclosure(k, bits) * factorial(k)
-        return self._enc_cache[key]
+        memo, key = self.seq.memo, ("mp", k, bits)
+        if key not in memo:
+            memo[key] = self.seq.enclosure(k, bits) * factorial(k)
+        return memo[key]
 
-    def _ratio(self, k: int, bits: int) -> Interval:
-        key = ("m", k, bits)
-        if key not in self._enc_cache:
-            num = self.seq.enclosure(k + 1, bits) * (k + 1)
+    def _twice_ratio(self, k: int, bits: int) -> Interval:
+        """2 m_k = (2k + 2) M_{k+1} / M_k, rounded outward to bits + 8 bits."""
+        memo, key = self.seq.memo, ("2m", k, bits)
+        if key not in memo:
+            num = self.seq.enclosure(k + 1, bits) * (2 * k + 2)
             iv = outward_pow_product(num, 1, self.seq.enclosure(k, bits), -1, bits + 8)
             # floor rounding keeps the sign of the lower endpoint
             if not iv.strictly_positive():
                 raise PrecisionError(f"ratio m_{k} not certified positive at {bits} bits")
-            self._enc_cache[key] = iv
-        return self._enc_cache[key]
+            memo[key] = iv
+        return memo[key]
 
-    def _trig(self, k: int, xi: Fraction, bits: int) -> Tuple[Dyadic, Dyadic]:
+    def _trig(self, k: int, xi: Fraction, bits: int) -> Tuple[Dyadic, ...]:
+        """The oscillator derivatives (cos, -sin, -cos, sin) at 2 m_k xi,
+        indexed by the order mod 4."""
         # integer key parts: hashing a Fraction costs a modular inverse
-        key = (k, xi.numerator, xi.denominator, bits)
-        if key not in self._trig_cache:
-            arg = self._ratio(k, bits) * (2 * xi)
-            c, s = iv_cos_sin(arg, bits)
-            self._trig_cache[key] = _dyadic(c), _dyadic(s)
-        return self._trig_cache[key]
+        memo, key = self.seq.memo, ("trig", k, xi.numerator, xi.denominator, bits)
+        if key not in memo:
+            c, s = iv_cos_sin(self._twice_ratio(k, bits) * xi, bits)
+            (c_lo, c_hi, ce), (s_lo, s_hi, se) = _dyadic(c), _dyadic(s)
+            memo[key] = (c_lo, c_hi, ce), (-s_hi, -s_lo, se), (-c_hi, -c_lo, ce), (s_lo, s_hi, se)
+        return memo[key]
 
     def relative_tail(self, n: int) -> Fraction:
         """Certified bound, relative to M'_n, on the terms k > K of the
@@ -429,15 +363,11 @@ def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Dyadic:
 
     Both factors are positive, so the product's endpoints are the products
     of theirs, each rounded once to ``bits + 8`` bits from its unreduced
-    integer quotient."""
-
-    key = ("coef", n, k, bits)
-    if key not in B._enc_cache:
-        two_key = ("2m", k, bits)
-        if two_key not in B._enc_cache:
-            B._enc_cache[two_key] = B._ratio(k, bits) * 2
+    integer quotient.  Its lower endpoint is positive too."""
+    memo, key = B.seq.memo, ("coef", n, k, bits)
+    if key not in memo:
         # compress after the power: (2 m_k)**(n-k) has k-scaled denominators
-        powed = outward_pow_product(B._enc_cache[two_key], n - k, _ONE, 0, bits + 8)
+        powed = outward_pow_product(B._twice_ratio(k, bits), n - k, _ONE, 0, bits + 8)
         mp = B._mprime(k, bits)
         if mp.lo.numerator <= 0:
             raise SequenceError(f"the enclosure of M'_{k} of {B.seq.describe()} is not positive")
@@ -445,31 +375,30 @@ def _bang_coef(B: BangFunction, n: int, k: int, bits: int) -> Dyadic:
             _rounded_ratio(m.numerator * w.numerator, m.denominator * w.denominator, bits + 8, rnd)
             for m, w, rnd in ((mp.lo, powed.lo, "f"), (mp.hi, powed.hi, "c"))
         ]
-        B._enc_cache[key] = _dyadic_of_mpf(*ends)
-    return B._enc_cache[key]
+        memo[key] = _dyadic(Interval(*map(_fraction_from_mpf_tuple, ends)))
+    return memo[key]
 
 
 def _bang_sum(B: BangFunction, n: int, xi: Fraction, bits: int) -> Interval:
-    """Exact sum of the term enclosures of order n at xi; every term is a
-    product of dyadic endpoints."""
+    """Exact sum of the term enclosures of order n at xi.
+
+    Term k is the coefficient [a, b] 2**e of ``_bang_coef``, with a > 0,
+    times the oscillator derivative [c, d] 2**f, so its endpoints are a c
+    or b c and b d or a d, by the signs of c and d.  At xi = 0 that
+    derivative is one number for every k: 1, 0 or -1 (the C_p variant is
+    evaluated at xi = 0 only)."""
+    if xi == 0 or B.variant == "cp":
+        osc = int(n % B.p == 0) if B.variant == "cp" else (1, 0, -1, 0)[n % 4]
+        if osc == 0:
+            return Interval.point(0)
+        total = _dyadic_sum([_bang_coef(B, n, k, bits) for k in range(B.K + 1)])
+        return total if osc > 0 else -total
     r = n % 4
     terms = []
     for k in range(B.K + 1):
-        if B.variant == "cos":
-            if xi == 0:
-                osc = (1, 0, -1, 0)[r]
-                if osc == 0:
-                    continue
-                coef = _bang_coef(B, n, k, bits)
-                terms.append(coef if osc > 0 else _dyadic_neg(coef))
-            else:
-                c, s = B._trig(k, xi, bits)
-                osc = (c, _dyadic_neg(s), _dyadic_neg(c), s)[r]
-                terms.append(_dyadic_mul(_bang_coef(B, n, k, bits), osc))
-        else:
-            if n % B.p != 0:
-                continue
-            terms.append(_bang_coef(B, n, k, bits))
+        a, b, e = _bang_coef(B, n, k, bits)
+        c, d, f = B._trig(k, xi, bits)[r]
+        terms.append((a * c if c >= 0 else b * c, b * d if d >= 0 else a * d, e + f))
     return _dyadic_sum(terms)
 
 
@@ -482,8 +411,9 @@ def _bang_majorant(B: BangFunction, n: int, bits: int) -> Interval:
     Every term of the order-n derivative is such a coefficient times an
     oscillator derivative of size at most 1 (cos and sin anywhere; the C_p
     derivatives at xi = 0, where they are 0 or 1), so S_n + tail_n bounds
-    |F^(n)(xi)| at every point the series accepts."""
-    S = _dyadic_sum([_dyadic_abs(_bang_coef(B, n, k, bits)) for k in range(B.K + 1)])
+    |F^(n)(xi)| at every point the series accepts.  The coefficients are
+    positive, so S_n sums them as they are."""
+    S = _dyadic_sum([_bang_coef(B, n, k, bits) for k in range(B.K + 1)])
     return S + B._mprime(n, bits) * B.relative_tail(n)
 
 

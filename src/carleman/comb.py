@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .scalar import (
@@ -30,7 +31,6 @@ from .scalar import (
     ScalarConfig,
     _as_fraction,
     exact_nth_root,
-    factorial,
     iv_e,
     iv_pi,
     iv_pow,

@@ -25,7 +25,6 @@ representations; floats never feed a certified comparison.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -772,8 +771,3 @@ def fraction_str(q: Fraction) -> str:
         return _int_str(q.numerator)
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of a negative integer")
-    return math.factorial(n)

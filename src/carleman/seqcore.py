@@ -32,7 +32,6 @@ from .scalar import (
     ScalarConfig,
     _as_fraction,
     exact_nth_root,
-    factorial,
     iv_e,
     iv_exp,
     iv_log_chain,
@@ -166,6 +165,9 @@ class WeightSequence:
         self._enclosure_cache = {}
         self._forms: List[IntRoot] = []
         self._forms_open = True  # False once an index has no form
+        # quantities that other layers derive from the sequence, under tuple
+        # keys whose head names the quantity; they live as long as it does
+        self.memo = {}
 
     # -- representation hooks ------------------------------------------------
 
@@ -262,7 +264,7 @@ class Gevrey(WeightSequence):
             raise SequenceError("Gevrey exponent must be nonnegative")
 
     def _root(self, n: int) -> RootRep:
-        return (Fraction(factorial(n) ** self.s.numerator), self.s.denominator)
+        return (Fraction(math.factorial(n) ** self.s.numerator), self.s.denominator)
 
     def describe(self) -> str:
         return f"gevrey({self.s})"
@@ -578,7 +580,7 @@ def value(seq: WeightSequence, n: int, cfg: ScalarConfig = DEFAULT_CONFIG) -> Sc
 
 def derived_value(seq: WeightSequence, n: int, cfg: ScalarConfig = DEFAULT_CONFIG) -> Scalar:
     """M'_n = n! * M_n in the requested mode."""
-    f = factorial(n)
+    f = math.factorial(n)
     q = seq.exact(n)
     exact = f * q if q is not None else None
     return make_scalar(cfg, exact, lambda bits: seq.enclosure(n, bits) * f)
@@ -668,13 +670,18 @@ def is_log_convex(
         raise ValueError("which must be 'base' or 'derived'")
     a, b = _check_window(window, min_start=1)
     base = which == "base"
-    # the base sweep decides the points in the sequence's batch on integers;
-    # compare_products decides the rest, and raises at the bad index
-    forms = _int_roots(seq, a - 1, b + 1) if base else []
+    # the base sweep decides the points in the sequence's batch on integers,
+    # extending the batch to about twice the index it has reached, so that
+    # a sweep that ends early reads few points; compare_products decides
+    # the rest, and raises at the bad index
+    forms: List[IntRoot] = []
+    reach = 0  # the batch has been asked for M_0, ..., M_reach
     for n in range(a, b + 1):
-        m = n - a
-        if m + 2 < len(forms):
-            sign = -_three_point_sign(forms[m], forms[m + 1], forms[m + 2], 1, 1)
+        if base and n + 1 > reach:
+            reach = min(b + 1, 2 * n + 8)
+            forms = seq._int_forms(reach)
+        if n + 1 < len(forms):
+            sign = -_three_point_sign(forms[n - 1], forms[n], forms[n + 1], 1, 1)
         else:
             # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
             ls, rs = (1, 1) if base else (n, n + 1)

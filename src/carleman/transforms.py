@@ -25,7 +25,6 @@ from .scalar import (
     Scalar,
     ScalarConfig,
     _GUARD_BITS,
-    factorial,
     iv_pow,
     make_scalar,
     outward_pow_product,
@@ -52,7 +51,7 @@ def derived_power_substitution(
         raise SequenceError("index must be nonnegative")
     if n == 0:
         return make_scalar(cfg, Fraction(1))
-    scale = Fraction(factorial(p * n), n ** ((p - 1) * n))
+    scale = Fraction(math.factorial(p * n), n ** ((p - 1) * n))
     q = seq.exact(p * n)
     exact = scale * q if q is not None else None
     return make_scalar(cfg, exact, lambda bits: seq.enclosure(p * n, bits) * scale)
@@ -131,9 +130,10 @@ class Regularized(WeightSequence):
 
     def _root(self, n: int) -> Optional[RootRep]:
         """A vertex's form is the base's, and any other point's is read off
-        the batch.  A point past the batch lies in a segment that the base's
-        batch does not cover and is given no form; its two vertices are read
-        through the base only so that it raises where the base raises."""
+        the batch.  A point past the batch lies in a segment with a vertex
+        that has no form, or whose base raises, and is given no form; its
+        two vertices are read through the base only so that it raises where
+        the base raises."""
         if n in self._vertex_set:
             return self.base.as_root(n)
         forms = self._int_forms(n)
@@ -147,22 +147,37 @@ class Regularized(WeightSequence):
 
     def _int_forms(self, hi: int) -> List[IntRoot]:
         """The forms of the points from 0 to the end of the last segment
-        whose two vertices the base's batch holds.  Inside a segment
-        [a, b] the form at n is (M_a**(b-n) * M_b**(n-a)) ** (1/(b-a)) with
-        the powers carried from point to point; no fraction is reduced.
-        The list is built once, for the whole window."""
+        before the first vertex without a form.  A vertex's form comes from
+        the base's batch when the batch holds it, else, past the index where
+        the batch stops, from ``base.as_root``; a None or any error there
+        ends the list, which never raises.  Inside a segment [a, b] the form
+        at n is (M_a**(b-n) * M_b**(n-a)) ** (1/(b-a)) with the powers
+        carried from point to point; no fraction is reduced.  The list is
+        built once, for the whole window."""
         if not self._forms_open:
             return self._forms
         base = _int_roots(self.base, 0, self.n_max)
         vs = self.vertices
+
+        def vertex_form(v: int) -> Optional[IntRoot]:
+            # the base's batch stops just before an index without a form
+            if v <= len(base):
+                return base[v] if v < len(base) else None
+            try:
+                rep = self.base.as_root(v)
+            except Exception:  # a user rule can raise anything; as_root re-raises it
+                return None
+            return None if rep is None else (rep[0].numerator, rep[0].denominator, rep[1])
+
         if len(vs) == len(base) == self.n_max + 1:
             forms = base  # every point is a vertex
         else:
             forms = base[:1]
             for a, b in zip(vs, vs[1:]):
-                if b >= len(base):
+                fb = vertex_form(b) if forms else None  # forms is [] when M_0 has none
+                if fb is None:
                     break
-                (na, da, ra), (nb, db, rb) = base[a], base[b]
+                (na, da, ra), (nb, db, rb) = forms[a], fb
                 lcm = ra * rb // math.gcd(ra, rb)
                 sa, sb, d = lcm // ra, lcm // rb, lcm * (b - a)
                 # (num, den) of M_a**(j sa) and of M_b**(j sb), j < b - a
@@ -174,7 +189,7 @@ class Regularized(WeightSequence):
                 for j in range(1, b - a):
                     (xa, ya), (xb, yb) = pa[b - a - j], pb[j]
                     forms.append((xa * xb, ya * yb, d))
-                forms.append(base[b])
+                forms.append(fb)
         self._forms, self._forms_open = forms, False
         return forms
 

@@ -1,10 +1,10 @@
 """Extremal series, C_p oscillators, growth envelopes, and class norms."""
 
-import gc
 import itertools
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -34,7 +34,6 @@ from carleman.scalar import (
     DEFAULT_CONFIG,
     Interval,
     ScalarConfig,
-    factorial,
     iv_cos,
     iv_e,
     iv_sin,
@@ -270,8 +269,7 @@ def test_bang_second_derivative_sign_structure():
     brute = Interval.point(0)
     for k in range(B.K + 1):
         mp = B._mprime(k, 128)
-        m = B._ratio(k, 128)
-        brute = brute + mp * (m * 2).pow_int(2 - k) * (-1)
+        brute = brute + mp * B._twice_ratio(k, 128).pow_int(2 - k) * (-1)
     assert enc.overlaps(brute)
 
 
@@ -337,7 +335,7 @@ def test_envelope_check_small(monkeypatch):
     orders = _spy_on_derivative(monkeypatch)
     assert bang_envelope_check(B, 6, grid).ok
     # every order decides point-free: no grid evaluation, no trig
-    assert orders == [] and B._trig_cache == {}
+    assert orders == [] and not any(key[0] == "trig" for key in B.seq.memo)
 
 
 def test_envelope_majorant_bounds_every_grid_point():
@@ -483,15 +481,20 @@ def test_power_composite_model_matches_expansion():
 # -- the exact integer term sum against the Interval reference ------------------------
 
 
+def _reference_coef(B, n, k, bits):
+    """M'_k (2 m_k)**(n-k) in Fraction-endpoint Interval arithmetic."""
+    powed = B._twice_ratio(k, bits).pow_int(n - k).outward(bits + 8)
+    return (B._mprime(k, bits) * powed).outward(bits + 8)
+
+
 def _reference_bang_sum(B, n, xi, bits):
     """The term sum in Fraction-endpoint Interval arithmetic, term by term."""
     total = Interval.point(0)
     for k in range(B.K + 1):
         if B.variant == "cp" and n % B.p != 0:
             continue
-        ratio_ = B._ratio(k, bits)
-        powed = (ratio_ * 2).pow_int(n - k).outward(bits + 8)
-        coef = (B._mprime(k, bits) * powed).outward(bits + 8)
+        two_m = B._twice_ratio(k, bits)
+        coef = _reference_coef(B, n, k, bits)
         if B.variant == "cp":
             total = total + coef
         elif xi == 0:
@@ -499,7 +502,7 @@ def _reference_bang_sum(B, n, xi, bits):
             if osc:
                 total = total + coef * osc
         else:
-            c, s = iv_cos(ratio_ * (2 * xi), bits), iv_sin(ratio_ * (2 * xi), bits)
+            c, s = iv_cos(two_m * xi, bits), iv_sin(two_m * xi, bits)
             total = total + coef * (c, -s, -c, s)[n % 4]
     return total
 
@@ -508,14 +511,49 @@ def test_bang_sum_endpoints_equal_the_interval_reference():
     # a 2**-20 tail keeps K near 27, so the reference stays fast
     tau = F(1, 2 ** 20)
     cos_B = BangFunction(IteratedLog(2), p=2, max_order=5, tail_target=tau)
+    gev_B = BangFunction(Gevrey(F(1, 2)), p=2, max_order=5, tail_target=tau)
     cp_B = BangFunction(IteratedLog(2), p=3, max_order=6, tail_target=tau)
-    cases = [(cos_B, n, xi) for n in range(6) for xi in (F(0), F(-1), F(-1, 3), F(1, 2), F(1))]
+    cp4_B = BangFunction(IteratedLog(2), p=4, max_order=8, tail_target=tau)
+    xis = (F(0), F(-1), F(-1, 3), F(1, 2), F(1))
+    cases = [(B, n, xi) for B in (cos_B, gev_B) for n in range(6) for xi in xis]
     cases += [(cp_B, n, F(0)) for n in (0, 2, 3, 6)]
+    cases += [(cp4_B, n, F(0)) for n in (0, 3, 4, 8)]
     for bits in (128, 256):
         for B, n, xi in cases:
             got = _bang_sum(B, n, xi, bits)
             ref = _reference_bang_sum(B, n, xi, bits)
             assert (got.lo, got.hi) == (ref.lo, ref.hi), (B.variant, n, xi, bits)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: IteratedLog(1), lambda: IteratedLog(2), lambda: Gevrey(F(1, 2)), Analytic],
+    ids=["iterlog1", "iterlog2", "gevrey1/2", "analytic"],
+)
+def test_every_coefficient_has_a_positive_lower_end(family):
+    # _bang_sum and _bang_majorant take the coefficients' signs as known
+    B = BangFunction(family(), p=2, max_order=8)
+    for bits in (128, 256):
+        for n in range(9):
+            for k in range(B.K + 1):
+                lo, hi, _ = _bang_coef(B, n, k, bits)
+                assert 0 < lo <= hi, (B.seq.describe(), n, k, bits)
+
+
+def test_bang_majorant_equals_the_interval_sum_of_coefficient_sizes():
+    tau = F(1, 2 ** 20)
+    for B in (
+        BangFunction(IteratedLog(2), p=2, max_order=6, tail_target=tau),
+        BangFunction(Gevrey(F(1, 2)), p=3, max_order=6, tail_target=tau),
+    ):
+        for bits in (128, 256):
+            for n in range(B.max_order + 1):
+                want = Interval.point(0)
+                for k in range(B.K + 1):
+                    want = want + abs(_reference_coef(B, n, k, bits))
+                want = want + B._mprime(n, bits) * B.relative_tail(n)
+                got = _bang_majorant(B, n, bits)
+                assert (got.lo, got.hi) == (want.lo, want.hi), (B.describe(), n, bits)
 
 
 def test_dyadic_form_refuses_non_dyadic_endpoints():
@@ -581,34 +619,21 @@ def _series_results(build):
 
 def test_series_on_one_sequence_share_its_tables_and_their_values():
     seq = IteratedLog(2)
-    shared = []
+    fresh = []
 
     def on_one_sequence(p, max_order, tau):
-        B = BangFunction(seq, p=p, max_order=max_order, tail_target=tau)
-        shared.append(B)
-        return B
+        return BangFunction(seq, p=p, max_order=max_order, tail_target=tau)
 
     def on_fresh_sequences(p, max_order, tau):
-        return BangFunction(IteratedLog(2), p=p, max_order=max_order, tail_target=tau)
+        fresh.append(IteratedLog(2))
+        return BangFunction(fresh[-1], p=p, max_order=max_order, tail_target=tau)
 
     assert _series_results(on_one_sequence) == _series_results(on_fresh_sequences)
-    assert all(B._enc_cache is shared[0]._enc_cache for B in shared)
-    assert all(B._trig_cache is shared[0]._trig_cache for B in shared)
-    assert bang_module._SEQ_TABLES[seq] == (shared[0]._enc_cache, shared[0]._trig_cache)
-    # the trig values at xi = 1/3 went to the one shared table
-    assert shared[0]._trig_cache
-
-
-def test_a_sequence_table_dies_with_its_sequence():
-    seq = IteratedLog(2)
-    B = BangFunction(seq, p=2, max_order=4, tail_target=F(1, 2 ** 20))
-    bang_derivative(B, 4, F(1, 3), IVAL).interval()
-    gc.collect()
-    count = len(bang_module._SEQ_TABLES)
-    assert seq in bang_module._SEQ_TABLES
-    del seq, B
-    gc.collect()
-    assert len(bang_module._SEQ_TABLES) == count - 1
+    # every series keeps its entries in its sequence's memo: the one shared
+    # memo holds the keys that the four separate ones hold together
+    assert set(seq.memo) == set().union(*(s.memo for s in fresh))
+    # the trig values at xi = 1/3 went to the one shared memo
+    assert any(key[0] == "trig" for key in seq.memo)
 
 
 def _counting_gate(monkeypatch):
@@ -662,7 +687,7 @@ def test_bang_coef_equals_the_rounded_interval_product(k):
     for bits in (128, 256, 512):
         for n in (0, 1, 5, 8):
             for kk in range(B.K + 1):
-                two_m = B._ratio(kk, bits) * 2
+                two_m = B._twice_ratio(kk, bits)
                 powed = outward_pow_product(two_m, n - kk, Interval.point(1), 0, bits + 8)
                 want = _dyadic((B._mprime(kk, bits) * powed).outward(bits + 8))
                 assert _bang_coef(B, n, kk, bits) == want, (n, kk, bits)
@@ -670,6 +695,6 @@ def test_bang_coef_equals_the_rounded_interval_product(k):
 
 def test_bang_coef_refuses_a_nonpositive_weight_enclosure():
     B = BangFunction(IteratedLog(1), p=2, max_order=2, K=6)
-    B._enc_cache["mp", 3, 64] = Interval(F(0), F(5))
+    B.seq.memo["mp", 3, 64] = Interval(F(0), F(5))
     with pytest.raises(SequenceError):
         _bang_coef(B, 2, 3, 64)

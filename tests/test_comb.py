@@ -6,6 +6,7 @@ coefficient-list compose/differentiate/evaluate in exact rationals.
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -26,7 +27,7 @@ from carleman.comb import (
     taylor_remainder_reconstruct,
 )
 from carleman import comb
-from carleman.scalar import Interval, ScalarConfig, factorial, iv_e, iv_pow
+from carleman.scalar import Interval, ScalarConfig, iv_e, iv_pow
 from carleman.seqcore import Verdict
 
 F = Fraction

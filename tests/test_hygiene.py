@@ -281,12 +281,12 @@ def test_the_package_never_rounds_through_from_rational():
     assert list(_references(ast.parse("from mpmath import libmp\nlibmp.from_rational(1, 3, 8, 'n')\n"), "from_rational"))
 
 
-# module-level memos that may outlive a run: the per-bits mpmath context of
-# float mode and the extremal series' tables, which die with their sequence.
-# functools caches hold only that context, keyed by precision; a memo of
-# values lives on an object (the per-sequence caches, bang's weak table)
+# module-level memos that may outlive a run: only the per-bits mpmath
+# context of float mode, a functools cache keyed by precision.  A memo of
+# values lives on an object: the per-sequence caches, among them the memo
+# that the extremal series keep on their sequence
 FUNCTOOLS_CACHE_ALLOWLIST = {("scalar", "_mp_ctx")}
-MEMO_ALLOWLIST = FUNCTOOLS_CACHE_ALLOWLIST | {("bang", "_SEQ_TABLES")}
+MEMO_ALLOWLIST = FUNCTOOLS_CACHE_ALLOWLIST
 CACHE_DECORATORS = {"lru_cache", "cache"}
 WEAK_TABLES = {"WeakKeyDictionary", "WeakValueDictionary"}
 

@@ -529,6 +529,33 @@ def test_a_batch_stops_at_any_error_and_the_sweep_raises_past_it():
         is_log_convex(seq, (2, 4))
 
 
+def test_a_base_sweep_that_fails_early_reads_few_points():
+    calls = []
+
+    def rule(n):
+        calls.append(n)
+        return 3 if n == 1 else 1
+
+    v = is_log_convex(Custom(rule=rule), (1, 3000))
+    assert v.outcome == "fails" and v.witness.index == 1
+    assert len(calls) < 100
+
+
+def test_a_base_sweep_asks_its_batch_a_few_times_and_in_growing_chunks():
+    seq = Analytic()
+    asked = []
+    batch = seq._int_forms
+
+    def counted(hi):
+        asked.append(hi)
+        return batch(hi)
+
+    seq._int_forms = counted
+    assert is_log_convex(seq, (1, 3000)).ok
+    assert asked[-1] == 3001 and len(asked) <= 12
+    assert all(b >= 2 * a for a, b in zip(asked, asked[1:-1]))
+
+
 def test_log_convexity_without_root_forms_uses_compare_products(monkeypatch):
     calls = _count_compare_products(monkeypatch)
     assert is_log_convex(Gevrey(F(1, 2)), (1, 12)).ok and calls == []

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from carleman.criteria import _ShiftedView
-from carleman.scalar import Interval, PrecisionError, ScalarConfig, factorial
+from carleman.scalar import Interval, PrecisionError, ScalarConfig
 from carleman.seqcore import (
     Analytic,
     Custom,
@@ -239,19 +239,19 @@ def test_derived_power_substitution_examples():
     g = Gevrey(1)
     # p=1 reduces to the derived sequence
     for n in range(1, 6):
-        assert derived_power_substitution(g, 1, n, EXACT).fraction() == factorial(
+        assert derived_power_substitution(g, 1, n, EXACT).fraction() == math.factorial(
             n
         ) * g.exact(n)
     # n=1 gives M'_p for any p
     for p in (1, 2, 3, 5):
-        assert derived_power_substitution(g, p, 1, EXACT).fraction() == factorial(
+        assert derived_power_substitution(g, p, 1, EXACT).fraction() == math.factorial(
             p
         ) * g.exact(p)
     # n=0 convention
     assert derived_power_substitution(g, 4, 0, EXACT).fraction() == 1
     # p=2, n=2: the exponent n**((p-1)n) evaluates to 4 by direct computation
     assert 2 ** ((2 - 1) * 2) == 4
-    expected = F(factorial(4) * g.exact(4), 4)
+    expected = F(math.factorial(4) * g.exact(4), 4)
     assert derived_power_substitution(g, 2, 2, EXACT).fraction() == expected
     with pytest.raises(SequenceError):
         derived_power_substitution(g, 0, 1)
@@ -375,6 +375,15 @@ def test_batched_forms_equal_the_fraction_power_form():
             assert short.as_root(n) == got
         except SequenceError as exc:
             assert got == ("raised", str(exc)), n
+
+
+def test_a_vertex_past_the_base_batch_gets_its_form_from_the_base():
+    # the base raises at 2, inside the one segment [0, 4], and has a form at 4
+    reg = Regularized(Custom(rule=lambda n: -1 if n == 2 else 5 ** n), 4, (0, 4))
+    assert is_log_convex(reg, (1, 3)).outcome == "holds"
+    assert [reg.as_root(n) for n in range(5)] == [
+        (F(1), 1), (F(5 ** 4), 4), (F(5 ** 8), 4), (F(5 ** 12), 4), (F(5 ** 4), 1)
+    ]
 
 
 def test_a_regularization_with_every_point_a_vertex_reuses_the_base_forms():
