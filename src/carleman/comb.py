@@ -20,8 +20,9 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .scalar import (
     DEFAULT_CONFIG,
@@ -132,15 +133,6 @@ def log_power_coefficients(k: int, order: int) -> TruncatedPowerSeries:
     return _log_series(order).pow_int(k)
 
 
-def _compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def composition_sum_oracle(k: int, n: int) -> Fraction:
     """Brute-force sum of 1/(i_1 * ... * i_k) over compositions of n into k
     positive parts.  Refuses n beyond the enumeration cost guard."""
@@ -153,10 +145,12 @@ def composition_sum_oracle(k: int, n: int) -> Fraction:
     # every part divides lcm(1..n), so each prod divides common exactly
     common = math.lcm(*range(1, n + 1)) ** k
     total = 0
-    for parts in _compositions(n, k):
-        prod = 1
-        for part in parts:
-            prod *= part
+    # a composition is the parts between k - 1 cut points of 1..n-1
+    for cuts in combinations(range(1, n), k - 1):
+        prod, last = 1, 0
+        for cut in (*cuts, n):
+            prod *= cut - last
+            last = cut
         total += common // prod
     return Fraction(total, common)
 
@@ -190,29 +184,36 @@ def _scaled_power_sweep(
     violating pair, its exact left side and the upper bound of the right.
     """
     window = (1, n_max)
-    # the exact left sides do not depend on the working precision
+    # the exact left sides do not depend on the working precision; each is
+    # an integer pair num/den = w_n |P**k [n]| n**k / k!, cross-multiplied
+    # with the bounds of (2e)**n, and a Fraction only in a Fails witness
     weights = [weight(n) for n in range(1, n_max + 1)]
     lhs = []
     power = base
     for k in range(1, k_max + 1):
         if k > 1:
             power = power * base
-        inv_kfact = Fraction(1, factorial(k))
-        lhs.append(
-            [abs(power.coeff(n) * inv_kfact) * w for n, w in enumerate(weights, 1)]
-        )
+        kfact = factorial(k)
+        row = []
+        for n, w in enumerate(weights, 1):
+            c = power.coeff(n)
+            num = abs(c.numerator) * w.numerator * n ** k
+            row.append((num, c.denominator * w.denominator * kfact))
+        lhs.append(row)
     unresolved = None
 
     def decide(bits: int) -> Optional[Verdict]:
         nonlocal unresolved
         lows, highs = _two_e_powers(n_max, bits)
         for k, row in enumerate(lhs, 1):
-            for n, c in enumerate(row, 1):
-                if c <= lows[n] / n ** k:
+            for n, (num, den) in enumerate(row, 1):
+                lo = lows[n]
+                if num * lo.denominator <= lo.numerator * den:
                     continue
-                bound_hi = highs[n] / n ** k
-                if c > bound_hi:
-                    return Verdict.fails(window, witness(k, n, c, bound_hi))
+                hi = highs[n]
+                if num * hi.denominator > hi.numerator * den:
+                    c = Fraction(num // n ** k, den)
+                    return Verdict.fails(window, witness(k, n, c, hi / n ** k))
                 unresolved = (k, n)
                 return None
         return Verdict.holds(window)

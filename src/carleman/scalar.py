@@ -25,6 +25,7 @@ representations; floats never feed a certified comparison.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +88,14 @@ def _reduced_fraction(n: int, d: int) -> Fraction:
     q._numerator = n
     q._denominator = d
     return q
+
+
+def _int_fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for ints n and d > 0, equal, by ``==``, ``hash``
+    and type, to ``Fraction(n, d)``, reduced by one gcd and built without
+    the constructor's argument dispatch."""
+    g = math.gcd(n, d)
+    return _reduced_fraction(n // g, d // g)
 
 
 def _fraction_from_mpf_tuple(t) -> Fraction:

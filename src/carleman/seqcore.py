@@ -166,7 +166,11 @@ class WeightSequence:
         self._forms: List[IntRoot] = []
         self._forms_open = True  # False once an index has no form
         # quantities that other layers derive from the sequence, under tuple
-        # keys whose head names the quantity; they live as long as it does
+        # keys whose head names the quantity; they live as long as it does:
+        # ("convex",) maps j to the batch's sign of M_{j-1} M_{j+1} - M_j**2
+        # (``_convexity_signs``), and the extremal series of ``bang`` keeps
+        # its enclosures and coefficients under "mp", "2m", "coef", "trig"
+        # and its truncation gate under "gate"
         self.memo = {}
 
     # -- representation hooks ------------------------------------------------
@@ -404,13 +408,17 @@ class Custom(WeightSequence):
         self.name = name
         self._rule = rule
         if table is not None:
-            vals = tuple(_as_fraction(v) for v in table)
+            vals = tuple(map(_as_fraction, table))
             if not vals:
                 raise SequenceError("custom table must be nonempty")
-            if any(v.numerator <= 0 for v in vals):
+            # decided before normalizing, which turns a negative table positive
+            forms = [(v.numerator, v.denominator, 1) for v in vals]
+            if min(forms)[0] <= 0:
                 raise SequenceError("custom sequence values must be strictly positive")
-            self._table = vals if vals[0] == 1 else tuple(v / vals[0] for v in vals)
-            self._forms = [(v.numerator, v.denominator, 1) for v in self._table]
+            if forms[0][:2] != (1, 1):
+                vals = tuple(v / vals[0] for v in vals)
+                forms = [(v.numerator, v.denominator, 1) for v in vals]
+            self._table, self._forms = vals, forms
         else:
             self._table = None
             v0 = _as_fraction(rule(0))
@@ -554,20 +562,27 @@ def _three_point_sign(fi: IntRoot, fj: IntRoot, fk: IntRoot, a: int, b: int) -> 
     nj, dj, rj = fj
     nk, dk, rk = fk
     if ri == rj == rk:
-        # one root degree: cleared by raising to it; M_j**(a + b) splits
-        # over the powers a and b, which the log-convexity sweep's a = b = 1
-        # needs none of
-        if a == b == 1:
-            left, right = ni * nk * dj * dj, nj * nj * di * dk
-        else:
-            left = (ni * dj) ** a * (nk * dj) ** b
-            right = (nj * di) ** a * (nj * dk) ** b
+        # one root degree: cleared by raising to it; the sign is that of
+        # (x/y)**a (z/w)**b - 1, which needs no power when both ratios lie
+        # on one side of 1
+        x, y, z, w = ni * dj, nj * di, nk * dj, nj * dk
+        if x >= y and z >= w:
+            return 0 if x == y and z == w else 1
+        if x <= y and z <= w:
+            return -1
+        left, right = x ** a * z ** b, y ** a * w ** b
         return (left > right) - (left < right)
     r = math.lcm(ri, rj, rk)
     a, b, c = a * r // ri, b * r // rk, (a + b) * r // rj
     left = ni ** a * nk ** b * dj ** c
     right = nj ** c * di ** a * dk ** b
     return (left > right) - (left < right)
+
+
+def _convexity_signs(seq: WeightSequence) -> dict:
+    """The batch's signs of M_{j-1} M_{j+1} - M_j**2 by j, which the base
+    sweep and the hull both read and fill, so each is decided once."""
+    return seq.memo.setdefault(("convex",), {})
 
 
 # -- module operations ---------------------------------------------------------
@@ -671,17 +686,22 @@ def is_log_convex(
     a, b = _check_window(window, min_start=1)
     base = which == "base"
     # the base sweep decides the points in the sequence's batch on integers,
-    # extending the batch to about twice the index it has reached, so that
-    # a sweep that ends early reads few points; compare_products decides
-    # the rest, and raises at the bad index
+    # once per sequence (the signs are the hull's too), extending the batch
+    # to about twice the index it has reached, so that a sweep that ends
+    # early reads few points; compare_products decides the rest, and raises
+    # at the bad index
     forms: List[IntRoot] = []
+    signs = _convexity_signs(seq) if base else {}
     reach = 0  # the batch has been asked for M_0, ..., M_reach
     for n in range(a, b + 1):
         if base and n + 1 > reach:
             reach = min(b + 1, 2 * n + 8)
             forms = seq._int_forms(reach)
         if n + 1 < len(forms):
-            sign = -_three_point_sign(forms[n - 1], forms[n], forms[n + 1], 1, 1)
+            sign = signs.get(n)
+            if sign is None:
+                sign = signs[n] = _three_point_sign(forms[n - 1], forms[n], forms[n + 1], 1, 1)
+            sign = -sign
         else:
             # the derived form n!**2 vs (n-1)! (n+1)! divided by (n-1)! n!
             ls, rs = (1, 1) if base else (n, n + 1)

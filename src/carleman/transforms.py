@@ -35,6 +35,7 @@ from .seqcore import (
     SequenceError,
     WeightSequence,
     Window,
+    _convexity_signs,
     _int_roots,
     _three_point_sign,
     compare_products,
@@ -58,15 +59,22 @@ def derived_power_substitution(
 
 
 def _turn_sign(
-    seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig, forms: List[IntRoot]
+    seq: WeightSequence, i: int, j: int, k: int, cfg: ScalarConfig, forms: List[IntRoot],
+    signs: dict,
 ) -> int:
     """Certified orientation of (i, log M_i), (j, log M_j), (k, log M_k).
 
     Positive when the middle point lies strictly below the chord (a convex
     corner of the lower hull), zero when collinear.  ``forms`` holds the
-    integer root forms of the sequence's batch, by index.
+    integer root forms of the sequence's batch, by index, and ``signs`` the
+    sequence's convexity signs, which decide a turn of consecutive points.
     """
     if k < len(forms):
+        if i + 2 == k:
+            sign = signs.get(j)
+            if sign is None:
+                sign = signs[j] = _three_point_sign(forms[i], forms[j], forms[k], 1, 1)
+            return sign
         return _three_point_sign(forms[i], forms[j], forms[k], k - j, j - i)
     sign = compare_products(
         [(seq, i, k - j), (seq, k, j - i)],
@@ -83,10 +91,10 @@ def _turn_sign(
 def _lower_log_hull(seq: WeightSequence, n_max: int, cfg: ScalarConfig) -> Tuple[int, ...]:
     """Monotone-chain lower hull vertex indices on [0, n_max >= 2], keeping
     collinear points."""
-    forms = _int_roots(seq, 0, n_max)
+    forms, signs = _int_roots(seq, 0, n_max), _convexity_signs(seq)
     stack = [0, 1]
     for k in range(2, n_max + 1):
-        while len(stack) >= 2 and _turn_sign(seq, stack[-2], stack[-1], k, cfg, forms) < 0:
+        while len(stack) >= 2 and _turn_sign(seq, stack[-2], stack[-1], k, cfg, forms, signs) < 0:
             stack.pop()
         stack.append(k)
     return tuple(stack)

@@ -49,7 +49,7 @@ from .comb import (
     taylor_remainder_reconstruct,
 )
 from .criteria import quasianalytic_verdict
-from .scalar import Interval, PrecisionError, ScalarConfig, decimal_str
+from .scalar import Interval, PrecisionError, ScalarConfig, _int_fraction, decimal_str
 from .seqcore import (
     Analytic,
     Custom,
@@ -626,7 +626,7 @@ def _random_table(rng: random.Random, length: int) -> List[Fraction]:
         b = draw(13)
         while b >= 4096:
             b = draw(13)
-        values.append(Fraction(a + 1, b + 1))
+        values.append(_int_fraction(a + 1, b + 1))
     return values
 
 

@@ -4,7 +4,9 @@ Polynomial oracles here are independent of the code under test: plain
 coefficient-list compose/differentiate/evaluate in exact rationals.
 """
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -27,8 +29,8 @@ from carleman.comb import (
     taylor_remainder_reconstruct,
 )
 from carleman import comb
-from carleman.scalar import Interval, ScalarConfig, iv_e, iv_pow
-from carleman.seqcore import Verdict
+from carleman.scalar import Interval, ScalarConfig, iv_e, iv_pow, refine
+from carleman.seqcore import Trend, Verdict, Witness
 
 F = Fraction
 EXACT = ScalarConfig(mode="exact")
@@ -517,19 +519,114 @@ def test_stirling_sweep_equals_the_full_m_loop(monkeypatch):
     assert outcomes == {"holds", "fails", "inconclusive"}
 
 
+def _recursive_compositions(n, k):
+    """Compositions of n into k positive parts, first part first: a
+    reference enumerator that shares nothing with the cut-point oracle."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(1, n - k + 2):
+        for rest in _recursive_compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
 def _fraction_composition_sum(k, n):
-    """The term-by-term Fraction sum that the common-denominator kernel
-    replaced."""
-    total = F(0)
-    for parts in comb._compositions(n, k):
-        prod = 1
-        for part in parts:
-            prod *= part
-        total += F(1, prod)
-    return total
+    """The Fraction sum that the common-denominator kernel replaced, with
+    the terms of equal part products added as one."""
+    counts = Counter(math.prod(parts) for parts in _recursive_compositions(n, k))
+    return sum((F(c, prod) for prod, c in counts.items()), F(0))
 
 
 def test_composition_oracle_equals_the_fraction_sum():
-    for n in range(1, 15):
-        for k in range(1, n + 1):
-            assert composition_sum_oracle(k, n) == _fraction_composition_sum(k, n), (k, n)
+    # every pair up to n = 14, and the pairs of verify's default
+    # corollary-composition-equality sweep (k <= 6, n <= 18)
+    pairs = [(k, n) for n in range(1, 15) for k in range(1, n + 1)]
+    pairs += [(k, n) for n in range(15, 19) for k in range(1, 7)]
+    for k, n in pairs:
+        assert composition_sum_oracle(k, n) == _fraction_composition_sum(k, n), (k, n)
+
+
+# -- the integer coefficient sweep against the Fraction sweep it replaced ------------
+
+
+def _fraction_scaled_power_sweep(base, k_max, n_max, cfg, witness, weight=lambda n: 1):
+    """The sweep of comb._scaled_power_sweep in Fractions: each left side a
+    reduced Fraction, divided against each bound's endpoints."""
+    window = (1, n_max)
+    weights = [weight(n) for n in range(1, n_max + 1)]
+    lhs, power = [], base
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = power * base
+        lhs.append([abs(power.coeff(n) / factorial(k)) * w for n, w in enumerate(weights, 1)])
+    unresolved = None
+
+    def decide(bits):
+        nonlocal unresolved
+        lows, highs = comb._two_e_powers(n_max, bits)
+        for k, row in enumerate(lhs, 1):
+            for n, c in enumerate(row, 1):
+                if c <= lows[n] / n ** k:
+                    continue
+                if c > highs[n] / n ** k:
+                    return Verdict.fails(window, witness(k, n, c, highs[n] / n ** k))
+                unresolved = (k, n)
+                return None
+        return Verdict.holds(window)
+
+    verdict = refine(decide, cfg)
+    if verdict is not None:
+        return verdict
+    k, n = unresolved
+    return Verdict.inconclusive(
+        window, Trend(note=f"pair k={k}, n={n} unresolved at the precision cap")
+    )
+
+
+def _coefficient_sweeps(cfg):
+    """lemma1, b-coefficient and lemma2 verdicts on several sweep sizes."""
+    grid = (F(1, 4), F(1, 2), 1, 2)
+    out = [lemma1_check(k, n, cfg) for k, n in ((1, 1), (3, 5), (6, 12), (12, 30), (40, 40))]
+    out += [
+        b_coefficient_bound_check(p, k, n, cfg)
+        for p in (2, 3, 5) for k, n in ((1, 4), (4, 9), (10, 30))
+    ]
+    out += [lemma2_check(p_set, n, grid, cfg) for p_set, n in (((2,), 6), ((2, 3, 5), 25))]
+    return out
+
+
+def test_integer_sweep_gives_the_fraction_sweeps_verdicts(monkeypatch):
+    cfg = ScalarConfig(bits=128)
+    got = _coefficient_sweeps(cfg)
+    assert all(v.ok for v in got)
+    monkeypatch.setattr(comb, "_scaled_power_sweep", _fraction_scaled_power_sweep)
+    assert _coefficient_sweeps(cfg) == got
+
+
+def test_integer_sweep_fails_and_inconclusives_match_the_fraction_sweep(monkeypatch):
+    cfg = ScalarConfig(bits=64, max_doublings=1)
+    base = comb._log_series(12)
+
+    def witness(k, n, c, bound_hi):
+        return Witness(n, (f"k={k}", f"lhs={c}", f"bound<{bound_hi}"))
+
+    # a weight scaled by 10**6 from n = 5 on fails first at k = 1, n = 5,
+    # with the exact left side and the bound in lowest terms in the witness
+    million = lambda n: F(10 ** 6 * factorial(n), n ** n) if n >= 5 else 1
+    got = comb._scaled_power_sweep(base, 6, 12, cfg, witness, million)
+    assert got.outcome == "fails" and str(got.witness).startswith("n=5: k=1, lhs=")
+    assert got == _fraction_scaled_power_sweep(base, 6, 12, cfg, witness, million)
+    # with e enclosed by the point 1/2, c[1,n] = 1/n meets its bound 1/n
+    # exactly at every n, and a left side equal to its bound holds
+    monkeypatch.setattr(comb, "iv_e", lambda bits: Interval.point(F(1, 2)))
+    assert lemma1_check(1, 12, cfg).ok
+    wide = {"fails": Interval(F(1, 100), F(1, 50)), "inconclusive": Interval(F(1, 100), F(100))}
+    for outcome, e in wide.items():
+        # an enclosure of e far too small fails every check; one too wide
+        # leaves the first pair unresolved at the precision cap
+        monkeypatch.setattr(comb, "iv_e", lambda bits, e=e: e)
+        got = _coefficient_sweeps(cfg)
+        assert {v.outcome for v in got} == {outcome}
+        with monkeypatch.context() as m:
+            m.setattr(comb, "_scaled_power_sweep", _fraction_scaled_power_sweep)
+            assert _coefficient_sweeps(cfg) == got

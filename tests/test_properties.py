@@ -15,6 +15,7 @@ from carleman.seqcore import (
     PowerSub,
     SequenceError,
     _int_roots,
+    _three_point_sign,
     is_increasing,
     is_log_convex,
 )
@@ -335,3 +336,35 @@ def test_iv_pow_root_contains_a_reference(x, m, bits):
     with mpmath.workprec(4 * bits):
         ref = mpmath.root(mpmath.mpf(x.numerator) / x.denominator, m)
     assert iv_pow(x, F(1, m), bits).contains(_mpf_fraction(ref))
+
+
+@st.composite
+def one_degree_triples(draw):
+    """Integer root forms of M_i, M_j, M_k sharing one root degree, each
+    fraction unreduced; M_i or M_k may equal M_j in another form, so that
+    x == y or z == w in the kernel's shortcut."""
+    side = st.integers(min_value=1, max_value=10 ** 6)
+    r = draw(st.integers(min_value=1, max_value=4))
+    nj, dj = draw(side), draw(side)
+
+    def point():
+        if draw(st.booleans()):
+            c = draw(st.integers(min_value=1, max_value=50))
+            return (nj * c, dj * c, r)
+        return (draw(side), draw(side), r)
+
+    return point(), (nj, dj, r), point()
+
+
+@given(
+    one_degree_triples(),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=9),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_degree_three_point_sign_is_the_power_comparison(forms, a, b):
+    fi, fj, fk = forms
+    # the common root degree r keeps the sign, so compare the r-th powers
+    left = F(fi[0], fi[1]) ** a * F(fk[0], fk[1]) ** b
+    right = F(fj[0], fj[1]) ** (a + b)
+    assert _three_point_sign(fi, fj, fk, a, b) == (left > right) - (left < right)

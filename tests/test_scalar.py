@@ -21,6 +21,7 @@ from carleman.scalar import (
     Scalar,
     ScalarConfig,
     _fraction_from_mpf_tuple,
+    _int_fraction,
     _reduced_fraction,
     _rounded_tuple,
     decimal_str,
@@ -412,6 +413,20 @@ def test_reduced_fraction_builder_equals_the_fraction_constructor():
         assert got + F(1, 3) == want + F(1, 3) and got * 7 == want * 7 and -got == -want
         assert (got < F(1, 2)) == (want < F(1, 2)) and repr(got) == repr(want)
         assert {got: 1}[want] == 1
+
+
+def test_int_fraction_equals_the_fraction_constructor():
+    rng = random.Random(6)
+    pairs = [(0, 1), (0, 7), (6, 4), (-6, 4), (-(2 ** 521), 1 << 600), (4096, 4096), (1, 4096)]
+    for _ in range(300):
+        c = rng.getrandbits(rng.randint(1, 80)) + 1
+        n = rng.getrandbits(rng.randint(1, 400)) * rng.choice((1, -1)) * c
+        pairs.append((n, (rng.getrandbits(rng.randint(1, 300)) + 1) * c))
+    for n, d in pairs:
+        got, want = _int_fraction(n, d), F(n, d)
+        assert got == want and hash(got) == hash(want) and type(got) is type(want) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert repr(got) == repr(want) and {got: 1}[want] == 1
 
 
 def test_mpf_tuples_become_reduced_fractions():

@@ -234,6 +234,18 @@ def test_custom_table_bounds_and_positivity():
         Custom(table=[])
 
 
+def test_custom_table_positivity_is_decided_before_normalizing():
+    # dividing by M_0 would make [-1, -2] positive and [0, 1] divide by zero
+    for table in ([-1, -2], [0, 1], [2, -4], [F(-1, 3)], [1, 2, F(-5, 7)]):
+        with pytest.raises(SequenceError, match="strictly positive"):
+            Custom(table=table)
+    seq = Custom(table=[2, 4, 8])
+    assert _int_roots(seq, 0, 2) == [(1, 1, 1), (2, 1, 1), (4, 1, 1)]
+    assert [seq.exact(n) for n in range(3)] == [1, 2, 4]
+    seq = Custom(table=[F(2, 3), 1, F(1, 6)])
+    assert _int_roots(seq, 0, 2) == [(1, 1, 1), (3, 2, 1), (1, 4, 1)]
+
+
 def test_derived_ratio_identity():
     # M'_n / M'_{n-1} == m_{n-1} exactly in rational mode
     for seq in (Analytic(), Gevrey(1), Gevrey(3), Custom(table=[1, 3, 9, 81, 243])):
@@ -589,10 +601,12 @@ def test_three_point_sign_matches_compare_products():
             want = compare_products([(seq, i, a), (seq, k, b)], [(seq, j, a + b)])
             assert _three_point_sign(forms[i], forms[j], forms[k], a, b) == want, (seq, i, j, k, a, b)
             degrees = "equal" if forms[i][2] == forms[j][2] == forms[k][2] else "mixed"
-            seen.add((degrees, want, math.gcd(a, b) > 1))
-    assert {d for d, _, _ in seen} == {"equal", "mixed"}
-    assert {w for _, w, _ in seen} == {-1, 0, 1}
-    assert {("equal", 0, True), ("mixed", 0, False), ("mixed", 1, True)} <= seen
+            seen.add((degrees, want, math.gcd(a, b) > 1, a != b))
+    assert {d for d, _, _, _ in seen} == {"equal", "mixed"}
+    assert {w for _, w, _, _ in seen} == {-1, 0, 1}
+    assert {("equal", 0, True), ("mixed", 0, False), ("mixed", 1, True)} <= {s[:3] for s in seen}
+    # unequal exponents on one root degree, every sign among them
+    assert {w for d, w, _, unequal in seen if d == "equal" and unequal} == {-1, 0, 1}
 
 
 # -- the integer interval branch against the Interval products it replaced ---------

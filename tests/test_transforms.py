@@ -527,3 +527,85 @@ def test_hull_reads_raise_at_the_reference_index():
         with pytest.raises(SequenceError) as got:
             log_convex_regularization(seq, (0, n_max))
         assert str(got.value) == str(want.value)
+
+
+# -- convexity signs shared by the base sweep and the hull ---------------------------
+
+
+def test_a_hull_after_the_sweep_decides_no_convexity_sign_again(monkeypatch):
+    from carleman import transforms
+
+    rng = random.Random(25)
+    N = 32
+    regs = []
+    for _ in range(6):
+        table = [1] + [F(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(N)]
+        regs.append(log_convex_regularization(Custom(table=table), (0, N)))
+    regs.append(log_convex_regularization(Custom(table=[F(3, 7) ** n for n in range(N + 1)]), (0, N)))
+    kernel = _counting(monkeypatch, transforms, "_three_point_sign")
+    turns = _counting(monkeypatch, transforms, "_turn_sign")
+    for reg in regs:
+        assert is_log_convex(reg, (1, N - 1)).ok
+        del kernel[:], turns[:]
+        # every point of a log-convex sequence is kept, after one turn each
+        assert log_convex_regularization(reg, (0, N)).vertices == tuple(range(N + 1))
+        assert kernel == [] and len(turns) == N - 1
+
+
+def _outcome_of(call):
+    """The call's result, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the outcomes compared include the errors
+        return type(exc), str(exc)
+
+
+def _sign_sharing_cases():
+    rng = random.Random(26)
+    cases = []
+    for N in (3, 8, 20, 40):
+        random_table = [1] + [F(rng.randint(1, 4096), rng.randint(1, 4096)) for _ in range(N)]
+        ratios = sorted(F(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(N))
+        convex_table = [F(rng.randint(1, 99), rng.randint(1, 99))]
+        for r in ratios:
+            convex_table.append(convex_table[-1] * r)
+        for t in (random_table, convex_table, [F(3, 7) ** n for n in range(N + 1)]):
+            cases.append((lambda t=t: Custom(table=t), N))
+            cases.append((lambda t=t, N=N: log_convex_regularization(Custom(table=t), (0, N)), N))
+    # a rule whose sweep fails early, having asked its batch for few points,
+    # and one whose batch stops for good inside the window
+    cases.append((lambda: Custom(rule=lambda n: F(n * n % 7 + 1, n % 5 + 1)), 40))
+    cases.append((lambda: Custom(rule=lambda n: 2 ** (n * n) if n < 12 else -1), 20))
+    return cases
+
+
+def test_sweep_and_hull_decide_alike_in_either_order_and_on_a_fresh_sequence():
+    verdicts = set()
+    for make, N in _sign_sharing_cases():
+        def hull(seq):
+            return _outcome_of(lambda: log_convex_regularization(seq, (0, N)).vertices)
+
+        def sweep(seq):
+            return _outcome_of(lambda: is_log_convex(seq, (1, N - 1)))
+
+        fresh = (hull(make()), sweep(make()))
+        seq = make()
+        swept = sweep(seq)
+        sweep_first = (hull(seq), swept)
+        seq = make()
+        hull_first = (hull(seq), sweep(seq))
+        assert sweep_first == hull_first == fresh, (seq.describe(), N)
+        verdicts.add(getattr(swept, "outcome", "raises"))
+    assert verdicts == {"holds", "fails", "raises"}
+
+
+def test_the_traced_hull_turn_count_of_the_default_run_at_seed_3(monkeypatch):
+    from carleman import transforms
+    from carleman.verify import RunConfig, run_checks
+
+    turns = _counting(monkeypatch, transforms, "_turn_sign")
+    report = run_checks(RunConfig(seed=3), only=["regularization-laws"])
+    assert [r.verdict for r in report.records] == ["holds"]
+    # the count `bench/run.py --workload verify-suite --seed 3 --trace 1`
+    # reports as transforms.hull_turns
+    assert len(turns) == 88592
