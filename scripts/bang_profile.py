@@ -20,7 +20,7 @@ from math import factorial
 from carleman.bang import BangFunction, _bang_majorant, bang_derivative
 from carleman.scalar import PrecisionError, ScalarConfig
 from carleman.seqcore import SequenceError
-from carleman.verify import ConfigError, parse_sequence_spec
+from carleman.spec import ConfigError, parse_sequence_spec
 
 
 def main(argv=None) -> int:
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         ap.error(str(exc))
     try:
-        B = BangFunction(seq, p=2, max_order=2 * args.n_max)
+        B = BangFunction(seq, p=2, max_order=2 * args.n_max, cfg=ScalarConfig(bits=args.bits))
     except (SequenceError, PrecisionError) as exc:
         ap.error(f"cannot build the series: {exc}")
     cfg = ScalarConfig(mode="interval", bits=args.bits)

@@ -17,7 +17,7 @@ from itertools import islice
 
 from carleman.criteria import dc_partial_sums
 from carleman.scalar import ScalarConfig, decimal_str
-from carleman.verify import ConfigError, parse_sequence_spec
+from carleman.spec import ConfigError, parse_sequence_spec
 
 DEFAULT_FAMILIES = [
     "analytic",

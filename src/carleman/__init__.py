@@ -62,4 +62,5 @@ from .bang import (
     induced_f_derivative,
     theorem1_bound,
 )
-from .verify import Report, RunConfig, run_checks
+from .spec import Report, RunConfig
+from .verify import run_checks

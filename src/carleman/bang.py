@@ -1,5 +1,5 @@
 """Extremal oscillating series with certified truncation, the C_p family,
-and class-norm estimation.
+and class-norm estimation over the models of ``parse_model_spec``.
 
 The central object is the series F built from a weight sequence with
 log-convex derived values: term k is M'_k / (2 m_k)**k times an oscillator
@@ -56,6 +56,7 @@ from .seqcore import (
     _log_convex_global_oracle,
     is_log_convex,
 )
+from .spec import ConfigError, RunConfig, _split_top_level, parse_fraction
 
 
 class GateError(SequenceError):
@@ -760,3 +761,31 @@ def class_norm(
         return best
 
     return make_scalar(cfg, None, sweep)
+
+
+def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig):
+    """Model expressions: poly(c0,...), cp(p), bang(p), compose(<model>,p)."""
+    s = spec.strip()
+    head, _, rest = s.partition("(")
+    if not rest.endswith(")"):
+        raise ConfigError(f"unbalanced parentheses in {spec!r}")
+    args = _split_top_level(rest[:-1])
+    try:
+        if head == "poly":
+            return PolynomialModel([parse_fraction(a) for a in args])
+        if head == "cp":
+            (p,) = args
+            return CpModel(int(p))
+        if head == "bang":
+            (p,) = args
+            B = BangFunction(
+                seq, p=int(p), max_order=config.envelope_n_max,
+                tail_target=config.tail_target, cfg=ScalarConfig(bits=config.precision),
+            )
+            return BangModel(B)
+        if head == "compose":
+            inner, p = args
+            return PowerCompositeModel(parse_model_spec(inner, seq, config), int(p))
+    except (ValueError, SequenceError) as exc:
+        raise ConfigError(f"invalid model spec {spec!r}: {exc}") from exc
+    raise ConfigError(f"unknown model {head!r}")

@@ -29,7 +29,8 @@ import pytest
 
 from carleman.cli import main
 from carleman.comb import composition_sum_oracle, log_power_coefficients
-from carleman.verify import RunConfig, report_to_csv_text, run_checks
+from carleman.spec import RunConfig, report_to_csv_text
+from carleman.verify import run_checks
 
 F = Fraction
 

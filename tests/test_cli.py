@@ -22,8 +22,8 @@ from carleman.cli import (
 )
 from carleman.criteria import dc_partial_sum
 from carleman.scalar import PrecisionError, ScalarConfig, make_scalar
-from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub
-from carleman.verify import (
+from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub, Trend, Verdict
+from carleman.spec import (
     Record,
     Report,
     RunConfig,
@@ -31,8 +31,8 @@ from carleman.verify import (
     report_from_json_obj,
     report_to_csv_text,
     report_to_json_obj,
-    run_checks,
 )
+from carleman.verify import run_checks
 
 F = Fraction
 
@@ -431,6 +431,66 @@ def test_main_bang_unresolved_gate_is_inconclusive(monkeypatch, capsys):
         assert rc == 2, argv
         assert "INCONCLUSIVE" in out and "construction gate" in out
         assert "FAILS" not in out
+
+
+# sha256 of the stdout of `carleman <argv>`; the precision of the series'
+# gate does not change it
+@pytest.mark.parametrize(
+    "argv, bits, digest",
+    [
+        (["bang", "norm", "--model", "bang(2)", "--seq", "iterlog(1)", "--precision", "128"], 128,
+         "414c787b48e959887b09589cabf131bbcf66740aa310584a555ca06e5e128a71"),
+        (["bang", "norm", "--model", "compose(bang(2),2)", "--seq", "iterlog(2)",
+          "--precision", "512"], 512,
+         "a9c65068ca0354b2947596a29194190894b0493a7fe521ba3b1a8d8cc32e506a"),
+    ],
+)
+def test_main_bang_norm_builds_its_series_at_the_command_precision(
+    argv, bits, digest, monkeypatch, capsys
+):
+    parsed = []
+
+    def spy(spec):
+        parsed.append(parse_sequence_spec(spec))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_sequence_spec", spy)
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == digest
+    (seq,) = parsed
+    assert {b for _, b in seq._enclosure_cache} == {bits}
+
+
+def test_main_bang_bounds_decides_each_order_once(monkeypatch, capsys):
+    from carleman import bang
+
+    certified = []
+    certify = bang.bang_lower_bound_certify
+
+    def counted(B, n, cfg):
+        certified.append(n)
+        return certify(B, n, cfg)
+
+    for module in (bang, cli):
+        monkeypatch.setattr(module, "bang_lower_bound_certify", counted)
+    assert main(["bang", "bounds", "--seq", "iterlog(2)", "--p", "2", "--n", "6"]) == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "8c7bc2a54b9dcc81fd21feea9fe6a0bbe6555d144f753c88175cb568efff95e6"
+    )
+    assert certified == list(range(7))
+
+
+def test_main_bang_bounds_prints_unresolved_orders_as_inconclusive(monkeypatch, capsys):
+    def unresolved(B, n, cfg):
+        return Verdict.inconclusive((n, n), Trend(note="unresolved"))
+
+    monkeypatch.setattr(cli, "bang_lower_bound_certify", unresolved)
+    assert main(["bang", "bounds", "--seq", "iterlog(2)", "--n", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["INCONCLUSIVE", f"bang-{kind}-bound-{n:02d}"] for kind in ("germ", "lower") for n in (0, 1)
+    ]
+    assert all(line.endswith("(unresolved)") for line in lines)
 
 
 _BANG_CHECKS = (

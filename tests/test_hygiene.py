@@ -49,7 +49,7 @@ def _used_names(tree: ast.Module) -> set:
 
 def test_the_check_sees_every_module():
     names = {p.stem for p in MODULES}
-    assert {"bang", "cli", "scalar", "seqcore", "transforms", "verify"} <= names
+    assert {"bang", "cli", "scalar", "seqcore", "spec", "transforms", "verify"} <= names
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -147,6 +147,58 @@ def test_the_check_flags_a_cli_import():
     assert sorted(_cli_imports(ast.parse(text))) == [1, 2, 3, 5, 6]
     main = ast.parse((SRC / "__main__.py").read_text(encoding="utf-8"))
     assert list(_cli_imports(main))
+
+
+def _package_imports(tree: ast.AST):
+    """(what, line) of every import of the package at any depth, relative or
+    absolute: the layer imported from, a name imported from the root (its
+    ``__version__``, or a layer as in ``from . import bang``), or
+    ``carleman`` for the root itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "carleman":
+                    yield (a.name.split(".") + ["carleman"])[1], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                layer = module
+            elif node.level == 0 and module.split(".")[0] == "carleman":
+                layer = module.partition(".")[2]
+            else:
+                continue
+            if layer:
+                yield layer.split(".")[0], node.lineno
+            else:
+                for a in node.names:
+                    yield a.name, node.lineno
+
+
+# spec holds the run's text formats; a front end that parses a spec or
+# writes a report needs the arithmetic and the sequence families, no more
+SPEC_IMPORTS = {"scalar", "seqcore", "__version__"}
+
+
+def test_spec_imports_only_scalar_seqcore_and_the_version():
+    tree = ast.parse((SRC / "spec.py").read_text(encoding="utf-8"))
+    found = list(_package_imports(tree))
+    extra = [f"{what} (line {line})" for what, line in found if what not in SPEC_IMPORTS]
+    assert not extra, f"spec.py imports from the package beyond its leaf: {', '.join(extra)}"
+    assert {what for what, _ in found} == SPEC_IMPORTS
+
+
+def test_the_check_flags_an_import_beyond_the_leaf():
+    text = (
+        "from . import __version__\nfrom .scalar import ScalarConfig\n"
+        "from .bang import BangFunction\nfrom . import verify\nimport carleman.cli\n"
+        "from carleman.transforms import Regularized\nimport carleman\n"
+        "from carleman.seqcore import Verdict\nfrom fractions import Fraction\n"
+        "def f():\n    from .comb import lemma1_check\n"
+    )
+    found = sorted(_package_imports(ast.parse(text)), key=lambda w: w[1])
+    assert [w for w in found if w[0] not in SPEC_IMPORTS] == [
+        ("bang", 3), ("verify", 4), ("cli", 5), ("transforms", 6), ("carleman", 7), ("comb", 11),
+    ]
 
 
 # scalar's builder of op results that skips the lo <= hi check

@@ -19,8 +19,8 @@ from carleman.seqcore import (
     is_increasing,
     is_log_convex,
 )
+from carleman.spec import parse_sequence_spec
 from carleman.transforms import Regularized, log_convex_regularization
-from carleman.verify import parse_sequence_spec
 
 F = Fraction
 EXACT = ScalarConfig(mode="exact")

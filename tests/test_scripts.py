@@ -79,3 +79,22 @@ def test_dc_curves_csv_equals_the_partial_sums_one_by_one(tmp_path):
         text = io.StringIO()
         csv.writer(text).writerows(want)
         assert out.read_bytes() == text.getvalue().encode("utf-8"), (N, step)
+
+
+def test_bang_profile_builds_its_series_at_its_bits(capsys):
+    import importlib.util
+
+    spec_obj = importlib.util.spec_from_file_location("bang_profile", ROOT / "scripts" / "bang_profile.py")
+    script = importlib.util.module_from_spec(spec_obj)
+    spec_obj.loader.exec_module(script)
+    parsed, parse = [], script.parse_sequence_spec
+
+    def spy(spec):
+        parsed.append(parse(spec))
+        return parsed[-1]
+
+    script.parse_sequence_spec = spy  # the module object is this test's own
+    assert script.main(["--n-max", "2", "--grid", "3"]) == 0
+    assert capsys.readouterr().out.startswith("# ")
+    (seq,) = parsed
+    assert {b for _, b in seq._enclosure_cache} == {128}

@@ -601,7 +601,8 @@ def test_sweep_and_hull_decide_alike_in_either_order_and_on_a_fresh_sequence():
 
 def test_the_traced_hull_turn_count_of_the_default_run_at_seed_3(monkeypatch):
     from carleman import transforms
-    from carleman.verify import RunConfig, run_checks
+    from carleman.spec import RunConfig
+    from carleman.verify import run_checks
 
     turns = _counting(monkeypatch, transforms, "_turn_sign")
     report = run_checks(RunConfig(seed=3), only=["regularization-laws"])

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from carleman import verify
 from carleman.seqcore import Custom
+from carleman.spec import RunConfig
 from carleman.transforms import Regularized
-from carleman.verify import RunConfig, _poly_jet, _random_table, run_checks
+from carleman.verify import _poly_jet, _random_table, run_checks
 
 F = Fraction
 
