@@ -43,7 +43,7 @@ from .scalar import (
     iv_e,
     make_scalar,
     outward_pow_product,
-    refine,
+    refine_le,
 )
 from .seqcore import (
     FAILS,
@@ -155,17 +155,7 @@ def cp_bound_check(
             provenance="exp is monotone: e**x <= e exactly when x <= 1",
         )
     for n in range(n_max + 1):
-
-        def decide(bits: int) -> Optional[bool]:
-            enc = _cp_series_interval(p, n, Fraction(1), bits)
-            e = iv_e(bits)
-            if enc.hi <= e.lo:
-                return True
-            if enc.lo > e.hi:
-                return False
-            return None
-
-        holds = refine(decide, cfg)
+        holds = refine_le(lambda bits: _cp_series_interval(p, n, Fraction(1), bits), iv_e, cfg)
         if holds is False:
             return Verdict.fails(window, Witness(n, ("x=1",)))
         if holds is None:
@@ -305,9 +295,12 @@ class BangFunction:
         if key not in memo:
             num = self.seq.enclosure(k + 1, bits) * (2 * k + 2)
             iv = outward_pow_product(num, 1, self.seq.enclosure(k, bits), -1, bits + 8)
-            # floor rounding keeps the sign of the lower endpoint
+            # the floor of a quotient of positive enclosures is positive, so
+            # only a non-positive enclosure of the sequence lands here
             if not iv.strictly_positive():
-                raise PrecisionError(f"ratio m_{k} not certified positive at {bits} bits")
+                raise SequenceError(
+                    f"the enclosure of m_{k} of {self.seq.describe()} is not positive"
+                )
             memo[key] = iv
         return memo[key]
 
@@ -449,19 +442,8 @@ def bang_derivative(
         raise ValueError(f"derivative order {n} exceeds the truncation K={B.K}")
     xq = _bang_point(B, xi)
 
-    def attempt(bits: int) -> Optional[Interval]:
-        try:
-            total = _bang_sum(B, n, xq, bits)
-            tail = B.relative_tail(n) * B._mprime(n, bits).hi
-        except PrecisionError:
-            return None
-        return total.widen(tail)
-
     def enclosure(bits: int) -> Interval:
-        iv = refine(attempt, cfg.with_bits(bits))
-        if iv is None:
-            raise PrecisionError(f"term enclosures at order {n} stayed unresolved")
-        return iv
+        return _bang_sum(B, n, xq, bits).widen(B.relative_tail(n) * B._mprime(n, bits).hi)
 
     return make_scalar(cfg, None, enclosure)
 
@@ -481,24 +463,19 @@ def bang_lower_bound_certify(
     if q > B.K:
         raise ValueError(f"need truncation K >= {q}")
     window = (n, n)
-
-    def decide(bits: int) -> Optional[Verdict]:
-        try:
-            total = abs(_bang_sum(B, q, Fraction(0), bits))
-            target = B._mprime(q, bits)
-        except PrecisionError:
-            return None
-        if total.lo >= target.hi:
-            return Verdict.holds(
-                window,
-                provenance=(
-                    "same-sign terms at 0: the partial sum bounds |F| from "
-                    "below and contains the k = pn term M'_{pn} itself"
-                ),
-            )
-        return None
-
-    return refine(decide, cfg) or Verdict.inconclusive(
+    # a certified False would contradict the same-sign argument; like None,
+    # it leaves the bound unresolved
+    if refine_le(
+        lambda bits: B._mprime(q, bits), lambda bits: abs(_bang_sum(B, q, Fraction(0), bits)), cfg
+    ):
+        return Verdict.holds(
+            window,
+            provenance=(
+                "same-sign terms at 0: the partial sum bounds |F| from "
+                "below and contains the k = pn term M'_{pn} itself"
+            ),
+        )
+    return Verdict.inconclusive(
         window, Trend(note=f"lower bound at order {q} unresolved at the precision cap")
     )
 
@@ -513,10 +490,7 @@ def induced_f_derivative(
     scalar = make_scalar(
         cfg,
         None,
-        lambda bits: bang_derivative(
-            B, q, 0, cfg.with_mode("interval").with_bits(bits)
-        ).interval()
-        * scale,
+        lambda bits: bang_derivative(B, q, 0, ScalarConfig(bits=bits)).interval() * scale,
     )
     verdict = bang_lower_bound_certify(B, n, cfg)
     if verdict.ok:
@@ -585,21 +559,11 @@ def bang_envelope_check(
     window = (0, n_max)
     xs = [_bang_point(B, x) for x in grid]
     for n in range(n_max + 1):
-
-        def point_free(bits: int) -> Optional[bool]:
-            try:
-                lhs = _bang_majorant(B, n, bits)
-            except PrecisionError:
-                return None
-            rhs = _envelope_bound(B, n, bits)
-            if lhs.hi <= rhs.lo:
-                return True
-            if lhs.lo > rhs.hi:
-                return False  # the majorant exceeds the envelope: ask the grid
-            return None
-
-        # the tail bounds need n <= K; above it the grid refuses the order
-        if n <= B.K and refine(point_free, cfg):
+        # the tail bounds need n <= K; above it the grid refuses the order.
+        # A False (the majorant exceeds the envelope) also asks the grid
+        if n <= B.K and refine_le(
+            lambda bits: _bang_majorant(B, n, bits), lambda bits: _envelope_bound(B, n, bits), cfg
+        ):
             continue
         verdict = _envelope_on_grid(B, n, xs, window, cfg)
         if verdict is not None:
@@ -617,19 +581,11 @@ def _envelope_on_grid(
     """The envelope at order n, point by point: the first Fails or
     Inconclusive on the grid, or None when every point holds."""
     for x in xs:
-
-        def decide(bits: int) -> Optional[bool]:
-            enc = abs(
-                bang_derivative(B, n, x, cfg.with_mode("interval").with_bits(bits)).interval()
-            )
-            rhs = _envelope_bound(B, n, bits)
-            if enc.hi <= rhs.lo:
-                return True
-            if enc.lo > rhs.hi:
-                return False
-            return None
-
-        holds = refine(decide, cfg)
+        holds = refine_le(
+            lambda bits: abs(bang_derivative(B, n, x, ScalarConfig(bits=bits)).interval()),
+            lambda bits: _envelope_bound(B, n, bits),
+            cfg,
+        )
         if holds is False:
             return Verdict.fails(window, Witness(n, (f"xi={x}",)))
         if holds is None:
@@ -763,8 +719,10 @@ def class_norm(
     return make_scalar(cfg, None, sweep)
 
 
-def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig):
-    """Model expressions: poly(c0,...), cp(p), bang(p), compose(<model>,p)."""
+def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig, n_max: int):
+    """Model expressions: poly(c0,...), cp(p), bang(p), compose(<model>,p).
+    A bang(p) series serves derivative orders up to ``n_max`` and at least
+    ``config.envelope_n_max``."""
     s = spec.strip()
     head, _, rest = s.partition("(")
     if not rest.endswith(")"):
@@ -779,13 +737,13 @@ def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig):
         if head == "bang":
             (p,) = args
             B = BangFunction(
-                seq, p=int(p), max_order=config.envelope_n_max,
+                seq, p=int(p), max_order=max(config.envelope_n_max, n_max),
                 tail_target=config.tail_target, cfg=ScalarConfig(bits=config.precision),
             )
             return BangModel(B)
         if head == "compose":
             inner, p = args
-            return PowerCompositeModel(parse_model_spec(inner, seq, config), int(p))
+            return PowerCompositeModel(parse_model_spec(inner, seq, config, n_max), int(p))
     except (ValueError, SequenceError) as exc:
         raise ConfigError(f"invalid model spec {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown model {head!r}")

@@ -384,7 +384,7 @@ def _cmd_bang_bounds(args, config: RunConfig) -> int:
 
 def _cmd_bang_norm(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
-    model = parse_model_spec(args.model, seq, config)
+    model = parse_model_spec(args.model, seq, config, args.n_max)
     lo, hi = _parse_window(args.interval)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
     s = class_norm(
@@ -560,9 +560,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = build_run_config(args)
         return args.handler(args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (SequenceError, ValueError, ExactUnavailableError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,6 +38,7 @@ from .scalar import (
     iv_sqrt,
     make_scalar,
     refine,
+    refine_le,
 )
 from .seqcore import Trend, Verdict, Witness
 
@@ -364,18 +365,14 @@ def stirling_ineq_check(
         raise ValueError("need 0 <= k < p n")
     window = (n, n)
     m = p * n - k
-    lhs = n ** m  # cleared form: n**m <= m! * e**(p n)
-    fact = factorial(m)
-
-    def decide(bits: int) -> Optional[Verdict]:
-        e = iv_e(bits)
-        if lhs <= fact * e.lo ** (p * n):
-            return Verdict.holds(window)
-        if lhs > fact * e.hi ** (p * n):
-            return Verdict.fails(window, Witness(n, (f"p={p}", f"k={k}")))
-        return None
-
-    return refine(decide, cfg) or Verdict.inconclusive(
+    # cleared form: n**m <= m! * e**(p n)
+    lhs, fact = Interval.point(n ** m), factorial(m)
+    holds = refine_le(lambda bits: lhs, lambda bits: iv_e(bits).pow_int(p * n) * fact, cfg)
+    if holds:
+        return Verdict.holds(window)
+    if holds is False:
+        return Verdict.fails(window, Witness(n, (f"p={p}", f"k={k}")))
+    return Verdict.inconclusive(
         window, Trend(note=f"p={p}, n={n}, k={k} unresolved at the precision cap")
     )
 

@@ -106,7 +106,7 @@ def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
     marks = sorted({m for m in (max(1, N // 4), max(2, N // 2), N) if 0 <= m <= N})
     points = []
     for m in marks:
-        s = dc_partial_sum(seq, m, cfg.with_mode("interval"))
+        s = dc_partial_sum(seq, m, ScalarConfig(bits=cfg.bits))
         points.append((m, float(s)))
     growth = None
     if len(points) >= 2 and points[-1][0] > points[-2][0]:

@@ -578,12 +578,6 @@ class ScalarConfig:
         if self.max_doublings < 0:
             raise ValueError("max_doublings must be nonnegative")
 
-    def with_mode(self, mode: str) -> "ScalarConfig":
-        return ScalarConfig(mode, self.bits, self.max_doublings)
-
-    def with_bits(self, bits: int) -> "ScalarConfig":
-        return ScalarConfig(self.mode, bits, self.max_doublings)
-
 
 DEFAULT_CONFIG = ScalarConfig()
 
@@ -728,6 +722,22 @@ def refine_sign(diff: EnclosureFn, cfg: ScalarConfig) -> Optional[int]:
             return 1
         if d.lo == d.hi == 0:
             return 0
+        return None
+
+    return refine(decide, cfg)
+
+
+def refine_le(lhs: EnclosureFn, rhs: EnclosureFn, cfg: ScalarConfig) -> Optional[bool]:
+    """Certified lhs <= rhs for quantities given by enclosures, refining
+    precision: True once lhs(bits).hi <= rhs(bits).lo, False once
+    lhs(bits).lo > rhs(bits).hi, None when still unresolved at the cap."""
+
+    def decide(bits: int) -> Optional[bool]:
+        a, b = lhs(bits), rhs(bits)
+        if a.hi <= b.lo:
+            return True
+        if a.lo > b.hi:
+            return False
         return None
 
     return refine(decide, cfg)

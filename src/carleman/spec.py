@@ -177,8 +177,6 @@ def parse_sequence_spec(spec: str) -> WeightSequence:
     raise ConfigError(f"unknown sequence family {head!r}")
 
 
-
-
 def _parse_window(text: str) -> Tuple[int, int]:
     try:
         a, _, b = text.partition(":")
@@ -233,6 +231,7 @@ def load_config_file(path: str) -> dict:
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: field {key!r}: {exc}")
     return overrides
+
 
 # -- records and reports ----------------------------------------------------------
 

@@ -4,10 +4,11 @@ run's configuration, its records and reports and their writers live in
 ``spec``; this module keeps the check registry, the checks and
 ``run_checks``.
 
-Each check returns a Verdict plus optional enclosure endpoints for the
-report.  Sweep checks start their refinement ladder at a moderate mantissa
-size and escalate on unresolved comparisons, so the configured precision is
-an accuracy knob for reported enclosures, never a soundness knob.
+Each check returns its Verdict, or a (Verdict, Interval) pair whose
+enclosure the report prints.  Sweep checks start their refinement ladder
+at a moderate mantissa size and escalate on unresolved comparisons, so the
+configured precision is an accuracy knob for reported enclosures, never a
+soundness knob.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import random
 import time
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -56,20 +57,15 @@ from .seqcore import (
     _int_roots,
     is_log_convex,
 )
-from .spec import RunConfig, _mini_report, _record, parse_sequence_spec
+from .spec import Report, RunConfig, _mini_report, _record, parse_sequence_spec
 from .transforms import log_convex_regularization
 
 
 # -- the check registry ------------------------------------------------------------
 
 
-@dataclass
-class CheckOutcome:
-    verdict: Verdict
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-
-
+# a check's Verdict, with the enclosure its report row prints, if any
+CheckOutcome = Union[Verdict, Tuple[Verdict, Interval]]
 CheckFn = Callable[[RunConfig], CheckOutcome]
 _REGISTRY: List[Tuple[str, str, CheckFn]] = []
 
@@ -80,12 +76,6 @@ def _check(check_id: str, anchor: str):
         return fn
 
     return deco
-
-
-def _outcome(verdict: Verdict, enclosure: Optional[Interval] = None) -> CheckOutcome:
-    if enclosure is None:
-        return CheckOutcome(verdict)
-    return CheckOutcome(verdict, enclosure.lo, enclosure.hi)
 
 
 def _unit_grid(g: int) -> List[Fraction]:
@@ -106,15 +96,13 @@ def _corollary(config: RunConfig) -> CheckOutcome:
         series = log_power_coefficients(k, nmax)
         for n in range(k, nmax + 1):
             if series.coeff(n) != composition_sum_oracle(k, n):
-                return _outcome(
-                    Verdict.fails((1, nmax), Witness(n, (f"k={k}",)))
-                )
-    return _outcome(Verdict.holds((1, nmax)))
+                return Verdict.fails((1, nmax), Witness(n, (f"k={k}",)))
+    return Verdict.holds((1, nmax))
 
 
 @_check("lemma1-coefficient-bound", "c[k,n] <= (2e)**n * k!/n**k")
 def _lemma1(config: RunConfig) -> CheckOutcome:
-    return _outcome(lemma1_check(config.k_max, config.n_max, config.sweep_config()))
+    return lemma1_check(config.k_max, config.n_max, config.sweep_config())
 
 
 @_check("a-coefficient-bound", "|a_i| <= 1/i for the (1+u)**(1/p) coefficients")
@@ -124,19 +112,17 @@ def _a_bound(config: RunConfig) -> CheckOutcome:
         series = root_series_coefficients(p, nmax)
         for i in range(1, nmax + 1):
             if abs(series.coeff(i)) > Fraction(1, i):
-                return _outcome(Verdict.fails((1, nmax), Witness(i, (f"p={p}",))))
-    return _outcome(Verdict.holds((1, nmax)))
+                return Verdict.fails((1, nmax), Witness(i, (f"p={p}",)))
+    return Verdict.holds((1, nmax))
 
 
 @_check("b-coefficient-bound", "|b_n| <= (2e)**n / n**k")
 def _b_bound(config: RunConfig) -> CheckOutcome:
     for p in config.p_set:
-        v = b_coefficient_bound_check(
-            p, config.b_k_max, config.b_n_max, config.sweep_config()
-        )
+        v = b_coefficient_bound_check(p, config.b_k_max, config.b_n_max, config.sweep_config())
         if not v.ok:
-            return _outcome(v)
-    return _outcome(Verdict.holds((1, config.b_n_max)))
+            return v
+    return Verdict.holds((1, config.b_n_max))
 
 
 @_check(
@@ -144,18 +130,12 @@ def _b_bound(config: RunConfig) -> CheckOutcome:
     "|alpha_k^(n)(x,x)| <= (2e)**n * n**(n-k) * x**(-(pn-k)/p)",
 )
 def _lemma2(config: RunConfig) -> CheckOutcome:
-    return _outcome(
-        lemma2_check(
-            config.p_set, config.lemma2_n_max, config.x_grid, config.sweep_config()
-        )
-    )
+    return lemma2_check(config.p_set, config.lemma2_n_max, config.x_grid, config.sweep_config())
 
 
 @_check("stirling-reciprocal-factorial", "1/(pn-k)! <= e**(pn) / n**(pn-k)")
 def _stirling(config: RunConfig) -> CheckOutcome:
-    return _outcome(
-        stirling_sweep(config.p_set, config.stirling_n_max, config.sweep_config())
-    )
+    return stirling_sweep(config.p_set, config.stirling_n_max, config.sweep_config())
 
 
 @_check(
@@ -163,9 +143,7 @@ def _stirling(config: RunConfig) -> CheckOutcome:
     "sqrt(2 pi n) (n/e)**n < n! < e sqrt(n) (n/e)**n for n >= 2",
 )
 def _stirling_two_sided(config: RunConfig) -> CheckOutcome:
-    return _outcome(
-        stirling_factorial_bounds_check(config.stirling_n_max, config.sweep_config())
-    )
+    return stirling_factorial_bounds_check(config.stirling_n_max, config.sweep_config())
 
 
 # -- extremal-series checks --------------------------------------------------------
@@ -179,8 +157,8 @@ _RUN_SEQUENCES: ContextVar[Dict[str, WeightSequence]] = ContextVar("run_sequence
 
 def _build_bang(
     config: RunConfig, p: int, max_order: int, window: Tuple[int, int]
-) -> Union[BangFunction, CheckOutcome]:
-    """The extremal series of ``config.bang_seq``, or the check's outcome
+) -> Union[BangFunction, Verdict]:
+    """The extremal series of ``config.bang_seq``, or the check's Verdict
     over ``window`` when its construction gate refuses the sequence: Fails
     when the gate fails, Inconclusive when it stays unresolved.  A malformed
     spec or a refused parameter is not a gate outcome; its ``ConfigError``
@@ -200,23 +178,23 @@ def _build_bang(
             cfg=config.sweep_config(),
         )
     except PrecisionError as exc:
-        return _outcome(Verdict.inconclusive(window, Trend(note=f"construction gate: {exc}")))
+        return Verdict.inconclusive(window, Trend(note=f"construction gate: {exc}"))
     except GateError as exc:
-        return _outcome(Verdict.fails(window, Witness(0, (f"construction gate: {exc}",))))
+        return Verdict.fails(window, Witness(0, (f"construction gate: {exc}",)))
 
 
 def _bang_lower(config: RunConfig, p: int, nmax: int) -> CheckOutcome:
     """|F^(pn)(0)| >= M'_pn for n <= nmax, with the top-order enclosure."""
     B = _build_bang(config, p, p * nmax, (0, nmax))
-    if isinstance(B, CheckOutcome):
+    if isinstance(B, Verdict):
         return B
     cfg = config.sweep_config()
     for n in range(nmax + 1):
         v = bang_lower_bound_certify(B, n, cfg)
         if not v.ok:
-            return _outcome(v)
+            return v
     top = abs(bang_derivative(B, p * nmax, 0, cfg).interval())
-    return _outcome(Verdict.holds((0, nmax)), top)
+    return Verdict.holds((0, nmax)), top
 
 
 @_check("bang-cos-lower-bound", "|F^(2n)(0)| >= M'_2n for the cosine series")
@@ -238,28 +216,24 @@ def _bang_tail(config: RunConfig) -> CheckOutcome:
     worst = Fraction(0)
     for p, max_order in orders:
         B = _build_bang(config, p, max_order, (0, max_order))
-        if isinstance(B, CheckOutcome):
+        if isinstance(B, Verdict):
             return B
         for n in range(max_order + 1):
             margin = B.relative_tail(n)
             worst = max(worst, margin)
             if margin > config.tail_target:
-                return _outcome(
-                    Verdict.fails((0, max_order), Witness(n, (f"p={p}",)))
-                )
-    return _outcome(
-        Verdict.holds((0, max(o for _, o in orders))), Interval.point(worst)
-    )
+                return Verdict.fails((0, max_order), Witness(n, (f"p={p}",)))
+    return Verdict.holds((0, max(o for _, o in orders))), Interval.point(worst)
 
 
 @_check("bang-envelope", "|F^(n)(xi)| <= 2**(n+1) * M'_n on [-1, 1]")
 def _bang_envelope(config: RunConfig) -> CheckOutcome:
     nmax = config.envelope_n_max
     B = _build_bang(config, 2, max(nmax, 2 * config.bang_cos_n_max), (0, nmax))
-    if isinstance(B, CheckOutcome):
+    if isinstance(B, Verdict):
         return B
     grid = _unit_grid(config.envelope_grid)
-    return _outcome(bang_envelope_check(B, nmax, grid, config.sweep_config()))
+    return bang_envelope_check(B, nmax, grid, config.sweep_config())
 
 
 @_check("cp-derivative-bound", "|C_p^(n)(x)| <= e on [-1, 1] for n <= 4p")
@@ -268,8 +242,8 @@ def _cp_bound(config: RunConfig) -> CheckOutcome:
     for p in range(1, config.cp_p_max + 1):
         v = cp_bound_check(p, 4 * p, grid, config.sweep_config())
         if not v.ok:
-            return _outcome(v)
-    return _outcome(Verdict.holds((0, 4 * config.cp_p_max)))
+            return v
+    return Verdict.holds((0, 4 * config.cp_p_max))
 
 
 @_check("cp-periodicity", "C_p^(p) = C_p pointwise within combined enclosures")
@@ -283,19 +257,15 @@ def _cp_periodicity(config: RunConfig) -> CheckOutcome:
             a = cp_derivative(p, p, x, cfg).interval()
             b = cp_derivative(p, 0, x, cfg).interval()
             if not a.overlaps(b):
-                return _outcome(
-                    Verdict.fails((0, config.cp_p_max), Witness(p, (f"x={x}",)))
-                )
+                return Verdict.fails((0, config.cp_p_max), Witness(p, (f"x={x}",)))
             combined = a.width + b.width
             worst = max(worst, combined)
             if combined > width_cap:
-                return _outcome(
-                    Verdict.fails(
-                        (0, config.cp_p_max),
-                        Witness(p, (f"x={x}", f"width={float(combined):.3g}")),
-                    )
+                return Verdict.fails(
+                    (0, config.cp_p_max),
+                    Witness(p, (f"x={x}", f"width={float(combined):.3g}")),
                 )
-    return _outcome(Verdict.holds((0, config.cp_p_max)), Interval.point(worst))
+    return Verdict.holds((0, config.cp_p_max)), Interval.point(worst)
 
 
 # -- randomized identities ----------------------------------------------------------
@@ -341,10 +311,8 @@ def _remainder(config: RunConfig) -> CheckOutcome:
         got = taylor_remainder_reconstruct(f_jet0, F_jet, p, xi).fraction()
         want = _poly_jet(f, xi ** p, n)[n]
         if got != want:
-            return _outcome(
-                Verdict.fails((1, cases), Witness(case, (f"p={p}", f"n={n}", f"xi={xi}")))
-            )
-    return _outcome(Verdict.holds((1, cases)))
+            return Verdict.fails((1, cases), Witness(case, (f"p={p}", f"n={n}", f"xi={xi}")))
+    return Verdict.holds((1, cases))
 
 
 @_check("family-quasianalytic-verdicts", "quasianalyticity by family oracle")
@@ -364,13 +332,11 @@ def _family_verdicts(config: RunConfig) -> CheckOutcome:
     for i, (seq, expected) in enumerate(cases):
         got = quasianalytic_verdict(seq).outcome
         if got != expected:
-            return _outcome(
-                Verdict.fails(
-                    (0, len(cases) - 1),
-                    Witness(i, (seq.describe(), f"expected {expected}", f"got {got}")),
-                )
+            return Verdict.fails(
+                (0, len(cases) - 1),
+                Witness(i, (seq.describe(), f"expected {expected}", f"got {got}")),
             )
-    return _outcome(Verdict.holds((0, len(cases) - 1)))
+    return Verdict.holds((0, len(cases) - 1))
 
 
 def _random_table(rng: random.Random, length: int) -> List[Fraction]:
@@ -400,8 +366,8 @@ def _powersub_identity(config: RunConfig) -> CheckOutcome:
         ps = PowerSub(seq, 1)
         for n in range(N + 1):
             if ps.exact(n) != seq.exact(n):
-                return _outcome(Verdict.fails((0, N), Witness(n, (f"case={case}",))))
-    return _outcome(Verdict.holds((0, N)))
+                return Verdict.fails((0, N), Witness(n, (f"case={case}",)))
+    return Verdict.holds((0, N))
 
 
 @_check("powersub-composition", "nested power substitutions compose: p then q is pq")
@@ -416,10 +382,8 @@ def _powersub_composition(config: RunConfig) -> CheckOutcome:
         direct = PowerSub(seq, p * q)
         for n in range(N // (p * q) + 1):
             if nested.exact(n) != direct.exact(n):
-                return _outcome(
-                    Verdict.fails((0, N), Witness(n, (f"case={case}", f"p={p}", f"q={q}")))
-                )
-    return _outcome(Verdict.holds((0, N)))
+                return Verdict.fails((0, N), Witness(n, (f"case={case}", f"p={p}", f"q={q}")))
+    return Verdict.holds((0, N))
 
 
 @_check(
@@ -437,21 +401,15 @@ def _regularization_laws(config: RunConfig) -> CheckOutcome:
         for n, ((qn, qd, d), (en, ed, _)) in enumerate(zip(reg_forms, forms, strict=True)):
             # (qn/qd)**(1/d) > en/ed, cross-multiplied on integers
             if qn * ed ** d > en ** d * qd:
-                return _outcome(
-                    Verdict.fails(window, Witness(n, (f"case={case}", "not a minorant")))
-                )
+                return Verdict.fails(window, Witness(n, (f"case={case}", "not a minorant")))
         if not is_log_convex(reg, (1, N - 1)).ok:
-            return _outcome(
-                Verdict.fails(window, Witness(case, ("output not log-convex",)))
-            )
+            return Verdict.fails(window, Witness(case, ("output not log-convex",)))
         reg2 = log_convex_regularization(reg, window)
         for n, (fa, fb) in enumerate(zip(reg_forms, _int_roots(reg2, 0, N), strict=True)):
             # equal root forms are equal values; only differing forms need powers
             if fa != fb and fa[0] ** fb[2] * fb[1] ** fa[2] != fb[0] ** fa[2] * fa[1] ** fb[2]:
-                return _outcome(
-                    Verdict.fails(window, Witness(n, (f"case={case}", "not idempotent")))
-                )
-    return _outcome(Verdict.holds(window))
+                return Verdict.fails(window, Witness(n, (f"case={case}", "not idempotent")))
+    return Verdict.holds(window)
 
 
 @_check("induced-germ-lower-bound", "|f^(n)(0)| >= n! * M'_pn / (pn)!")
@@ -460,14 +418,14 @@ def _germ_lower(config: RunConfig) -> CheckOutcome:
     worst: Optional[Interval] = None
     for p in (2, config.bang_cp_p):
         B = _build_bang(config, p, p * config.germ_n_max, (0, config.germ_n_max))
-        if isinstance(B, CheckOutcome):
+        if isinstance(B, Verdict):
             return B
         for n in range(config.germ_n_max + 1):
             scalar, verdict = induced_f_derivative(B, n, cfg)
             if not verdict.ok:
-                return _outcome(verdict)
+                return verdict
             worst = abs(scalar.interval())
-    return _outcome(Verdict.holds((0, config.germ_n_max)), worst)
+    return Verdict.holds((0, config.germ_n_max)), worst
 
 
 # -- the suite ----------------------------------------------------------------------
@@ -505,9 +463,10 @@ def run_checks(
             start = time.perf_counter()
             out = fn(config)
             elapsed = time.perf_counter() - start
-            lower = decimal_str(out.lower, config.digits, "down") if out.lower is not None else ""
-            upper = decimal_str(out.upper, config.digits, "up") if out.upper is not None else ""
-            records.append(_record(cid, anchor, out.verdict, lower, upper, round(elapsed, 6)))
+            verdict, enc = out if isinstance(out, tuple) else (out, None)
+            lower = decimal_str(enc.lo, config.digits, "down") if enc is not None else ""
+            upper = decimal_str(enc.hi, config.digits, "up") if enc is not None else ""
+            records.append(_record(cid, anchor, verdict, lower, upper, round(elapsed, 6)))
     finally:
         _RUN_SEQUENCES.reset(token)
     return _mini_report(config, records)

@@ -39,7 +39,9 @@ from carleman.scalar import (
     iv_sin,
     outward_pow_product,
 )
-from carleman.seqcore import Analytic, Custom, Gevrey, IteratedLog, PowerSub, SequenceError
+from carleman.seqcore import (
+    Analytic, Custom, Gevrey, IteratedLog, PowerSub, SequenceError, WeightSequence,
+)
 
 F = Fraction
 IVAL = ScalarConfig(mode="interval", bits=128)
@@ -698,3 +700,31 @@ def test_bang_coef_refuses_a_nonpositive_weight_enclosure():
     B.seq.memo["mp", 3, 64] = Interval(F(0), F(5))
     with pytest.raises(SequenceError):
         _bang_coef(B, 2, 3, 64)
+
+
+class _ZeroAt(WeightSequence):
+    """IteratedLog(2) read through its enclosures, except that M_1 is
+    enclosed by the point 0 at ``bad_bits``: a fault of the sequence,
+    which no precision mends."""
+
+    def __init__(self, bad_bits):
+        super().__init__()
+        self.base, self.bad_bits = IteratedLog(2), bad_bits
+
+    def _root(self, n):
+        return None
+
+    def _enclosure(self, n, bits):
+        if n == 1 and bits == self.bad_bits:
+            return Interval.point(0)
+        return self.base.enclosure(n, bits)
+
+
+def test_twice_ratio_refuses_a_nonpositive_enclosure():
+    B = BangFunction(_ZeroAt(96), p=2, max_order=2, K=6)
+    assert B._twice_ratio(0, 128).strictly_positive()
+    with pytest.raises(SequenceError, match="m_0 .* not positive"):
+        B._twice_ratio(0, 96)
+    # the one ladder of a caller meets it as it is, not as a precision shortfall
+    with pytest.raises(SequenceError):
+        bang_derivative(B, 2, 0, ScalarConfig(bits=96))

@@ -461,6 +461,24 @@ def test_main_bang_norm_builds_its_series_at_the_command_precision(
     assert {b for _, b in seq._enclosure_cache} == {bits}
 
 
+_NORM = ["bang", "norm", "--model", "bang(2)", "--seq", "iterlog(1)"]
+
+
+def test_main_bang_norm_builds_its_series_for_the_norm_orders(capsys):
+    # a series built for the envelope's 12 orders has K = 48, so order 49
+    # was refused
+    assert main(_NORM + ["--n-max", "49", "--grid", "2"]) == 0
+    assert "K=94" in capsys.readouterr().out
+    # past 12 the series is longer and its tail smaller: the enclosure lies
+    # inside the one of the K = 48 series
+    assert main(_NORM + ["--n-max", "20", "--grid", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "K=59" in out
+    lo, hi = map(Fraction, out.split(": [")[1].split("]")[0].split(", "))
+    assert Fraction("190.109062464407363205095918083692") <= lo <= hi
+    assert hi <= Fraction("190.109062464407463214362545332655")
+
+
 def test_main_bang_bounds_decides_each_order_once(monkeypatch, capsys):
     from carleman import bang
 

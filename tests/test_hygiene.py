@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no module but ``scalar`` builds an Interval
-without its order check or a Fraction without its gcd, and no class has a
-second exact hook."""
+without its order check or a Fraction without its gcd or compares two
+enclosures by hand, no class has a second exact hook, and every annotation
+resolves."""
 
 import ast
 from pathlib import Path
@@ -553,3 +554,99 @@ def test_the_check_flags_a_renamed_tracer_target():
     assert _unresolved(targets) == [
         "transforms._turn_sign_renamed", "seqcore.WeightSequence.as_root_renamed",
     ]
+
+
+# -- annotations that resolve ---------------------------------------------------------
+
+
+def _unresolved_hints(module):
+    """Qualified names of the functions and methods defined in ``module``
+    whose annotations ``typing.get_type_hints`` cannot resolve."""
+    import inspect
+    import typing
+
+    def defined_here(obj):
+        return getattr(obj, "__module__", None) == module.__name__
+
+    functions = []
+    for obj in vars(module).values():
+        if inspect.isfunction(obj) and defined_here(obj):
+            functions.append(obj)
+        elif inspect.isclass(obj) and defined_here(obj):
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    functions.append(member)
+    bad = []
+    for fn in functions:
+        try:
+            typing.get_type_hints(fn)
+        except Exception as exc:  # NameError for a name the module never binds
+            bad.append(f"{fn.__qualname__}: {exc}")
+    return bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_annotation_resolves(path):
+    import importlib
+
+    module = importlib.import_module(f"carleman.{path.stem}")
+    assert _unresolved_hints(module) == []
+
+
+def test_the_check_flags_an_unresolvable_annotation():
+    import types
+
+    module = types.ModuleType("carleman._hints_probe")
+    exec(
+        "from __future__ import annotations\n"
+        "from typing import List\n"
+        "def ok(x: int) -> List[int]:\n    return [x]\n"
+        "def missing(x: int) -> Report:\n    return x\n"
+        "class A:\n"
+        "    def m(self) -> Record:\n        pass\n"
+        "    @staticmethod\n    def s(y: Unbound) -> None:\n        pass\n"
+        "    @property\n    def p(self) -> Absent:\n        return 1\n",
+        module.__dict__,
+    )
+    names = [entry.split(":")[0] for entry in _unresolved_hints(module)]
+    assert names == ["missing", "A.m", "A.s", "A.p"]
+
+
+# -- one two-enclosure comparison ----------------------------------------------------
+
+
+def _hi_lo_comparisons(tree: ast.AST):
+    """Lines of every comparison with adjacent operands that are the ``hi``
+    and the ``lo`` attributes of two expressions, in either order."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            for a, b in zip(operands, operands[1:]):
+                if (
+                    isinstance(a, ast.Attribute) and isinstance(b, ast.Attribute)
+                    and {a.attr, b.attr} == {"hi", "lo"}
+                ):
+                    yield node.lineno
+                    break
+
+
+# scalar.refine_le decides every lhs <= rhs between two enclosures
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "scalar"], ids=lambda p: p.stem
+)
+def test_only_scalar_compares_two_enclosures(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_hi_lo_comparisons(tree))
+    assert not lines, f"{path.name} compares hi with lo on lines {lines}; use scalar.refine_le"
+
+
+def test_the_check_flags_a_hand_written_comparison():
+    text = (
+        "if a.hi <= b.lo:\n    pass\n"
+        "ok = f(x).lo > g(y).hi\n"
+        "mid = 0 < a.lo <= b.hi\n"
+        "best = max(best.lo, val.lo) if best.lo < val.lo else best.hi\n"
+        "same = a.hi == b.hi\n"
+    )
+    assert list(_hi_lo_comparisons(ast.parse(text))) == [1, 3, 4]

@@ -40,6 +40,7 @@ from carleman.scalar import (
     make_scalar,
     outward_pow_product,
     refine,
+    refine_le,
     refine_sign,
 )
 
@@ -190,6 +191,42 @@ def test_refine_doubles_until_decided_or_capped():
     assert refine(lambda bits: seen.append(bits) or (False if bits == 256 else None),
                   ScalarConfig(bits=64, max_doublings=5)) is False
     assert seen == [64, 128, 256]
+
+
+def test_refine_le_is_non_strict_and_certifies_both_ways():
+    cfg = ScalarConfig(bits=64, max_doublings=3)
+    one, two = Interval.point(1), Interval(F(1), F(2))
+    # touching endpoints: lhs.hi == rhs.lo is a certified <=
+    assert refine_le(lambda b: two, lambda b: Interval(F(2), F(3)), cfg) is True
+    assert refine_le(lambda b: one, lambda b: one, cfg) is True
+    assert refine_le(lambda b: Interval(F(3), F(4)), lambda b: two, cfg) is False
+    assert refine_le(lambda b: iv_e(b), lambda b: Interval.point(3), cfg) is True
+    assert refine_le(lambda b: iv_e(b), lambda b: Interval.point(F(27, 10)), cfg) is False
+
+
+def test_refine_le_decides_once_the_enclosures_narrow():
+    # 1 +- 2**-(bits/32) against 9/8: overlapping at 64 bits, apart at 128
+    seen = []
+
+    def lhs(bits):
+        seen.append(bits)
+        return Interval.point(1).widen(F(1, 2 ** (bits // 32)))
+
+    assert refine_le(lhs, lambda b: Interval.point(F(9, 8)), ScalarConfig(bits=64)) is True
+    assert seen == [64, 128]
+
+
+def test_refine_le_stays_none_after_every_rung():
+    calls = []
+
+    def lhs(bits):
+        calls.append(bits)
+        return iv_e(bits)
+
+    for d in (0, 2, 5):
+        calls.clear()
+        assert refine_le(lhs, iv_e, ScalarConfig(bits=64, max_doublings=d)) is None
+        assert len(calls) == d + 1
 
 
 def test_scalar_modes():
