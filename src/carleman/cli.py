@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import itertools
 import json
@@ -25,27 +26,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .bang import (
-    BangFunction,
-    GateError,
-    bang_derivative,
-    bang_lower_bound_certify,
-    class_norm,
-    parse_model_spec,
-)
-from .comb import (
-    lemma1_check,
-    lemma2_check,
-    log_power_coefficients,
-    stirling_sweep,
-)
-from .criteria import (
-    dc_partial_sum,
-    dc_partial_sums,
-    derivation_closure_estimate,
-    inclusion_estimate,
-    quasianalytic_verdict,
-)
 from .scalar import (
     ExactUnavailableError,
     PrecisionError,
@@ -77,14 +57,46 @@ from .spec import (
     report_to_csv_text,
     report_to_json_obj,
 )
-from .transforms import log_convex_regularization
-from .verify import check_ids, run_checks
 
 EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
 ENV_PRECISION = "CARLEMAN_PRECISION"
+
+# layer -> the names the handlers take from it; a command loads its leaf's
+# layers when it is dispatched, so `seq show` never imports `bang`
+_LAZY = {
+    "bang": (
+        "BangFunction", "GateError", "bang_derivative", "bang_lower_bound_certify", "class_norm",
+        "parse_model_spec",
+    ),
+    "comb": ("lemma1_check", "lemma2_check", "log_power_coefficients", "stirling_sweep"),
+    "criteria": (
+        "dc_partial_sum", "dc_partial_sums", "derivation_closure_estimate", "inclusion_estimate",
+        "quasianalytic_verdict",
+    ),
+    "transforms": ("log_convex_regularization",),
+    "verify": ("check_ids", "run_checks"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_LAYER_OF[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def _load(layers: Sequence[str]) -> None:
+    """Bind the names the handlers take from ``layers``.  A name already
+    bound stays, so a patched one survives the dispatch."""
+    module = sys.modules[__name__]
+    for layer in layers:
+        for name in _LAZY[layer]:
+            getattr(module, name)
 
 
 # -- RunConfig loading ---------------------------------------------------------------
@@ -283,6 +295,8 @@ def _cmd_criteria_inclusion(args, config: RunConfig) -> int:
 
 
 def _cmd_comb_coefficients(args, config: RunConfig) -> int:
+    if not 1 <= args.k <= args.N:
+        raise ConfigError(f"need 1 <= --k <= --N, got --k {args.k} and --N {args.N}")
     series = log_power_coefficients(args.k, args.N)
     print(f"# c[k={args.k}, n] for n = {args.k}..{args.N}")
     for n in range(args.k, args.N + 1):
@@ -317,7 +331,7 @@ def _cmd_comb_lemmas(args, config: RunConfig) -> int:
     return _finish(_mini_report(config, records), args, config)
 
 
-def _bang_from_args(args, config: RunConfig) -> BangFunction:
+def _bang_from_args(args, config: RunConfig):
     seq = parse_sequence_spec(args.seq)
     max_order = args.max_order
     if max_order is None:
@@ -348,6 +362,8 @@ def _cmd_bang_build(args, config: RunConfig) -> int:
 
 
 def _cmd_bang_eval(args, config: RunConfig) -> int:
+    if args.order < 0:
+        raise ConfigError(f"--order must be nonnegative, got {args.order}")
     B = _bang_from_args(args, config)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
     s = bang_derivative(B, args.order, parse_fraction(args.xi), cfg)
@@ -357,6 +373,8 @@ def _cmd_bang_eval(args, config: RunConfig) -> int:
 
 
 def _cmd_bang_bounds(args, config: RunConfig) -> int:
+    if args.n < 0:
+        raise ConfigError(f"--n must be nonnegative, got {args.n}")
     try:
         B = _bang_from_args(args, config)
     except (GateError, PrecisionError) as exc:
@@ -437,68 +455,68 @@ _BANG_SEQ = ("--seq", dict(default="iterlog(2)"))
 _BANG_P = ("--p", dict(type=int, default=2))
 
 # command -> leaf, or (help, {action: leaf}) for a group of actions; a leaf
-# is (help, handler, arguments)
+# is (help, handler, the layers it loads, arguments)
 _COMMANDS = {
     "seq": ("inspect and test weight sequences", {
-        "show": ("print sequence values", _cmd_seq_show, (
+        "show": ("print sequence values", _cmd_seq_show, (), (
             _SEQ,
             ("--range", dict(default="0:16", help="index range a:b")),
             ("--mode", dict(choices=("exact", "float", "interval"), default="interval")),
         )),
-        "test": ("certified predicates and family verdicts", _cmd_seq_test, (_SEQ,)),
+        "test": ("certified predicates and family verdicts", _cmd_seq_test, ("criteria",), (_SEQ,)),
     }),
     "transform": ("power substitution and regularization", {
-        "powersub": ("values of the substituted sequence", _cmd_transform_powersub, (
+        "powersub": ("values of the substituted sequence", _cmd_transform_powersub, (), (
             _SEQ,
             ("--p", dict(type=int, required=True)),
             ("--range", dict(default="0:16")),
         )),
-        "regularize": ("greatest log-convex minorant on [0, N]", _cmd_transform_regularize, (
-            _SEQ,
-            ("--N", dict(type=int, required=True)),
-        )),
+        "regularize": (
+            "greatest log-convex minorant on [0, N]", _cmd_transform_regularize, ("transforms",),
+            (_SEQ, ("--N", dict(type=int, required=True))),
+        ),
     }),
     "criteria": ("quasianalyticity, closure, inclusion", {
-        "dc": ("partial Carleman sums", _cmd_criteria_dc, (
+        "dc": ("partial Carleman sums", _cmd_criteria_dc, ("criteria",), (
             _SEQ,
             ("--N", dict(type=int, default=64)),
             ("--curve", dict(action="store_true", help="emit the whole curve as CSV")),
         )),
-        "closure": ("derivation-closure estimate", _cmd_criteria_closure, (_SEQ,)),
-        "inclusion": ("class-inclusion estimate", _cmd_criteria_inclusion, (
+        "closure": ("derivation-closure estimate", _cmd_criteria_closure, ("criteria",), (_SEQ,)),
+        "inclusion": ("class-inclusion estimate", _cmd_criteria_inclusion, ("criteria",), (
             _SEQ,
             ("--other", dict(required=True)),
         )),
     }),
     "comb": ("series coefficients and inequality sweeps", {
-        "coefficients": ("series coefficients c[k, n]", _cmd_comb_coefficients, (
+        "coefficients": ("series coefficients c[k, n]", _cmd_comb_coefficients, ("comb",), (
             ("--k", dict(type=int, required=True)),
             ("--N", dict(type=int, required=True)),
         )),
-        "lemmas": ("certified inequality sweeps", _cmd_comb_lemmas, (
+        "lemmas": ("certified inequality sweeps", _cmd_comb_lemmas, ("comb",), (
             ("--which", dict(choices=("lemma1", "lemma2", "stirling", "all"), default="all")),
         )),
     }),
     "bang": ("extremal oscillating series", {
-        "build": ("construct and gate-check the series", _cmd_bang_build, (
+        "build": ("construct and gate-check the series", _cmd_bang_build, ("bang",), (
             _BANG_SEQ,
             _BANG_P,
             ("--max-order", dict(type=int, default=12, dest="max_order")),
         )),
-        "eval": ("certified derivative enclosure", _cmd_bang_eval, (
+        "eval": ("certified derivative enclosure", _cmd_bang_eval, ("bang",), (
             _BANG_SEQ,
             _BANG_P,
             ("--order", dict(type=int, required=True)),
             ("--xi", dict(default="0")),
             ("--max-order", dict(type=int, default=None, dest="max_order")),
         )),
-        "bounds": ("derivative lower-bound certificates", _cmd_bang_bounds, (
+        "bounds": ("derivative lower-bound certificates", _cmd_bang_bounds, ("bang",), (
             _BANG_SEQ,
             _BANG_P,
             ("--n", dict(type=int, default=6, help="certify orders 0..n")),
             ("--max-order", dict(type=int, default=None, dest="max_order")),
         )),
-        "norm": ("window-relative class norm", _cmd_bang_norm, (
+        "norm": ("window-relative class norm", _cmd_bang_norm, ("bang",), (
             ("--model", dict(required=True)),
             ("--seq", dict(default="analytic")),
             ("--r", dict(default="1")),
@@ -507,7 +525,7 @@ _COMMANDS = {
             ("--grid", dict(type=int, default=21)),
         )),
     }),
-    "verify": ("run the full certified check suite", _cmd_verify, (
+    "verify": ("run the full certified check suite", _cmd_verify, ("verify",), (
         ("--only", dict(help="comma-separated subset of check ids")),
     )),
 }
@@ -529,9 +547,9 @@ def _add_children(parser, dest: str, entries: dict, words: Optional[List[str]]) 
         if isinstance(entry[1], dict):
             _add_children(p, "action", entry[1], words[1:] if pruned else None)
             continue
-        for flag, kwargs in entry[2] + _COMMON_ARGS:
+        for flag, kwargs in entry[3] + _COMMON_ARGS:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(handler=entry[1])
+        p.set_defaults(handler=entry[1], layers=entry[2])
 
 
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
@@ -557,6 +575,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
+    _load(args.layers)
     try:
         config = build_run_config(args)
         return args.handler(args, config)

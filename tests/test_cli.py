@@ -856,3 +856,118 @@ def test_parser_builds_only_the_invoked_path():
         parser = cli.build_parser(argv)
         assert set(_children(parser)) == set(cli._COMMANDS), argv
         assert _leaf_options(parser, "seq", "show") == _leaf_options(full, "seq", "show"), argv
+
+
+# -- boundary refusals name the option the user typed ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bang", "eval", "--order", "-1"], "error: --order must be nonnegative, got -1\n"),
+        (["bang", "bounds", "--n", "-1"], "error: --n must be nonnegative, got -1\n"),
+        (["comb", "coefficients", "--k", "3", "--N", "1"],
+         "error: need 1 <= --k <= --N, got --k 3 and --N 1\n"),
+    ],
+    ids=["bang-eval-order", "bang-bounds-n", "comb-coefficients-k-N"],
+)
+def test_main_refuses_a_bad_option_by_its_name(argv, message, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+
+
+# -- cold start: what the package and each command load --------------------------------
+
+
+# every name `carleman/__init__.py` bound before its exports became lazy
+PACKAGE_EXPORTS = {
+    "scalar": (
+        "ExactUnavailableError", "Interval", "PrecisionError", "RangeError", "Scalar", "ScalarConfig",
+    ),
+    "seqcore": (
+        "Analytic", "Custom", "Gevrey", "IteratedLog", "PowerSub", "SequenceError", "Verdict",
+        "WeightSequence", "derived_value", "is_increasing", "is_log_convex", "ratio", "value",
+    ),
+    "transforms": ("Regularized", "derived_power_substitution", "log_convex_regularization"),
+    "criteria": (
+        "dc_partial_sum", "derivation_closure_estimate", "inclusion_estimate", "quasianalytic_verdict",
+    ),
+    "comb": (
+        "TruncatedPowerSeries", "alpha_b_coefficients", "alpha_diag_derivative",
+        "composite_derivative", "composition_sum_oracle", "lemma1_check", "lemma2_check",
+        "log_power_coefficients", "root_series_coefficients", "stirling_ineq_check",
+        "taylor_remainder_reconstruct",
+    ),
+    "bang": (
+        "BangFunction", "GateError", "bang_derivative", "bang_lower_bound_certify", "class_norm",
+        "cp_derivative", "induced_f_derivative", "theorem1_bound",
+    ),
+    "spec": ("Report", "RunConfig"),
+    "verify": ("run_checks",),
+}
+
+
+def test_the_package_resolves_every_export_to_its_layers_object():
+    import importlib
+
+    import carleman
+
+    assert sum(map(len, PACKAGE_EXPORTS.values())) == 48
+    listed = set(dir(carleman))
+    for layer, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"carleman.{layer}")
+        assert carleman.__getattr__(layer) is module and layer in listed
+        for name in names:
+            assert getattr(carleman, name) is getattr(module, name), name
+            assert name in listed
+    star = {}
+    exec("from carleman import *", star)
+    assert set(star) - {"__builtins__"} == set(PACKAGE_EXPORTS).union(*PACKAGE_EXPORTS.values())
+    for owner in (carleman, cli):
+        with pytest.raises(AttributeError):
+            owner.no_such_name
+
+
+# one fresh interpreter: the carleman.* modules loaded after each step
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+def layers():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("carleman."))
+steps = []
+import carleman
+steps.append(layers())
+import carleman.cli
+steps.append(layers())
+for argv in (["seq", "show", "--seq", "gevrey(2)", "--range", "0:2"], ["bang", "eval", "--order", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert carleman.cli.main(argv) == 0
+    steps.append(layers())
+print(json.dumps(steps))
+"""
+
+
+def test_each_step_loads_only_the_layers_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    package, front, seq_show, bang_eval = json.loads(proc.stdout)
+    assert package == []
+    assert front == ["cli", "scalar", "seqcore", "spec"]
+    assert seq_show == front
+    assert "bang" in bang_eval and "verify" not in bang_eval
+
+
+def test_every_leaf_loads_the_layers_its_names_come_from():
+    for command, entry in cli._COMMANDS.items():
+        leaves = entry[1].items() if isinstance(entry[1], dict) else [(None, entry)]
+        for action, (_help, handler, layers, _args) in leaves:
+            # the handler's global names and those of the cli helpers it calls
+            names = set(handler.__code__.co_names)
+            for name in list(names):
+                helper = vars(cli).get(name)
+                if getattr(helper, "__module__", None) == cli.__name__ and hasattr(helper, "__code__"):
+                    names |= set(helper.__code__.co_names)
+            taken = {cli._LAYER_OF[name] for name in names if name in cli._LAYER_OF}
+            assert taken <= set(layers), (command, action)

@@ -67,13 +67,19 @@ def test_the_check_flags_an_unused_import():
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["Union"]
 
 
-# no import cycle is left to break inside a function
-LOCAL_IMPORT_ALLOWLIST = set()
+# the two lazy loaders: the package root's re-exports and the layers a
+# command of cli needs.  Loading them on first use took a fresh interpreter's
+# `import carleman, carleman.cli` from 79.6 to 62.3 ms (30 alternated pairs)
+LOCAL_IMPORT_ALLOWLIST = {("__init__", "__getattr__"), ("cli", "__getattr__")}
+# calls that import a module by name
+IMPORT_CALLS = {"import_module", "__import__"}
 
 
 def _local_imports(node: ast.AST, path: tuple = (), in_function: bool = False):
-    """(dotted function path, line) of every import inside a function body;
-    classes and functions both extend the path."""
+    """(dotted function path, line) of every import statement inside a
+    function body and of every ``importlib.import_module`` or ``__import__``
+    call at any depth, with the empty path at module level; classes and
+    functions both extend the path."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
             yield ".".join(path), child.lineno
@@ -82,16 +88,18 @@ def _local_imports(node: ast.AST, path: tuple = (), in_function: bool = False):
         elif isinstance(child, ast.ClassDef):
             yield from _local_imports(child, path + (child.name,), in_function)
         else:
+            if isinstance(child, ast.Call) and _called_name(child) in IMPORT_CALLS:
+                yield ".".join(path), child.lineno
             yield from _local_imports(child, path, in_function)
 
 
 def test_only_allowlisted_functions_import_locally():
     found = set()
-    for path in MODULES:
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name, line in _local_imports(tree):
             key = (path.stem, name)
-            assert key in LOCAL_IMPORT_ALLOWLIST, f"{path.name}:{line} imports inside {name}"
+            assert key in LOCAL_IMPORT_ALLOWLIST, f"{path.name}:{line} imports inside {name or '<module>'}"
             found.add(key)
     # a stale entry would let a new local import of the same name through
     assert found == LOCAL_IMPORT_ALLOWLIST
@@ -103,8 +111,13 @@ def test_the_check_flags_a_function_level_import():
         "def f():\n    import math\n    return math.pi\n"
         "class A:\n    def g(self):\n        if self:\n            from os import path\n"
         "        def h():\n            import re\n"
+        "def k(name):\n    return importlib.import_module(name)\n"
+        "re = __import__('re')\n"
+        "class B:\n    sep = getattr(importlib.import_module('os'), 'sep')\n"
     )
-    assert list(_local_imports(ast.parse(text))) == [("f", 3), ("A.g", 8), ("A.g.h", 10)]
+    assert list(_local_imports(ast.parse(text))) == [
+        ("f", 3), ("A.g", 8), ("A.g.h", 10), ("k", 12), ("", 13), ("B", 15),
+    ]
 
 
 def _cli_imports(tree: ast.AST):

@@ -98,3 +98,54 @@ def test_bang_profile_builds_its_series_at_its_bits(capsys):
     assert capsys.readouterr().out.startswith("# ")
     (seq,) = parsed
     assert {b for _, b in seq._enclosure_cache} == {128}
+
+
+def _ab():
+    import importlib.util
+
+    spec_obj = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    script = importlib.util.module_from_spec(spec_obj)
+    spec_obj.loader.exec_module(script)
+    return script
+
+
+def test_ab_statistics_on_canned_pairs():
+    ab = _ab()
+    base = [0.100, 0.104, 0.096, 0.110, 0.102]
+    change = [0.090, 0.091, 0.099, 0.085, 0.103]
+    assert ab.summary(base) == pytest.approx({"median": 0.102, "min": 0.096, "q1": 0.100, "q3": 0.104})
+    r = ab.compare(base, change)
+    assert (r["wins"], r["pairs"]) == (3, 5)
+    assert r["relative"] == pytest.approx(0.091 / 0.102 - 1)
+    assert r["iqr"] == pytest.approx(0.004) and r["resolved"]
+    # a gap inside the base's spread is not resolved, whatever the wins
+    near = ab.compare(base, [x - 0.001 for x in base])
+    assert near["wins"] == 5 and not near["resolved"]
+    text = ab.report(base, change)
+    assert text.splitlines()[1].split() == ["base", "102.0", "96.0", "100.0", "104.0"]
+    assert text.splitlines()[-1] == (
+        "change vs base: 3/5 wins, -10.8 %, gap -11.0 ms exceeds the base IQR 4.0 ms"
+    )
+    with pytest.raises(ValueError):
+        ab.compare(base, change[:4])
+
+
+@pytest.mark.parametrize(
+    "args, plan",
+    [
+        (["--setup"], "# 30 pairs of `import carleman, carleman.cli`"),
+        (["--pairs", "12", "--command", "seq show --seq 'gevrey(2)'"],
+         "# 12 pairs of `python -m carleman seq show --seq 'gevrey(2)'`"),
+    ],
+)
+def test_ab_dry_run_prints_the_plan_and_makes_no_worktree(args, plan):
+    before = set((ROOT / ".bench_build").glob("ab-*"))
+    proc = _run("ab.py", ["--base", "HEAD", "--dry-run", *args])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(plan)
+    assert set((ROOT / ".bench_build").glob("ab-*")) == before
+
+
+def test_ab_refuses_too_few_setup_pairs():
+    proc = _run("ab.py", ["--base", "HEAD", "--setup", "--pairs", "10", "--dry-run"])
+    assert proc.returncode == 2 and "at least 30 pairs" in proc.stderr
