@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import itertools
 import json
@@ -25,6 +24,8 @@ import os
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+import carleman
 
 from .scalar import (
     ExactUnavailableError,
@@ -34,6 +35,7 @@ from .scalar import (
     ScalarConfig,
     _fraction_from_mpf_tuple,
     decimal_str,
+    display_float,
     fraction_str,
 )
 from .seqcore import (
@@ -64,39 +66,12 @@ EXIT_USAGE = 3
 
 ENV_PRECISION = "CARLEMAN_PRECISION"
 
-# layer -> the names the handlers take from it; a command loads its leaf's
-# layers when it is dispatched, so `seq show` never imports `bang`
-_LAZY = {
-    "bang": (
-        "BangFunction", "GateError", "bang_derivative", "bang_lower_bound_certify", "class_norm",
-        "parse_model_spec",
-    ),
-    "comb": ("lemma1_check", "lemma2_check", "log_power_coefficients", "stirling_sweep"),
-    "criteria": (
-        "dc_partial_sum", "dc_partial_sums", "derivation_closure_estimate", "inclusion_estimate",
-        "quasianalytic_verdict",
-    ),
-    "transforms": ("log_convex_regularization",),
-    "verify": ("check_ids", "run_checks"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
-
-
 def __getattr__(name):
-    if name not in _LAYER_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__package__}.{_LAYER_OF[name]}")
-    value = globals()[name] = getattr(module, name)
-    return value
-
-
-def _load(layers: Sequence[str]) -> None:
-    """Bind the names the handlers take from ``layers``.  A name already
-    bound stays, so a patched one survives the dispatch."""
-    module = sys.modules[__name__]
-    for layer in layers:
-        for name in _LAZY[layer]:
-            getattr(module, name)
+    # the model parser lives in bang, which cli must not load eagerly; the
+    # benchmark's tracer names it as cli.parse_model_spec all the same
+    if name == "parse_model_spec":
+        return carleman.bang.parse_model_spec
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- RunConfig loading ---------------------------------------------------------------
@@ -213,7 +188,10 @@ def _cmd_seq_test(args, config: RunConfig) -> int:
             "M'_n**2 <= M'_{n-1} M'_{n+1}",
             is_log_convex(seq, (max(1, window[0]), window[1]), "derived", cfg),
         ),
-        _record("seq-quasianalytic", "Carleman-sum family oracle", quasianalytic_verdict(seq)),
+        _record(
+            "seq-quasianalytic", "Carleman-sum family oracle",
+            carleman.criteria.quasianalytic_verdict(seq),
+        ),
     ]
     # Inconclusive only where no family oracle applies: no resolution is expected
     return _finish(_mini_report(config, records), args, config, {"seq-quasianalytic": False})
@@ -236,7 +214,7 @@ def _cmd_transform_regularize(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     cfg = ScalarConfig(bits=config.precision)
     try:
-        reg = log_convex_regularization(seq, (0, args.N), cfg)
+        reg = carleman.transforms.log_convex_regularization(seq, (0, args.N), cfg)
     except PrecisionError as exc:
         print(f"INCONCLUSIVE   regularization: {exc}")
         return EXIT_INCONCLUSIVE
@@ -255,7 +233,7 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
     cfg = ScalarConfig(mode="interval", bits=config.precision)
     if args.curve:
         rows = []
-        for N, s in enumerate(dc_partial_sums(seq, args.N, cfg)):
+        for N, s in enumerate(carleman.criteria.dc_partial_sums(seq, args.N, cfg)):
             lo, hi = _scalar_cells(s, config.digits)
             rows.append((N, lo, hi))
         if args.emit:
@@ -269,7 +247,7 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
             for N, lo, hi in rows:
                 print(f"{N}\t{lo}\t{hi}")
         return 0
-    s = dc_partial_sum(seq, args.N, cfg)
+    s = carleman.criteria.dc_partial_sum(seq, args.N, cfg)
     lo, hi = _scalar_cells(s, config.digits)
     print(f"partial Carleman sum up to N={args.N}: [{lo}, {hi}]")
     return 0
@@ -278,7 +256,7 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
 def _cmd_criteria_closure(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
-    est, verdict = derivation_closure_estimate(seq, config.window, cfg)
+    est, verdict = carleman.criteria.derivation_closure_estimate(seq, config.window, cfg)
     lo, hi = _scalar_cells(est, config.digits)
     records = [_record("criteria-derivation-closure", "sup (M_{n+1}/M_n)**(1/n) bounded", verdict, lo, hi)]
     return _finish(_mini_report(config, records), args, config, {"criteria-derivation-closure": False})
@@ -288,7 +266,7 @@ def _cmd_criteria_inclusion(args, config: RunConfig) -> int:
     M = parse_sequence_spec(args.seq)
     N = parse_sequence_spec(args.other)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
-    est, verdict = inclusion_estimate(M, N, config.window, cfg)
+    est, verdict = carleman.criteria.inclusion_estimate(M, N, config.window, cfg)
     lo, hi = _scalar_cells(est, config.digits)
     records = [_record("criteria-inclusion", "sup (M_n/N_n)**(1/n) bounded", verdict, lo, hi)]
     return _finish(_mini_report(config, records), args, config, {"criteria-inclusion": False})
@@ -297,7 +275,7 @@ def _cmd_criteria_inclusion(args, config: RunConfig) -> int:
 def _cmd_comb_coefficients(args, config: RunConfig) -> int:
     if not 1 <= args.k <= args.N:
         raise ConfigError(f"need 1 <= --k <= --N, got --k {args.k} and --N {args.N}")
-    series = log_power_coefficients(args.k, args.N)
+    series = carleman.comb.log_power_coefficients(args.k, args.N)
     print(f"# c[k={args.k}, n] for n = {args.k}..{args.N}")
     for n in range(args.k, args.N + 1):
         print(f"{n}\t{series.coeff(n)}")
@@ -310,14 +288,17 @@ def _cmd_comb_lemmas(args, config: RunConfig) -> int:
     which = args.which
     if which in ("lemma1", "all"):
         records.append(
-            _record("comb-lemma1", "c[k,n] <= (2e)**n k!/n**k", lemma1_check(config.k_max, config.n_max, cfg))
+            _record(
+                "comb-lemma1", "c[k,n] <= (2e)**n k!/n**k",
+                carleman.comb.lemma1_check(config.k_max, config.n_max, cfg),
+            )
         )
     if which in ("lemma2", "all"):
         records.append(
             _record(
                 "comb-lemma2",
                 "|alpha_k^(n)(x,x)| <= (2e)**n n**(n-k) x**(-(pn-k)/p)",
-                lemma2_check(config.p_set, config.lemma2_n_max, config.x_grid, cfg),
+                carleman.comb.lemma2_check(config.p_set, config.lemma2_n_max, config.x_grid, cfg),
             )
         )
     if which in ("stirling", "all"):
@@ -325,19 +306,19 @@ def _cmd_comb_lemmas(args, config: RunConfig) -> int:
             _record(
                 "comb-stirling",
                 "1/(pn-k)! <= e**(pn)/n**(pn-k)",
-                stirling_sweep(config.p_set, config.stirling_n_max, cfg),
+                carleman.comb.stirling_sweep(config.p_set, config.stirling_n_max, cfg),
             )
         )
     return _finish(_mini_report(config, records), args, config)
 
 
-def _bang_from_args(args, config: RunConfig):
+def _bang_from_args(args, config: RunConfig) -> carleman.bang.BangFunction:
     seq = parse_sequence_spec(args.seq)
     max_order = args.max_order
     if max_order is None:
         # eval evaluates at its own order; bounds reaches max(p, 2) n at its top n
         max_order = args.order if hasattr(args, "order") else max(args.p, 2) * args.n
-    return BangFunction(
+    return carleman.bang.BangFunction(
         seq, p=args.p, max_order=max_order, tail_target=config.tail_target,
         cfg=ScalarConfig(bits=config.precision),
     )
@@ -349,13 +330,13 @@ def _cmd_bang_build(args, config: RunConfig) -> int:
     except PrecisionError as exc:
         print(f"INCONCLUSIVE   bang-build  (construction gate: {exc})")
         return EXIT_INCONCLUSIVE
-    except GateError as exc:
+    except carleman.bang.GateError as exc:
         print(f"FAILS          bang-build  (construction gate: {exc})")
         return EXIT_FAILS
     print(f"HOLDS          bang-build  {B.describe()}")
     print(
         f"               truncation K={B.K}, relative tail at top order "
-        f"{float(B.relative_tail(B.max_order)):.3g} <= {float(B.tail_target):.3g}, "
+        f"{display_float(B.relative_tail(B.max_order)):.3g} <= {display_float(B.tail_target):.3g}, "
         f"tail scope {B.tail_scope}"
     )
     return 0
@@ -366,7 +347,7 @@ def _cmd_bang_eval(args, config: RunConfig) -> int:
         raise ConfigError(f"--order must be nonnegative, got {args.order}")
     B = _bang_from_args(args, config)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
-    s = bang_derivative(B, args.order, parse_fraction(args.xi), cfg)
+    s = carleman.bang.bang_derivative(B, args.order, parse_fraction(args.xi), cfg)
     lo, hi = _scalar_cells(s, config.digits)
     print(f"F^({args.order})({args.xi}) in [{lo}, {hi}]")
     return 0
@@ -377,7 +358,7 @@ def _cmd_bang_bounds(args, config: RunConfig) -> int:
         raise ConfigError(f"--n must be nonnegative, got {args.n}")
     try:
         B = _bang_from_args(args, config)
-    except (GateError, PrecisionError) as exc:
+    except (carleman.bang.GateError, PrecisionError) as exc:
         # an unresolved gate (PrecisionError) is no certified failure
         verdict = "inconclusive" if isinstance(exc, PrecisionError) else "fails"
         records = [
@@ -391,7 +372,7 @@ def _cmd_bang_bounds(args, config: RunConfig) -> int:
     cfg = ScalarConfig(bits=config.precision)
     records = []
     for n in range(args.n + 1):
-        v = bang_lower_bound_certify(B, n, cfg)
+        v = carleman.bang.bang_lower_bound_certify(B, n, cfg)
         records.append(_record(f"bang-lower-bound-{n:02d}", "|F^(pn)(0)| >= M'_pn", v))
         # n!/(pn)! > 0, so the germ bound is the order's bound, scaled
         records.append(
@@ -402,10 +383,10 @@ def _cmd_bang_bounds(args, config: RunConfig) -> int:
 
 def _cmd_bang_norm(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
-    model = parse_model_spec(args.model, seq, config, args.n_max)
+    model = carleman.bang.parse_model_spec(args.model, seq, config, args.n_max)
     lo, hi = _parse_window(args.interval)
     cfg = ScalarConfig(mode="interval", bits=config.precision)
-    s = class_norm(
+    s = carleman.bang.class_norm(
         model, seq, (Fraction(lo), Fraction(hi)), parse_fraction(args.r),
         args.n_max, args.grid, cfg,
     )
@@ -421,11 +402,11 @@ def _cmd_bang_norm(args, config: RunConfig) -> int:
 def _cmd_verify(args, config: RunConfig) -> int:
     only = args.only.split(",") if args.only else None
     if only:
-        known = set(check_ids())
+        known = set(carleman.verify.check_ids())
         for cid in only:
             if cid not in known:
                 raise ConfigError(f"unknown check id {cid!r}; known: {sorted(known)}")
-    report = run_checks(config, only)
+    report = carleman.verify.run_checks(config, only)
     return _finish(report, args, config)
 
 
@@ -455,68 +436,68 @@ _BANG_SEQ = ("--seq", dict(default="iterlog(2)"))
 _BANG_P = ("--p", dict(type=int, default=2))
 
 # command -> leaf, or (help, {action: leaf}) for a group of actions; a leaf
-# is (help, handler, the layers it loads, arguments)
+# is (help, handler, arguments)
 _COMMANDS = {
     "seq": ("inspect and test weight sequences", {
-        "show": ("print sequence values", _cmd_seq_show, (), (
+        "show": ("print sequence values", _cmd_seq_show, (
             _SEQ,
             ("--range", dict(default="0:16", help="index range a:b")),
             ("--mode", dict(choices=("exact", "float", "interval"), default="interval")),
         )),
-        "test": ("certified predicates and family verdicts", _cmd_seq_test, ("criteria",), (_SEQ,)),
+        "test": ("certified predicates and family verdicts", _cmd_seq_test, (_SEQ,)),
     }),
     "transform": ("power substitution and regularization", {
-        "powersub": ("values of the substituted sequence", _cmd_transform_powersub, (), (
+        "powersub": ("values of the substituted sequence", _cmd_transform_powersub, (
             _SEQ,
             ("--p", dict(type=int, required=True)),
             ("--range", dict(default="0:16")),
         )),
-        "regularize": (
-            "greatest log-convex minorant on [0, N]", _cmd_transform_regularize, ("transforms",),
-            (_SEQ, ("--N", dict(type=int, required=True))),
-        ),
+        "regularize": ("greatest log-convex minorant on [0, N]", _cmd_transform_regularize, (
+            _SEQ,
+            ("--N", dict(type=int, required=True)),
+        )),
     }),
     "criteria": ("quasianalyticity, closure, inclusion", {
-        "dc": ("partial Carleman sums", _cmd_criteria_dc, ("criteria",), (
+        "dc": ("partial Carleman sums", _cmd_criteria_dc, (
             _SEQ,
             ("--N", dict(type=int, default=64)),
             ("--curve", dict(action="store_true", help="emit the whole curve as CSV")),
         )),
-        "closure": ("derivation-closure estimate", _cmd_criteria_closure, ("criteria",), (_SEQ,)),
-        "inclusion": ("class-inclusion estimate", _cmd_criteria_inclusion, ("criteria",), (
+        "closure": ("derivation-closure estimate", _cmd_criteria_closure, (_SEQ,)),
+        "inclusion": ("class-inclusion estimate", _cmd_criteria_inclusion, (
             _SEQ,
             ("--other", dict(required=True)),
         )),
     }),
     "comb": ("series coefficients and inequality sweeps", {
-        "coefficients": ("series coefficients c[k, n]", _cmd_comb_coefficients, ("comb",), (
+        "coefficients": ("series coefficients c[k, n]", _cmd_comb_coefficients, (
             ("--k", dict(type=int, required=True)),
             ("--N", dict(type=int, required=True)),
         )),
-        "lemmas": ("certified inequality sweeps", _cmd_comb_lemmas, ("comb",), (
+        "lemmas": ("certified inequality sweeps", _cmd_comb_lemmas, (
             ("--which", dict(choices=("lemma1", "lemma2", "stirling", "all"), default="all")),
         )),
     }),
     "bang": ("extremal oscillating series", {
-        "build": ("construct and gate-check the series", _cmd_bang_build, ("bang",), (
+        "build": ("construct and gate-check the series", _cmd_bang_build, (
             _BANG_SEQ,
             _BANG_P,
             ("--max-order", dict(type=int, default=12, dest="max_order")),
         )),
-        "eval": ("certified derivative enclosure", _cmd_bang_eval, ("bang",), (
+        "eval": ("certified derivative enclosure", _cmd_bang_eval, (
             _BANG_SEQ,
             _BANG_P,
             ("--order", dict(type=int, required=True)),
             ("--xi", dict(default="0")),
             ("--max-order", dict(type=int, default=None, dest="max_order")),
         )),
-        "bounds": ("derivative lower-bound certificates", _cmd_bang_bounds, ("bang",), (
+        "bounds": ("derivative lower-bound certificates", _cmd_bang_bounds, (
             _BANG_SEQ,
             _BANG_P,
             ("--n", dict(type=int, default=6, help="certify orders 0..n")),
             ("--max-order", dict(type=int, default=None, dest="max_order")),
         )),
-        "norm": ("window-relative class norm", _cmd_bang_norm, ("bang",), (
+        "norm": ("window-relative class norm", _cmd_bang_norm, (
             ("--model", dict(required=True)),
             ("--seq", dict(default="analytic")),
             ("--r", dict(default="1")),
@@ -525,7 +506,7 @@ _COMMANDS = {
             ("--grid", dict(type=int, default=21)),
         )),
     }),
-    "verify": ("run the full certified check suite", _cmd_verify, ("verify",), (
+    "verify": ("run the full certified check suite", _cmd_verify, (
         ("--only", dict(help="comma-separated subset of check ids")),
     )),
 }
@@ -547,9 +528,9 @@ def _add_children(parser, dest: str, entries: dict, words: Optional[List[str]]) 
         if isinstance(entry[1], dict):
             _add_children(p, "action", entry[1], words[1:] if pruned else None)
             continue
-        for flag, kwargs in entry[3] + _COMMON_ARGS:
+        for flag, kwargs in entry[2] + _COMMON_ARGS:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(handler=entry[1], layers=entry[2])
+        p.set_defaults(handler=entry[1])
 
 
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
@@ -575,7 +556,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser(argv)
     args = parser.parse_args(argv)
-    _load(args.layers)
     try:
         config = build_run_config(args)
         return args.handler(args, config)

@@ -17,10 +17,12 @@ from typing import Callable, Iterator, Optional, Tuple
 
 from .scalar import (
     DEFAULT_CONFIG,
+    DisplayFloat,
     Interval,
     Scalar,
     ScalarConfig,
     _GUARD_BITS,
+    display_float,
     iv_pow,
     make_scalar,
     outward_pow_product,
@@ -107,12 +109,13 @@ def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
     points = []
     for m in marks:
         s = dc_partial_sum(seq, m, ScalarConfig(bits=cfg.bits))
-        points.append((m, float(s)))
+        points.append((m, display_float(s)))
     growth = None
     if len(points) >= 2 and points[-1][0] > points[-2][0]:
-        ds = points[-1][1] - points[-2][1]
+        # in 53 bits, as floats round, but past the float range as well
+        ds = DisplayFloat(points[-1][1]) - points[-2][1]
         dlog = math.log(points[-1][0]) - math.log(points[-2][0])
-        growth = ds / dlog
+        growth = display_float(ds / dlog)
     return Trend(last=tuple(points), growth=growth, note="partial-sum slope per log N")
 
 
@@ -278,9 +281,11 @@ def _root_estimate(
     scalar = _window_max(best, cfg, lambda bits: _sweep_roots(num, den, (a, b), bits)[0])
     if oracle is not None:
         return scalar, Verdict.holds(window, scope="global", provenance=oracle)
-    tail = [(n, float(r.midpoint)) for n, r in values[-3:]]
-    growth = tail[-1][1] / tail[-2][1] if len(tail) >= 2 and tail[-2][1] else None
-    note = f"window max ~{float(best.midpoint):.6g} at n={best_n}"
+    tail = [(n, display_float(r.midpoint)) for n, r in values[-3:]]
+    growth = None
+    if len(tail) >= 2 and tail[-2][1]:
+        growth = display_float(DisplayFloat(tail[-1][1]) / tail[-2][1])
+    note = f"window max ~{display_float(best.midpoint):.6g} at n={best_n}"
     if monotone_note and len(values) >= 2 and all(
         values[i + 1][1].lo >= values[i][1].lo for i in range(len(values) - 1)
     ):

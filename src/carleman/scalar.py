@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -352,7 +353,8 @@ class Interval:
     def __repr__(self) -> str:
         if self.is_point():
             return f"[{self.lo}]"
-        return f"[{mpmath.nstr(mpmath.mpf(float(self.lo)), 12)}, {mpmath.nstr(mpmath.mpf(float(self.hi)), 12)}]"
+        lo, hi = (mpmath.nstr(mpmath.mpf(display_float(v)), 12) for v in (self.lo, self.hi))
+        return f"[{lo}, {hi}]"
 
 
 _set_lo = Interval.lo.__set__
@@ -638,7 +640,7 @@ class Scalar:
             return f"Scalar({self.exact})"
         if self.mode == MODE_FLOAT:
             return f"Scalar(~{self.approx})"
-        return f"Scalar[{float(Fraction(self.lo)):.12g}, {float(Fraction(self.hi)):.12g}]"
+        return f"Scalar[{display_float(self.lo):.12g}, {display_float(self.hi):.12g}]"
 
 
 _RANGE_MESSAGE = (
@@ -790,3 +792,41 @@ def fraction_str(q: Fraction) -> str:
         return _int_str(q.numerator)
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
+
+# 53-bit arithmetic for diagnostic values, without the float's exponent limits
+_DISPLAY_CTX = _mp_ctx(53)
+
+
+class DisplayFloat(_DISPLAY_CTX.mpf):
+    """A 53-bit binary float with an unbounded exponent, for diagnostic
+    text.  Its arithmetic rounds as a float's does inside the float range,
+    and ``format(v, ".6g")`` prints six digits and the true exponent where
+    a float would read inf or 0."""
+
+    def __format__(self, spec: str) -> str:
+        # a ".Ng" spec as a float reads it: N significant digits, trailing
+        # zeros dropped; past the float range mpmath writes an exponent
+        digits = int(spec[1:-1]) if spec[:1] == "." and spec[-1:] == "g" else 17
+        mantissa, e, exponent = libmp.to_str(self._mpf_, digits).partition("e")
+        if e and "." in mantissa:
+            mantissa = mantissa.rstrip("0").rstrip(".")
+        return mantissa + e + exponent
+
+
+def display_float(x) -> Union[float, DisplayFloat]:
+    """``x``, a rational, an mpf or a Scalar, rounded to 53 bits for
+    diagnostic text: ``float(x)`` where x is 0 or its float is normal, else
+    a DisplayFloat of x.  No value then reads inf or 0 that is neither, and
+    none raises OverflowError."""
+    if isinstance(x, Scalar):
+        if x.mode == MODE_INTERVAL:
+            x = (x.lo + x.hi) / 2
+        else:
+            x = x.exact if x.mode == MODE_EXACT else x.approx
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not x or sys.float_info.min <= abs(f) < math.inf:
+        return f
+    return DisplayFloat(_rounded_tuple(x, 53, "n") if isinstance(x, Fraction) else x)

@@ -22,16 +22,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .scalar import (
     DEFAULT_CONFIG,
+    DisplayFloat,
     Interval,
     RationalLike,
     Scalar,
     ScalarConfig,
     _as_fraction,
+    display_float,
     exact_nth_root,
+    fraction_str,
     iv_e,
     iv_exp,
     iv_log_chain,
@@ -73,8 +76,8 @@ class Witness:
 class Trend:
     """Diagnostic data attached to an inconclusive verdict."""
 
-    last: Tuple[Tuple[int, float], ...] = ()
-    growth: Optional[float] = None
+    last: Tuple[Tuple[int, Union[float, DisplayFloat]], ...] = ()
+    growth: Union[float, DisplayFloat, None] = None
     note: Optional[str] = None
 
     def __str__(self) -> str:
@@ -728,6 +731,6 @@ def is_log_convex(
 def _display(seq: WeightSequence, n: int, cfg: ScalarConfig) -> str:
     q = seq.exact(n)
     if q is not None:
-        return str(q)
+        return fraction_str(q)
     enc = seq.enclosure(n, cfg.bits)
-    return f"~{float(enc.midpoint):.9g}"
+    return f"~{display_float(enc.midpoint):.9g}"

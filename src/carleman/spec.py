@@ -28,6 +28,20 @@ from .seqcore import (
 )
 
 
+# the least value of each numeric field that its check can use: below it a
+# sweep runs over an empty range, and its Holds would certify nothing
+_FIELD_FLOORS = {
+    "precision": 64, "digits": 0,
+    "k_max": 1, "n_max": 1, "b_k_max": 1, "b_n_max": 1, "corollary_k_max": 1,
+    "lemma2_n_max": 1, "stirling_n_max": 2, "bang_cos_n_max": 0, "bang_cp_n_max": 0,
+    "bang_cp_p": 1, "envelope_n_max": 0, "envelope_grid": 2, "cp_p_max": 1, "cp_grid": 2,
+    "remainder_cases": 1, "transform_cases": 1, "transform_window": 2, "germ_n_max": 0,
+}
+# comb.COMPOSITION_GUARD: the corollary check enumerates the compositions
+# of every n up to corollary_n_max
+_COROLLARY_N_CAP = 25
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Verification run parameters.  Sweep bounds default to the pinned
@@ -68,20 +82,22 @@ class RunConfig:
     bang_seq: str = "iterlog(2)"
 
     def __post_init__(self):
-        if self.precision < 64:
-            raise ValueError("precision must be at least 64 bits")
+        for name, floor in _FIELD_FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be at least {floor}, got {getattr(self, name)}")
+        if not self.corollary_k_max <= self.corollary_n_max <= _COROLLARY_N_CAP:
+            raise ValueError(
+                f"corollary_n_max must lie between corollary_k_max = {self.corollary_k_max} "
+                f"and {_COROLLARY_N_CAP}, got {self.corollary_n_max}"
+            )
         if self.window[0] > self.window[1]:
             raise ValueError("window must be nonempty")
-        if any(x <= 0 for x in self.x_grid):
-            raise ValueError("x grid values must be positive")
+        if not self.p_set or min(self.p_set) < 2:
+            raise ValueError(f"p_set needs root exponents of at least 2, got {self.p_set}")
+        if not self.x_grid or min(self.x_grid) <= 0:
+            raise ValueError(f"x_grid needs positive values, got {self.x_grid}")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
-        if self.digits < 0:
-            raise ValueError("digits must be nonnegative")
-        if self.cp_grid < 2 or self.envelope_grid < 2:
-            raise ValueError("cp_grid and envelope_grid need at least 2 points")
-        if self.remainder_cases < 1 or self.transform_cases < 1:
-            raise ValueError("remainder_cases and transform_cases must be at least 1")
 
     def sweep_config(self) -> ScalarConfig:
         # inequality sweeps refine upward from a moderate start; the final

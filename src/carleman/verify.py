@@ -43,7 +43,7 @@ from .comb import (
     taylor_remainder_reconstruct,
 )
 from .criteria import quasianalytic_verdict
-from .scalar import Interval, PrecisionError, _int_fraction, decimal_str
+from .scalar import Interval, PrecisionError, _int_fraction, decimal_str, display_float
 from .seqcore import (
     Analytic,
     Custom,
@@ -263,7 +263,7 @@ def _cp_periodicity(config: RunConfig) -> CheckOutcome:
             if combined > width_cap:
                 return Verdict.fails(
                     (0, config.cp_p_max),
-                    Witness(p, (f"x={x}", f"width={float(combined):.3g}")),
+                    Witness(p, (f"x={x}", f"width={display_float(combined):.3g}")),
                 )
     return Verdict.holds((0, config.cp_p_max)), Interval.point(worst)
 

@@ -3,9 +3,11 @@
 import argparse
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -489,8 +491,7 @@ def test_main_bang_bounds_decides_each_order_once(monkeypatch, capsys):
         certified.append(n)
         return certify(B, n, cfg)
 
-    for module in (bang, cli):
-        monkeypatch.setattr(module, "bang_lower_bound_certify", counted)
+    monkeypatch.setattr(bang, "bang_lower_bound_certify", counted)
     assert main(["bang", "bounds", "--seq", "iterlog(2)", "--p", "2", "--n", "6"]) == 0
     assert _sha256(capsys.readouterr().out) == (
         "8c7bc2a54b9dcc81fd21feea9fe6a0bbe6555d144f753c88175cb568efff95e6"
@@ -499,10 +500,12 @@ def test_main_bang_bounds_decides_each_order_once(monkeypatch, capsys):
 
 
 def test_main_bang_bounds_prints_unresolved_orders_as_inconclusive(monkeypatch, capsys):
+    from carleman import bang
+
     def unresolved(B, n, cfg):
         return Verdict.inconclusive((n, n), Trend(note="unresolved"))
 
-    monkeypatch.setattr(cli, "bang_lower_bound_certify", unresolved)
+    monkeypatch.setattr(bang, "bang_lower_bound_certify", unresolved)
     assert main(["bang", "bounds", "--seq", "iterlog(2)", "--n", "1"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in lines] == [
@@ -959,15 +962,128 @@ def test_each_step_loads_only_the_layers_it_runs():
     assert "bang" in bang_eval and "verify" not in bang_eval
 
 
-def test_every_leaf_loads_the_layers_its_names_come_from():
-    for command, entry in cli._COMMANDS.items():
-        leaves = entry[1].items() if isinstance(entry[1], dict) else [(None, entry)]
-        for action, (_help, handler, layers, _args) in leaves:
-            # the handler's global names and those of the cli helpers it calls
-            names = set(handler.__code__.co_names)
-            for name in list(names):
-                helper = vars(cli).get(name)
-                if getattr(helper, "__module__", None) == cli.__name__ and hasattr(helper, "__code__"):
-                    names |= set(helper.__code__.co_names)
-            taken = {cli._LAYER_OF[name] for name in names if name in cli._LAYER_OF}
-            assert taken <= set(layers), (command, action)
+
+# -- values past the float range, and sweep bounds below their floor -------------
+
+
+def test_closure_past_the_float_range_prints_its_inconclusive_record(capsys):
+    argv = ["criteria", "closure", "--seq", "custom(1,10^400,10^800,10^1200,10^1600)", "--window", "1:3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("INCONCLUSIVE   criteria-derivation-closure  [9999")
+    assert out.endswith(
+        "(last (1, 1e+400), (2, 1e+200), (3, 2.15443e+133); growth 2.15443e-67; "
+        "window max ~1e+400 at n=1)\n"
+    )
+
+
+def test_inclusion_past_the_float_range_prints_its_inconclusive_record(capsys):
+    argv = [
+        "criteria", "inclusion", "--seq", "custom(1,10^400,10^800,10^1200)", "--other", "analytic",
+        "--window", "1:2",
+    ]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("INCONCLUSIVE   criteria-inclusion  [9999")
+    assert out.endswith("(last (1, 1e+400), (2, 1e+400); growth 1; window max ~1e+400 at n=1)\n")
+
+
+def test_seq_test_below_the_float_range_prints_its_failure(capsys):
+    seq = "custom(1,10^-400,10^-800,10^-1200,10^-1600,10^-2000,10^-2400)"
+    assert main(["seq", "test", "--seq", seq, "--window", "1:3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAILS          seq-increasing  (n=1: M_1=1/1000")
+    assert lines[-1] == (
+        "INCONCLUSIVE   seq-quasianalytic  (last (1, 1.5e+400), (2, 1.83333e+400), "
+        "(5, 2.45e+400); growth 6.73003e+399; partial-sum slope per log N)"
+    )
+
+
+def test_seq_test_prints_a_failure_witness_past_the_integer_string_limit(capsys):
+    seq = "custom(1,10^-5000,10^-10000,10^-15000)"
+    assert main(["seq", "test", "--seq", seq, "--window", "1:2"]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("FAILS          seq-increasing  (n=1: M_1=1/1" + "0" * 5000 + ", M_2=1/1")
+
+
+# one line per field: a value below the least one its check can use
+_BOUNDS_BELOW_THEIR_FLOOR = (
+    "k_max = -1", "n_max = 0", "b_k_max = 0", "b_n_max = 0", "cp_p_max = 0",
+    "envelope_n_max = -2", "germ_n_max = -1", "bang_cos_n_max = -1", "bang_cp_n_max = -1",
+    "corollary_k_max = 0", "corollary_n_max = 0", "corollary_n_max = 5", "corollary_n_max = 26",
+    "lemma2_n_max = 0", "stirling_n_max = 1", "transform_window = 1", "p_set = 1", "p_set = 2,1",
+)
+
+
+@pytest.mark.parametrize("line", _BOUNDS_BELOW_THEIR_FLOOR)
+def test_verify_refuses_a_sweep_bound_below_its_floor(line, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    assert main(["verify", "--config", str(path), "--window", "1:3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid configuration: {line.split()[0]} ")
+
+
+def test_every_sweep_bound_at_its_floor_loads_and_clamps():
+    from carleman import comb, spec
+    from carleman.verify import _clamp_to_window
+
+    assert spec._COROLLARY_N_CAP == comb.COMPOSITION_GUARD
+    floors = dict(spec._FIELD_FLOORS, corollary_n_max=1, p_set=(2,), x_grid=(F(1),))
+    config = RunConfig(**floors)
+    for top in (1, 2, 40):
+        clamped = _clamp_to_window(replace(config, window=(1, top)))
+        assert clamped.stirling_n_max == clamped.transform_window == 2
+    assert _clamp_to_window(RunConfig(window=(1, 1))).corollary_n_max == 2
+
+
+# -- a seeded fuzz of the front end -------------------------------------------------
+
+
+def _fuzz_argvs(seed: int = 29):
+    """argv for the sequence, transform, criteria and bang commands over
+    built-in families and custom tables whose values reach 10**±1, 10**±40
+    and 10**±400, at 64 to 512 bits."""
+    rng = random.Random(seed)
+    specs = ["analytic", "gevrey(3/2)", "iterlog(2)", "powersub(iterlog(1),2)"]
+    for scale in (1, 40, 400):
+        for _ in range(2):
+            # digits/digits times 10**scale, 1 or 10**-scale
+            values = [
+                F(rng.randint(1, 99), rng.randint(1, 99)) * F(10) ** (scale * rng.choice((-1, 0, 1)))
+                for _ in range(8)
+            ]
+            specs.append("custom(" + ",".join(map(str, values)) + ")")
+        specs += [f"custom({','.join(f'10^{sign * scale * n}' for n in range(8))})" for sign in (-1, 1)]
+    for spec in specs:
+        common = ["--precision", str(rng.choice((64, 128, 256, 512)))]
+        window = ["--window", "1:3"]
+        yield from (
+            ["seq", "show", "--seq", spec, "--range", "0:4", "--mode", mode] + common
+            for mode in ("exact", "float", "interval")
+        )
+        yield ["seq", "test", "--seq", spec] + window + common
+        yield ["transform", "regularize", "--seq", spec, "--N", "4"] + common
+        yield ["criteria", "dc", "--seq", spec, "--N", "3"] + common
+        yield ["criteria", "closure", "--seq", spec] + window + common
+        yield ["criteria", "inclusion", "--seq", spec, "--other", rng.choice(specs)] + window + common
+        yield ["bang", "build", "--seq", spec, "--max-order", "4"] + common
+        yield ["bang", "eval", "--seq", spec, "--order", "2", "--max-order", "2"] + common
+
+
+def test_seeded_fuzz_exits_with_a_documented_code(capsys):
+    seen = set()
+    for argv in _fuzz_argvs():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # any escape is the fault under test
+            pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+        out = capsys.readouterr().out
+        assert code in (0, 1, 2, 3), argv
+        # exit 1 is a certified Fails, and only that
+        assert code != 1 or any(line.startswith("FAILS") for line in out.splitlines()), argv
+        seen.add(code)
+    assert {0, 1, 3} <= seen

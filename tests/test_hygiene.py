@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no module but ``scalar`` builds an Interval
-without its order check or a Fraction without its gcd or compares two
-enclosures by hand, no class has a second exact hook, and every annotation
-resolves."""
+without its order check or a Fraction without its gcd, compares two
+enclosures by hand or calls ``float``, no class has a second exact hook,
+and every annotation resolves."""
 
 import ast
 from pathlib import Path
@@ -67,10 +67,11 @@ def test_the_check_flags_an_unused_import():
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["Union"]
 
 
-# the two lazy loaders: the package root's re-exports and the layers a
-# command of cli needs.  Loading them on first use took a fresh interpreter's
-# `import carleman, carleman.cli` from 79.6 to 62.3 ms (30 alternated pairs)
-LOCAL_IMPORT_ALLOWLIST = {("__init__", "__getattr__"), ("cli", "__getattr__")}
+# the one lazy loader: the package root imports a layer on first use, and
+# cli reaches every layer it runs through it.  Loading on first use took a
+# fresh interpreter's `import carleman, carleman.cli` from 79.6 to 62.3 ms
+# (30 alternated pairs)
+LOCAL_IMPORT_ALLOWLIST = {("__init__", "__getattr__")}
 # calls that import a module by name
 IMPORT_CALLS = {"import_module", "__import__"}
 
@@ -663,3 +664,36 @@ def test_the_check_flags_a_hand_written_comparison():
         "same = a.hi == b.hi\n"
     )
     assert list(_hi_lo_comparisons(ast.parse(text))) == [1, 3, 4]
+
+
+# -- float conversions -----------------------------------------------------------------
+
+
+def _float_calls(tree: ast.AST):
+    """Lines of every call of the builtin ``float``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno
+
+
+# float() raises OverflowError past about 1e308 and reads 0 below 1e-308;
+# scalar.display_float converts every value that the package prints
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "scalar"], ids=lambda p: p.stem
+)
+def test_only_scalar_calls_float(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_float_calls(tree))
+    assert not lines, f"{path.name} calls float on lines {lines}; use scalar.display_float"
+
+
+def test_the_check_flags_a_float_call():
+    text = (
+        "x = float(q)\n"
+        "note = f'~{float(r.midpoint):.6g}'\n"
+        "z = display_float(q)\n"
+        "w: float = 1.0\n"
+        "def f(v: float) -> float:\n    return [float(v), v.__float__()]\n"
+        "ok = isinstance(w, float)\n"
+    )
+    assert list(_float_calls(ast.parse(text))) == [1, 2, 6]

@@ -24,7 +24,9 @@ from carleman.scalar import (
     _int_fraction,
     _reduced_fraction,
     _rounded_tuple,
+    DisplayFloat,
     decimal_str,
+    display_float,
     exact_nth_root,
     int_nth_root_floor,
     iv_cos,
@@ -250,6 +252,30 @@ def test_float_mode_range_error():
         make_scalar(cfg, F(1, 2 ** (scalar.FLOAT_EXP_CAP + 2)))
     # within the cap is fine
     assert float(make_scalar(cfg, F(2) ** 100)) == 2.0 ** 100
+
+
+def test_log_of_a_negative_interval_past_the_float_range_is_a_domain_error():
+    with pytest.raises(ValueError, match=r"log outside the real domain: \[-1\.0e\+400, -1\.0\]"):
+        iv_log(Interval(-10 ** 400, -1), 64)
+
+
+def test_display_float_keeps_float_bytes_in_range_and_the_exponent_past_it():
+    for x in (F(1, 3), F(-22, 7), F(10) ** 308, F(0), 12345, mpmath.mpf(2) ** -1000):
+        got = display_float(x)
+        assert type(got) is float and got == float(x)
+    assert display_float(Scalar.from_interval(Interval(F(1, 3), F(2, 3)))) == 0.5
+    past = {
+        F(10) ** 400: "1e+400", F(-3 * 10 ** 400, 7): "-4.28571e+399", F(1, 10 ** 400): "1e-400",
+        F(10) ** -310: "1e-310", F(19999995, 10 ** 7) * F(10) ** 400: "2e+400",
+        mpmath.mpf(10) ** 500: "1e+500", Scalar.from_fraction(F(10) ** 999): "1e+999",
+    }
+    for x, text in past.items():
+        got = display_float(x)
+        assert isinstance(got, DisplayFloat) and f"{got:.6g}" == text
+    # arithmetic stays in 53 bits and past the float range
+    big = display_float(F(10) ** 400)
+    assert f"{display_float(big / 1e-300):.3g}" == "1e+700"
+    assert repr(Scalar.from_interval(Interval(-10 ** 400, F(1, 10 ** 400)))) == "Scalar[-1e+400, 1e-400]"
 
 
 def test_scalar_interval_accessor():
