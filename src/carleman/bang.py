@@ -7,14 +7,14 @@ in 2 m_k xi (cosine, or its p-fold analogue C_p).  Term-wise n-th
 derivatives are M'_k (2 m_k)**(n-k) times a shifted oscillator of size at
 most 1, and truncating at K >= n leaves a tail below M'_n times
 ``BangFunction.relative_tail(n)``: the classical geometric 2**(n-K+1), from
-m_k nondecreasing alone, or, where the family oracle certifies M log-convex
-globally, the sharper 2**(n-K) (K+1)! / (n! (K+2)**(K+1-n)), at most half of
-it and far less for large K.  Either bound dictates two restrictions
+m_k nondecreasing alone, or, where ``seqcore.global_family_rule`` certifies
+M log-convex globally, the sharper 2**(n-K) (K+1)! / (n! (K+2)**(K+1-n)), at
+most half of it and far less for large K.  Either bound dictates two restrictions
 enforced here:
 
 * the ratio sequence m_k must be certified nondecreasing on [0, K] at
-  construction (with a family oracle recording whether log-convexity is
-  known globally, as for the iterated-log families);
+  construction (with the global family rule recording whether
+  log-convexity is known globally, as for iterated logs from the tower on);
 * the C_p oscillator is only evaluated at xi = 0.  Its derivative bound
   |C_p^(n)| <= e holds on [-1, 1] only, and for |xi| > 0 the arguments
   2 m_k xi eventually leave every bounded interval, so no certified tail
@@ -53,10 +53,10 @@ from .seqcore import (
     Verdict,
     WeightSequence,
     Witness,
-    _log_convex_global_oracle,
+    global_family_rule,
     is_log_convex,
 )
-from .spec import ConfigError, RunConfig, _split_top_level, parse_fraction
+from .spec import ConfigError, RunConfig, parse_call_form, parse_fraction
 
 
 class GateError(SequenceError):
@@ -259,10 +259,9 @@ class BangFunction:
         if max_order < 0:
             raise SequenceError("max_order must be nonnegative")
         self.max_order = max_order
-        oracle = _log_convex_global_oracle(seq)
-        self.tail_scope = "global" if oracle is not None else "window"
-        self.tail_provenance = oracle
-        self.K = K if K is not None else _truncation_index(max_order, tau, oracle is not None)
+        log_convex = global_family_rule(seq) is not None
+        self.tail_scope = "global" if log_convex else "window"
+        self.K = K if K is not None else _truncation_index(max_order, tau, log_convex)
         if self.K < max_order:
             raise SequenceError("truncation K must be at least max_order")
         memo = seq.memo
@@ -328,7 +327,7 @@ class BangFunction:
           certifies on [0, K] only, every quotient m_j / m_k is at most 1,
           so t_k <= M'_n 2**(n-k), whose sum over k > K is M'_n 2**(n-K);
           the margin keeps a factor 2 on top.
-        * Scope "global", where the family oracle certifies M log-convex:
+        * Scope "global", where the global family rule certifies M log-convex:
           2**(n-K) (K+1)! / (n! (K+2)**(K+1-n)).  Log-convexity makes
           M_{j+1} / M_j nondecreasing, and m_j = (j+1) M_{j+1} / M_j, so
           m_j / m_k <= (j+1) / (k+1) for j < k and t_k is at most
@@ -723,11 +722,7 @@ def parse_model_spec(spec: str, seq: WeightSequence, config: RunConfig, n_max: i
     """Model expressions: poly(c0,...), cp(p), bang(p), compose(<model>,p).
     A bang(p) series serves derivative orders up to ``n_max`` and at least
     ``config.envelope_n_max``."""
-    s = spec.strip()
-    head, _, rest = s.partition("(")
-    if not rest.endswith(")"):
-        raise ConfigError(f"unbalanced parentheses in {spec!r}")
-    args = _split_top_level(rest[:-1])
+    head, args = parse_call_form(spec)
     try:
         if head == "poly":
             return PolynomialModel([parse_fraction(a) for a in args])

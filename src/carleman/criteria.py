@@ -21,25 +21,24 @@ from .scalar import (
     Interval,
     Scalar,
     ScalarConfig,
-    _GUARD_BITS,
     display_float,
     iv_pow,
+    iv_root_of_product,
     make_scalar,
-    outward_pow_product,
 )
 from .seqcore import (
     Analytic,
     Custom,
     Gevrey,
     IteratedLog,
-    PowerSub,
     SequenceError,
     Trend,
     Verdict,
     WeightSequence,
     Window,
     _check_window,
-    _increasing_global_oracle,
+    flatten_power_sub,
+    global_family_rule,
 )
 
 EstimateResult = Tuple[Scalar, Verdict]
@@ -96,14 +95,6 @@ def _partial_sums(
         yield exact, enclosure
 
 
-def _flatten_power_sub(seq: WeightSequence) -> Tuple[WeightSequence, int]:
-    p = 1
-    while isinstance(seq, PowerSub):
-        p *= seq.p
-        seq = seq.base
-    return seq, p
-
-
 def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
     marks = sorted({m for m in (max(1, N // 4), max(2, N // 2), N) if 0 <= m <= N})
     points = []
@@ -127,7 +118,7 @@ _TREND_WINDOW = 64
 def quasianalytic_verdict(seq: WeightSequence, cfg: ScalarConfig = DEFAULT_CONFIG) -> Verdict:
     """Global family-oracle verdict; Custom and regularized sequences get an
     Inconclusive with partial-sum trend data."""
-    flat, total_p = _flatten_power_sub(seq)
+    flat, total_p = flatten_power_sub(seq)
     trend_window = _TREND_WINDOW
     if isinstance(flat, Custom) and flat.length is not None:
         # the partial sum up to N reads M_{p(N+1)}, at most the table's last entry
@@ -189,11 +180,7 @@ def _root_of_ratio(
         return iv_pow(Interval.point(a / b), Fraction(1, root), bits)
     if root == 1:
         return num.enclosure(n, bits) / den.enclosure(n, bits)
-    # rounded once where iv_pow's log would round it, at bits + _GUARD_BITS
-    q = outward_pow_product(
-        num.enclosure(n, bits), 1, den.enclosure(n, bits), -1, bits + _GUARD_BITS
-    )
-    return iv_pow(q, Fraction(1, root), bits)
+    return iv_root_of_product(num.enclosure(n, bits), 1, den.enclosure(n, bits), -1, root, bits)
 
 
 class _ShiftedView(WeightSequence):
@@ -243,7 +230,7 @@ def _window_max(
 
 
 def _closure_global_oracle(seq: WeightSequence) -> Optional[str]:
-    base, _p = _flatten_power_sub(seq)
+    base, _p = flatten_power_sub(seq)
     if isinstance(base, Analytic):
         return "constant weights: every ratio root equals 1"
     if isinstance(base, Gevrey):
@@ -258,7 +245,7 @@ def _inclusion_global_oracle(
 ) -> Optional[str]:
     if M is N:
         return "identical sequences: every ratio root equals 1"
-    if isinstance(M, Analytic) and _increasing_global_oracle(N) is not None:
+    if isinstance(M, Analytic) and global_family_rule(N) is not None:
         return "constant numerator over weights bounded below by 1"
     if isinstance(M, Gevrey) and isinstance(N, Gevrey) and M.s <= N.s:
         return "comparable factorial powers: ratio roots stay at most 1"

@@ -564,6 +564,13 @@ def iv_pow(x: Union[Interval, RationalLike], exponent: RationalLike, bits: int) 
     return iv_exp(iv_log(iv, bits) * q, bits)
 
 
+def iv_root_of_product(a: Interval, p: int, b: Interval, q: int, r: int, bits: int) -> Interval:
+    """Enclosure of (a**p * b**q)**(1/r) for r >= 1: ``iv_pow`` of the
+    ``outward_pow_product``, which rounds the product once where the log
+    of ``iv_pow`` would round it, at bits + ``_GUARD_BITS``."""
+    return iv_pow(outward_pow_product(a, p, b, q, bits + _GUARD_BITS), Fraction(1, r), bits)
+
+
 @dataclass(frozen=True)
 class ScalarConfig:
     """Requested representation and working precision for an operation."""

@@ -313,7 +313,9 @@ class IteratedLog(WeightSequence):
 
     The shift s defaults to the smallest integer above the k-fold exponential
     tower of e, which makes the sequence log-convex from the start; smaller
-    shifts are accepted as long as L stays positive.
+    shifts are accepted as long as L stays positive.  ``from_tower``, decided
+    here once, is True for the default shift and for an explicit offset
+    certified at or above it, the shifts ``global_family_rule`` covers.
     """
 
     def __init__(self, k: int, offset: Optional[int] = None, cfg: ScalarConfig = DEFAULT_CONFIG):
@@ -324,13 +326,17 @@ class IteratedLog(WeightSequence):
         self._base_log = {}  # bits -> (enclosure of L(s), its powers' memo)
         if offset is None:
             self.shift = default_shift(k, cfg)
-            self._default_shift = True
         else:
             if offset < 0:
                 raise SequenceError("offset must be a nonnegative integer")
             self.shift = offset
-            self._default_shift = False
         self._validate_shift(cfg)
+        self.from_tower = offset is None
+        if offset is not None and k <= 3:
+            try:
+                self.from_tower = offset >= default_shift(k)
+            except SequenceError:  # an uncertified tower claims nothing
+                pass
 
     def _validate_shift(self, cfg: ScalarConfig):
         def decide(bits: int) -> Optional[bool]:
@@ -350,9 +356,6 @@ class IteratedLog(WeightSequence):
             raise SequenceError(
                 f"could not certify positivity of the {self.k}-fold log at offset {self.shift}"
             )
-
-    def has_default_shift(self) -> bool:
-        return self._default_shift
 
     def _root(self, n: int) -> Optional[RootRep]:
         return (Fraction(1), 1) if n == 0 else None
@@ -394,6 +397,16 @@ class PowerSub(WeightSequence):
 
     def describe(self) -> str:
         return f"powersub({self.base.describe()}, {self.p})"
+
+
+def flatten_power_sub(seq: WeightSequence) -> Tuple[WeightSequence, int]:
+    """The innermost base of nested power substitutions and the product of
+    their exponents: M_n = base_{p n}."""
+    p = 1
+    while isinstance(seq, PowerSub):
+        p *= seq.p
+        seq = seq.base
+    return seq, p
 
 
 class Custom(WeightSequence):
@@ -617,24 +630,31 @@ def ratio(seq: WeightSequence, k: int, cfg: ScalarConfig = DEFAULT_CONFIG) -> Sc
     )
 
 
-def _increasing_global_oracle(seq: WeightSequence) -> Optional[str]:
-    if isinstance(seq, Analytic):
-        return "constant family"
-    if isinstance(seq, Gevrey):
-        return "factorial powers are nondecreasing"
-    if isinstance(seq, IteratedLog):
-        if seq.has_default_shift():
-            return "iterated-log family rule: base above 1 with growing exponents"
-        try:
-            if seq.shift >= default_shift(seq.k):
-                return "iterated-log family rule: base above 1 with growing exponents"
-        except SequenceError:
-            return None
+def global_family_rule(seq: WeightSequence) -> Optional[str]:
+    """The provenance under which M is log-convex with M_1 >= M_0 = 1, and
+    so nondecreasing, for every n; None for any other sequence.
+
+    Analytic is constant and Gevrey(s) is a power of the log-convex n!.  For
+    an ``IteratedLog`` with ``from_tower`` write f(x) = x log L_k(x), so that
+    log M_n = f(s+n) - f(s).  The default shift rests on f being convex on
+    [tower, oo); an offset s >= tower uses only its restriction to [s, oo),
+    so it needs no new claim (for k = 1, f'' = (log x - 1) / (x log**2 x) is
+    nonnegative exactly when x >= e), and L_k(s) >= 1 with L_k increasing
+    gives M_1 >= M_0.  A power substitution, nested or not, samples such an
+    M along an arithmetic progression, which keeps both properties.  The
+    derived sequence n! M_n is then log-convex too, as a product of
+    log-convex sequences.
+    """
+    base, p = flatten_power_sub(seq)
+    if isinstance(base, Analytic):
+        rule = "constant family"
+    elif isinstance(base, Gevrey):
+        rule = "powers of the log-convex factorial sequence"
+    elif isinstance(base, IteratedLog) and base.from_tower:
+        rule = "iterated-log family rule: log-convex from the tower shift, base above 1"
+    else:
         return None
-    if isinstance(seq, PowerSub):
-        inner = _increasing_global_oracle(seq.base)
-        return None if inner is None else f"subsequence of an increasing family ({inner})"
-    return None
+    return rule if p == 1 else f"power substitution of a log-convex family ({rule})"
 
 
 def is_increasing(
@@ -655,25 +675,8 @@ def is_increasing(
                 f"M_{n + 1}={_display(seq, n + 1, cfg)}",
             )
             return Verdict.fails(window, Witness(n, vals))
-    oracle = _increasing_global_oracle(seq)
-    if oracle is not None:
-        return Verdict.holds(window, SCOPE_GLOBAL, provenance=oracle)
-    return Verdict.holds(window)
-
-
-def _log_convex_global_oracle(seq: WeightSequence) -> Optional[str]:
-    if isinstance(seq, Analytic):
-        return "constant family"
-    if isinstance(seq, Gevrey):
-        return "powers of the log-convex factorial sequence"
-    if isinstance(seq, IteratedLog):
-        if seq.has_default_shift():
-            return "iterated-log family rule: log-convex from the tower shift"
-        return None
-    if isinstance(seq, PowerSub):
-        inner = _log_convex_global_oracle(seq.base)
-        return None if inner is None else f"affine reindexing of a log-convex family ({inner})"
-    return None
+    rule = global_family_rule(seq)
+    return Verdict.holds(window, SCOPE_WINDOW if rule is None else SCOPE_GLOBAL, rule)
 
 
 def is_log_convex(
@@ -721,11 +724,9 @@ def is_log_convex(
                 f"M_{m}={_display(seq, m, cfg)}" for m in (n - 1, n, n + 1)
             )
             return Verdict.fails(window, Witness(n, vals))
-    if base:
-        oracle = _log_convex_global_oracle(seq)
-        if oracle is not None:
-            return Verdict.holds(window, SCOPE_GLOBAL, provenance=oracle)
-    return Verdict.holds(window)
+    # the derived sequence n! M_n inherits the rule's scope
+    rule = global_family_rule(seq)
+    return Verdict.holds(window, SCOPE_WINDOW if rule is None else SCOPE_GLOBAL, rule)
 
 
 def _display(seq: WeightSequence, n: int, cfg: ScalarConfig) -> str:

@@ -160,6 +160,15 @@ def _split_top_level(text: str) -> List[str]:
     return [p.strip() for p in parts]
 
 
+def parse_call_form(spec: str) -> Tuple[str, List[str]]:
+    """The head and the top-level arguments of a call form head(a, b, ...),
+    as the sequence and the model specs write them."""
+    head, _, rest = spec.strip().partition("(")
+    if not rest.endswith(")"):
+        raise ConfigError(f"unbalanced parentheses in {spec!r}")
+    return head, _split_top_level(rest[:-1])
+
+
 def parse_sequence_spec(spec: str) -> WeightSequence:
     """Sequence expressions: analytic, gevrey(s), iterlog(k[,offset]),
     powersub(<seq>,p), custom(v0,v1,...)."""
@@ -170,10 +179,7 @@ def parse_sequence_spec(spec: str) -> WeightSequence:
         if s == "analytic":
             return Analytic()
         raise ConfigError(f"unknown sequence family {s!r}")
-    head, _, rest = s.partition("(")
-    if not rest.endswith(")"):
-        raise ConfigError(f"unbalanced parentheses in {spec!r}")
-    args = _split_top_level(rest[:-1])
+    head, args = parse_call_form(spec)
     try:
         if head == "gevrey":
             (sv,) = args

@@ -24,10 +24,8 @@ from .scalar import (
     PrecisionError,
     Scalar,
     ScalarConfig,
-    _GUARD_BITS,
-    iv_pow,
+    iv_root_of_product,
     make_scalar,
-    outward_pow_product,
 )
 from .seqcore import (
     IntRoot,
@@ -207,13 +205,10 @@ class Regularized(WeightSequence):
         if self.as_root(n) is not None:
             return super()._enclosure(n, bits)
         a, b = self._bracket(n)
-        # a < n < b: the root degree is at least 2, so iv_pow's log rounds
-        # the product at bits + _GUARD_BITS; it is rounded once here instead
-        prod = outward_pow_product(
-            self.base.enclosure(a, bits), b - n, self.base.enclosure(b, bits), n - a,
-            bits + _GUARD_BITS,
+        # a < n < b: M_n = (M_a**(b-n) M_b**(n-a))**(1/(b-a)) on the chord
+        return iv_root_of_product(
+            self.base.enclosure(a, bits), b - n, self.base.enclosure(b, bits), n - a, b - a, bits
         )
-        return iv_pow(prod, Fraction(1, b - a), bits)
 
     def describe(self) -> str:
         return f"regularized({self.base.describe()}, [0, {self.n_max}])"

@@ -48,9 +48,12 @@ CLI_STDOUT_SHA256 = {
         "d873b6cb33fc99448e021c22c19aef3b01325d9230ca9069b1ac9d95a4046936",
     "bang eval --seq iterlog(1) --p 3 --order 6 --xi=0 --precision 256":
         "8fc61ae8ed59f9ea0f479a56b4e8fe2a5682235f5f4e3568e28ed998bdd9f660",
-    # a window-scope series: classical truncation K and tail
+    # an offset above the tower: global scope, the sharper truncation K=39
     "bang build --seq iterlog(1,5) --p 2 --max-order 6":
-        "fed5aed4cb96b42614f391b83fe63dd5688bfae36ec92f845710cbec96fa2e41",
+        "60e13a01a7d9132d9c4a916c1af8d0b01bab70c43003b9144e0f71d0effac676",
+    # an offset below the tower: window scope, classical truncation K=71
+    "bang build --seq iterlog(1,2) --p 2 --max-order 6":
+        "9c75b53139a28125aad2b3a9e6e12652322a26fd1ba17b288c13e4b999fc0eef",
     "criteria dc --seq iterlog(2) --precision 256":
         "e5fe870f00340ff0b06db4ca5b1e1e727640213029eef1a6eb1466b79d11f3ef",
 }

@@ -41,6 +41,7 @@ from carleman.scalar import (
 )
 from carleman.seqcore import (
     Analytic, Custom, Gevrey, IteratedLog, PowerSub, SequenceError, WeightSequence,
+    is_increasing, is_log_convex,
 )
 
 F = Fraction
@@ -156,6 +157,29 @@ def test_bang_truncation_policy():
     # K is the smallest truncation that meets the target
     shorter = BangFunction(seq, p=2, max_order=10, tail_target=F(1, 2 ** 64), K=B.K - 1)
     assert shorter.relative_tail(10) > B.tail_target
+
+
+def _scopes(seq, max_order):
+    B = BangFunction(seq, p=2, max_order=max_order)
+    verdicts = (
+        is_increasing(seq, (1, 16)),
+        is_log_convex(seq, (1, 16)),
+        is_log_convex(seq, (1, 16), "derived"),
+    )
+    return B.tail_scope, B.K, tuple(v.scope for v in verdicts)
+
+
+@pytest.mark.parametrize("max_order", [2, 6, 12])
+def test_an_offset_at_the_tower_gets_the_default_shift_claims(max_order):
+    # iterlog(1) is iterlog(1, 3); an offset above the tower gets the same
+    # global scopes and the same truncation
+    default = _scopes(IteratedLog(1), max_order)
+    assert default[0] == "global" and default[2] == ("global",) * 3
+    assert _scopes(IteratedLog(1, 3), max_order) == default
+    assert _scopes(IteratedLog(1, 5), max_order) == default
+    # below the depth-2 tower (16) the window scope and classical tail stay
+    below = _scopes(IteratedLog(2, 9), max_order)
+    assert below == ("window", max_order + 65, ("window",) * 3)
 
 
 def _ceil_log2(x: Fraction) -> int:

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses or
 imports inside a function, no module but ``scalar`` builds an Interval
 without its order check or a Fraction without its gcd, compares two
-enclosures by hand or calls ``float``, no class has a second exact hook,
-and every annotation resolves."""
+enclosures by hand, calls ``float`` or reads its guard bits, no class has
+a second exact hook, and every annotation resolves."""
 
 import ast
 from pathlib import Path
@@ -697,3 +697,34 @@ def test_the_check_flags_a_float_call():
         "ok = isinstance(w, float)\n"
     )
     assert list(_float_calls(ast.parse(text))) == [1, 2, 6]
+
+
+# -- guard bits --------------------------------------------------------------------------
+
+
+# scalar's working-precision guards; a composite that needs one outside
+# scalar, such as scalar.iv_root_of_product, lives in scalar
+GUARD_NAMES = ("_GUARD_BITS", "_ROUND_ONCE_GUARD")
+
+
+def _guard_references(tree: ast.AST):
+    return sorted(line for name in GUARD_NAMES for line in _references(tree, name))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "scalar"], ids=lambda p: p.stem
+)
+def test_only_scalar_reads_its_guard_bits(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _guard_references(tree)
+    assert not lines, f"{path.name} reads a scalar guard on lines {lines}; move the composite to scalar"
+
+
+def test_the_check_flags_a_guard_import():
+    text = (
+        "from .scalar import _GUARD_BITS, iv_pow\n"
+        "from carleman.scalar import _ROUND_ONCE_GUARD as g\n"
+        "from . import scalar\nwp = bits + scalar._GUARD_BITS\n"
+        "_SUM_GUARD_BITS = 64\n"
+    )
+    assert _guard_references(ast.parse(text)) == [1, 2, 4]

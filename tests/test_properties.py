@@ -9,13 +9,16 @@ from mpmath import libmp
 
 from carleman.criteria import dc_partial_sum
 from carleman.scalar import Interval, ScalarConfig, _rounded_ratio, decimal_str, iv_pow
+from carleman import seqcore
 from carleman.seqcore import (
     Custom,
+    Gevrey,
     IteratedLog,
     PowerSub,
     SequenceError,
     _int_roots,
     _three_point_sign,
+    global_family_rule,
     is_increasing,
     is_log_convex,
 )
@@ -368,3 +371,50 @@ def test_one_degree_three_point_sign_is_the_power_comparison(forms, a, b):
     left = F(fi[0], fi[1]) ** a * F(fk[0], fk[1]) ** b
     right = F(fj[0], fj[1]) ** (a + b)
     assert _three_point_sign(fi, fj, fk, a, b) == (left > right) - (left < right)
+
+
+# -- the global family rule -----------------------------------------------------------
+
+
+def _rule_breaches(seq, window=(1, 120)):
+    """The predicates that do not Hold with global scope on the window,
+    for a sequence that the global family rule claims."""
+    assert global_family_rule(seq) is not None, seq.describe()
+    verdicts = {
+        "increasing": is_increasing(seq, window),
+        "base": is_log_convex(seq, window, "base"),
+        "derived": is_log_convex(seq, window, "derived"),
+    }
+    return [name for name, v in verdicts.items() if not (v.ok and v.scope == "global")]
+
+
+def _rule_members():
+    """Iterated logs at and above the tower of each depth (3, 16 and
+    3814280 are the default shifts), Gevrey weights with rational
+    exponents, and power substitutions of depth 1 and 2 over some of them."""
+    bases = [IteratedLog(1, s) for s in range(3, 41)]
+    bases += [IteratedLog(2, s) for s in range(16, 31)]
+    bases += [IteratedLog(3, 3814280 + j) for j in (0, 1, 7)]
+    bases += [Gevrey(F(1, 3)), Gevrey(F(3, 2)), Gevrey(2)]
+    subs = [IteratedLog(1, 3), IteratedLog(1, 17), IteratedLog(2, 16), IteratedLog(3, 3814280),
+            Gevrey(F(2, 5))]
+    return (
+        bases
+        + [PowerSub(b, 2) for b in subs]
+        + [PowerSub(PowerSub(b, 2), 3) for b in subs]
+    )
+
+
+def test_the_global_family_rule_holds_on_every_member():
+    for seq in _rule_members():
+        assert not _rule_breaches(seq), seq.describe()
+
+
+def test_the_rule_check_flags_a_tower_from_the_wrong_depth(monkeypatch):
+    # a rule that used depth 1's tower (3) at depth 2 would claim these
+    tower = seqcore.default_shift(1)
+    monkeypatch.setattr(seqcore, "default_shift", lambda k, cfg=None: tower)
+    for s in range(3, 9):
+        seq = IteratedLog(2, s)
+        assert seq.from_tower
+        assert "base" in _rule_breaches(seq), s

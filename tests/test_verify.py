@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 from carleman import verify
+from carleman.cli import main
+from carleman.scalar import Interval, Scalar
 from carleman.seqcore import Custom
 from carleman.spec import RunConfig
 from carleman.transforms import Regularized
@@ -96,3 +98,30 @@ def test_regularization_laws_match_the_fraction_reference(monkeypatch):
     got = _laws(config)
     assert got == _reference_regularization_laws(config)
     assert got[0] == "fails" and got[1].endswith("not a minorant")
+
+
+def test_cp_periodicity_escalates_at_64_bits(capsys):
+    # 64-bit enclosures are wider than the 2**-64 cap; the next rung meets it
+    argv = ["verify", "--precision", "64", "--window", "1:4", "--only", "cp-periodicity"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("HOLDS          cp-periodicity")
+
+
+def _periodicity(monkeypatch, enclosure):
+    monkeypatch.setattr(
+        verify, "cp_derivative", lambda p, n, x, cfg: Scalar.from_interval(enclosure(n, cfg.bits))
+    )
+    (rec,) = run_checks(RunConfig(cp_p_max=2, cp_grid=3), only=["cp-periodicity"]).records
+    return rec.verdict, rec.witness
+
+
+def test_cp_periodicity_ladder_outcomes(monkeypatch):
+    # a width cap unmet at every rung is Inconclusive, never a Fails
+    wide = _periodicity(monkeypatch, lambda n, bits: Interval(F(0), F(1, 2 ** 60)))
+    assert wide == ("inconclusive", "p=1, x=-1: width 1.73e-18 at 32768 bits, above 2**-64")
+    # disjoint enclosures are a certified Fails at the first rung
+    apart = _periodicity(monkeypatch, lambda n, bits: Interval.point(n))
+    assert apart == ("fails", "n=1: x=-1")
+    # a cap first met at 512 bits holds there
+    late = _periodicity(monkeypatch, lambda n, bits: Interval(F(0), F(1, 2 ** (bits // 4))))
+    assert late[0] == "holds"
