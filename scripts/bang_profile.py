@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         B = BangFunction(seq, p=2, max_order=2 * args.n_max, cfg=ScalarConfig(bits=args.bits))
     except (SequenceError, PrecisionError) as exc:
         ap.error(f"cannot build the series: {exc}")
-    cfg = ScalarConfig(mode="interval", bits=args.bits)
+    cfg = ScalarConfig(bits=args.bits)
     print(f"# {B.describe()}, tail scope {B.tail_scope}")
     print(f"{'n':>3} {'|F^(2n)(0)| >=':>24} {'target M_2n':>24} {'ratio':>10}")
     for n in range(args.n_max + 1):

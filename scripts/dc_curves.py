@@ -50,7 +50,7 @@ def main(argv=None) -> int:
         seqs = [(s, parse_sequence_spec(s)) for s in specs]
     except ConfigError as exc:
         ap.error(str(exc))
-    cfg = ScalarConfig(mode="interval", bits=args.bits)
+    cfg = ScalarConfig(bits=args.bits)
 
     # one running curve per family, taken up to each N in turn
     curves = [(spec, dc_partial_sums(seq, args.N, cfg)) for spec, seq in seqs]

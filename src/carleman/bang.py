@@ -159,9 +159,7 @@ def cp_bound_check(
         if holds is False:
             return Verdict.fails(window, Witness(n, ("x=1",)))
         if holds is None:
-            return Verdict.inconclusive(
-                window, Trend(note=f"n={n}, x=1 unresolved at the precision cap")
-            )
+            return Verdict.unresolved(window, f"n={n}, x=1")
     return Verdict.holds(window)
 
 
@@ -474,9 +472,7 @@ def bang_lower_bound_certify(
                 "below and contains the k = pn term M'_{pn} itself"
             ),
         )
-    return Verdict.inconclusive(
-        window, Trend(note=f"lower bound at order {q} unresolved at the precision cap")
-    )
+    return Verdict.unresolved(window, f"lower bound at order {q}")
 
 
 def induced_f_derivative(
@@ -553,10 +549,12 @@ def bang_envelope_check(
 
     The grid is only a fallback: an order the majorant does not decide is
     evaluated at every grid point, and every Fails or Inconclusive, with its
-    xi witness, comes from there.
+    xi witness, comes from there.  Where every grid point holds, the order
+    still ends Inconclusive: the grid is not every xi.
     """
     window = (0, n_max)
     xs = [_bang_point(B, x) for x in grid]
+    grid_only = []  # the orders that only the grid points hold
     for n in range(n_max + 1):
         # the tail bounds need n <= K; above it the grid refuses the order.
         # A False (the majorant exceeds the envelope) also asks the grid
@@ -567,6 +565,10 @@ def bang_envelope_check(
         verdict = _envelope_on_grid(B, n, xs, window, cfg)
         if verdict is not None:
             return verdict
+        grid_only.append(str(n))
+    if grid_only:
+        note = f"n={', '.join(grid_only)}: the envelope holds at the grid points only"
+        return Verdict.inconclusive(window, Trend(note=note))
     return Verdict.holds(window)
 
 
@@ -588,9 +590,7 @@ def _envelope_on_grid(
         if holds is False:
             return Verdict.fails(window, Witness(n, (f"xi={x}",)))
         if holds is None:
-            return Verdict.inconclusive(
-                window, Trend(note=f"n={n}, xi={x} unresolved at the precision cap")
-            )
+            return Verdict.unresolved(window, f"n={n}, xi={x}")
     return None
 
 
@@ -638,7 +638,7 @@ class BangModel:
         self.B = B
 
     def derivative_enclosure(self, n: int, x: Fraction, bits: int) -> Interval:
-        cfg = ScalarConfig(mode="interval", bits=bits)
+        cfg = ScalarConfig(bits=bits)
         return bang_derivative(self.B, n, x, cfg).interval()
 
     def describe(self) -> str:

@@ -160,15 +160,21 @@ def _finish(
 # -- subcommand handlers ---------------------------------------------------------------
 
 
+def _print_values(seq, ns, cfg: ScalarConfig, digits: int, row) -> None:
+    """Print ``row(n, lo, hi)`` for each n in ``ns``, from the cells of M_n."""
+    for n in ns:
+        print(row(n, *_scalar_cells(value(seq, n, cfg), digits)))
+
+
 def _cmd_seq_show(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     cfg = ScalarConfig(mode=args.mode, bits=config.precision)
     a, b = _parse_window(args.range)
     print(f"# {seq.describe()}  (mode={args.mode}, bits={config.precision})")
-    for n in range(a, b + 1):
-        s = value(seq, n, cfg)
-        lo, hi = _scalar_cells(s, config.digits)
-        print(f"{n}\t{lo}" + ("" if lo == hi else f"\t{hi}"))
+    _print_values(
+        seq, range(a, b + 1), cfg, config.digits,
+        lambda n, lo, hi: f"{n}\t{lo}" + ("" if lo == hi else f"\t{hi}"),
+    )
     return 0
 
 
@@ -200,13 +206,12 @@ def _cmd_seq_test(args, config: RunConfig) -> int:
 def _cmd_transform_powersub(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     ps = PowerSub(seq, args.p)
-    cfg = ScalarConfig(mode="interval", bits=config.precision)
+    cfg = ScalarConfig(bits=config.precision)
     a, b = _parse_window(args.range)
     print(f"# {ps.describe()}")
-    for n in range(a, b + 1):
-        s = value(ps, n, cfg)
-        lo, hi = _scalar_cells(s, config.digits)
-        print(f"{n}\t{lo}\t{hi}")
+    _print_values(
+        ps, range(a, b + 1), cfg, config.digits, lambda n, lo, hi: f"{n}\t{lo}\t{hi}"
+    )
     return 0
 
 
@@ -219,18 +224,16 @@ def _cmd_transform_regularize(args, config: RunConfig) -> int:
         print(f"INCONCLUSIVE   regularization: {exc}")
         return EXIT_INCONCLUSIVE
     print(f"# {reg.describe()}; hull vertices: {list(reg.vertices)}")
-    ival = ScalarConfig(mode="interval", bits=config.precision)
-    for n in range(args.N + 1):
-        s = value(reg, n, ival)
-        lo, hi = _scalar_cells(s, config.digits)
-        tag = "*" if n in reg.vertices else " "
-        print(f"{n}{tag}\t{lo}\t{hi}")
+    _print_values(
+        reg, range(args.N + 1), cfg, config.digits,
+        lambda n, lo, hi: f"{n}{'*' if n in reg.vertices else ' '}\t{lo}\t{hi}",
+    )
     return 0
 
 
 def _cmd_criteria_dc(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
-    cfg = ScalarConfig(mode="interval", bits=config.precision)
+    cfg = ScalarConfig(bits=config.precision)
     if args.curve:
         rows = []
         for N, s in enumerate(carleman.criteria.dc_partial_sums(seq, args.N, cfg)):
@@ -253,23 +256,20 @@ def _cmd_criteria_dc(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_criteria_closure(args, config: RunConfig) -> int:
+def _cmd_criteria_estimate(args, config: RunConfig) -> int:
+    """``criteria closure``, and ``criteria inclusion`` when --other is given."""
     seq = parse_sequence_spec(args.seq)
-    cfg = ScalarConfig(mode="interval", bits=config.precision)
-    est, verdict = carleman.criteria.derivation_closure_estimate(seq, config.window, cfg)
+    cfg = ScalarConfig(bits=config.precision)
+    if getattr(args, "other", None) is None:
+        name, claim = "criteria-derivation-closure", "sup (M_{n+1}/M_n)**(1/n) bounded"
+        est, verdict = carleman.criteria.derivation_closure_estimate(seq, config.window, cfg)
+    else:
+        name, claim = "criteria-inclusion", "sup (M_n/N_n)**(1/n) bounded"
+        other = parse_sequence_spec(args.other)
+        est, verdict = carleman.criteria.inclusion_estimate(seq, other, config.window, cfg)
     lo, hi = _scalar_cells(est, config.digits)
-    records = [_record("criteria-derivation-closure", "sup (M_{n+1}/M_n)**(1/n) bounded", verdict, lo, hi)]
-    return _finish(_mini_report(config, records), args, config, {"criteria-derivation-closure": False})
-
-
-def _cmd_criteria_inclusion(args, config: RunConfig) -> int:
-    M = parse_sequence_spec(args.seq)
-    N = parse_sequence_spec(args.other)
-    cfg = ScalarConfig(mode="interval", bits=config.precision)
-    est, verdict = carleman.criteria.inclusion_estimate(M, N, config.window, cfg)
-    lo, hi = _scalar_cells(est, config.digits)
-    records = [_record("criteria-inclusion", "sup (M_n/N_n)**(1/n) bounded", verdict, lo, hi)]
-    return _finish(_mini_report(config, records), args, config, {"criteria-inclusion": False})
+    records = [_record(name, claim, verdict, lo, hi)]
+    return _finish(_mini_report(config, records), args, config, {name: False})
 
 
 def _cmd_comb_coefficients(args, config: RunConfig) -> int:
@@ -346,7 +346,7 @@ def _cmd_bang_eval(args, config: RunConfig) -> int:
     if args.order < 0:
         raise ConfigError(f"--order must be nonnegative, got {args.order}")
     B = _bang_from_args(args, config)
-    cfg = ScalarConfig(mode="interval", bits=config.precision)
+    cfg = ScalarConfig(bits=config.precision)
     s = carleman.bang.bang_derivative(B, args.order, parse_fraction(args.xi), cfg)
     lo, hi = _scalar_cells(s, config.digits)
     print(f"F^({args.order})({args.xi}) in [{lo}, {hi}]")
@@ -385,7 +385,7 @@ def _cmd_bang_norm(args, config: RunConfig) -> int:
     seq = parse_sequence_spec(args.seq)
     model = carleman.bang.parse_model_spec(args.model, seq, config, args.n_max)
     lo, hi = _parse_window(args.interval)
-    cfg = ScalarConfig(mode="interval", bits=config.precision)
+    cfg = ScalarConfig(bits=config.precision)
     s = carleman.bang.class_norm(
         model, seq, (Fraction(lo), Fraction(hi)), parse_fraction(args.r),
         args.n_max, args.grid, cfg,
@@ -463,8 +463,8 @@ _COMMANDS = {
             ("--N", dict(type=int, default=64)),
             ("--curve", dict(action="store_true", help="emit the whole curve as CSV")),
         )),
-        "closure": ("derivation-closure estimate", _cmd_criteria_closure, (_SEQ,)),
-        "inclusion": ("class-inclusion estimate", _cmd_criteria_inclusion, (
+        "closure": ("derivation-closure estimate", _cmd_criteria_estimate, (_SEQ,)),
+        "inclusion": ("class-inclusion estimate", _cmd_criteria_estimate, (
             _SEQ,
             ("--other", dict(required=True)),
         )),

@@ -37,10 +37,9 @@ from .scalar import (
     iv_pow,
     iv_sqrt,
     make_scalar,
-    refine,
     refine_le,
 )
-from .seqcore import Trend, Verdict, Witness
+from .seqcore import Trend, Verdict, Witness, settle
 
 COMPOSITION_GUARD = 25
 
@@ -201,10 +200,8 @@ def _scaled_power_sweep(
             num = abs(c.numerator) * w.numerator * n ** k
             row.append((num, c.denominator * w.denominator * kfact))
         lhs.append(row)
-    unresolved = None
 
-    def decide(bits: int) -> Optional[Verdict]:
-        nonlocal unresolved
+    def decide(bits: int) -> Verdict:
         lows, highs = _two_e_powers(n_max, bits)
         for k, row in enumerate(lhs, 1):
             for n, (num, den) in enumerate(row, 1):
@@ -215,17 +212,10 @@ def _scaled_power_sweep(
                 if num * hi.denominator > hi.numerator * den:
                     c = Fraction(num // n ** k, den)
                     return Verdict.fails(window, witness(k, n, c, hi / n ** k))
-                unresolved = (k, n)
-                return None
+                return Verdict.unresolved(window, f"pair k={k}, n={n}")
         return Verdict.holds(window)
 
-    verdict = refine(decide, cfg)
-    if verdict is not None:
-        return verdict
-    k, n = unresolved
-    return Verdict.inconclusive(
-        window, Trend(note=f"pair k={k}, n={n} unresolved at the precision cap")
-    )
+    return settle(decide, cfg)
 
 
 def lemma1_check(
@@ -372,9 +362,7 @@ def stirling_ineq_check(
         return Verdict.holds(window)
     if holds is False:
         return Verdict.fails(window, Witness(n, (f"p={p}", f"k={k}")))
-    return Verdict.inconclusive(
-        window, Trend(note=f"p={p}, n={n}, k={k} unresolved at the precision cap")
-    )
+    return Verdict.unresolved(window, f"p={p}, n={n}, k={k}")
 
 
 def stirling_sweep(
@@ -429,10 +417,8 @@ def stirling_factorial_bounds_check(
     if n_max < 2:
         raise ValueError("two-sided factorial sweep needs n_max >= 2")
     window = (2, n_max)
-    unresolved = None
 
-    def decide(bits: int) -> Optional[Verdict]:
-        nonlocal unresolved
+    def decide(bits: int) -> Verdict:
         e = iv_e(bits)
         pi = iv_pi(bits)
         for n in range(2, n_max + 1):
@@ -442,13 +428,12 @@ def stirling_factorial_bounds_check(
             # upper side written as sqrt(n) n**n e**(1-n) to cancel one e
             upper_lo = iv_sqrt(Interval.point(n), bits).lo * nn / e.hi ** (n - 1)
             if not (lower_hi < fact < upper_lo):
-                unresolved = n
-                return None
+                return Verdict.inconclusive(
+                    window, Trend(note=f"factorial bounds unresolved near n={n}")
+                )
         return Verdict.holds(window)
 
-    return refine(decide, cfg) or Verdict.inconclusive(
-        window, Trend(note=f"factorial bounds unresolved near n={unresolved}")
-    )
+    return settle(decide, cfg)
 
 
 # -- composite derivatives and the remainder identity ---------------------------

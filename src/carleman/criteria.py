@@ -96,11 +96,9 @@ def _partial_sums(
 
 
 def _dc_trend(seq: WeightSequence, N: int, cfg: ScalarConfig) -> Trend:
-    marks = sorted({m for m in (max(1, N // 4), max(2, N // 2), N) if 0 <= m <= N})
-    points = []
-    for m in marks:
-        s = dc_partial_sum(seq, m, ScalarConfig(bits=cfg.bits))
-        points.append((m, display_float(s)))
+    marks = {max(1, N // 4), max(2, N // 2), N}
+    sums = enumerate(dc_partial_sums(seq, N, ScalarConfig(bits=cfg.bits)))
+    points = [(m, display_float(s)) for m, s in sums if m in marks]
     growth = None
     if len(points) >= 2 and points[-1][0] > points[-2][0]:
         # in 53 bits, as floats round, but past the float range as well

@@ -125,6 +125,12 @@ class Verdict:
     def inconclusive(cls, window, trend: Optional[Trend] = None, provenance=None) -> "Verdict":
         return cls(INCONCLUSIVE, tuple(window), SCOPE_WINDOW, trend=trend, provenance=provenance)
 
+    @classmethod
+    def unresolved(cls, window, what: str) -> "Verdict":
+        """The Inconclusive of a comparison, named by ``what``, that stayed
+        open at the top rung of its precision ladder."""
+        return cls.inconclusive(window, Trend(note=f"{what} unresolved at the precision cap"))
+
     @property
     def ok(self) -> bool:
         return self.outcome == HOLDS
@@ -140,6 +146,26 @@ class Verdict:
         if self.provenance:
             bits.append(self.provenance)
         return "; ".join(bits)
+
+
+# a check's Verdict, with the enclosure its report row prints, if any
+CheckOutcome = Union[Verdict, Tuple[Verdict, Interval]]
+
+
+def settle(decide: Callable[[int], CheckOutcome], cfg: ScalarConfig) -> CheckOutcome:
+    """A check's precision ladder: ``scalar.refine`` over ``decide(bits)``,
+    the check's outcome at those bits (a ``Verdict``, or a pair of one and
+    an ``Interval``).  An Inconclusive asks for the next rung; at the cap the
+    top rung's Inconclusive is the result."""
+    last = None
+
+    def rung(bits: int) -> Optional[CheckOutcome]:
+        nonlocal last
+        last = decide(bits)
+        verdict = last[0] if isinstance(last, tuple) else last
+        return None if verdict.outcome == INCONCLUSIVE else last
+
+    return refine(rung, cfg) or last
 
 
 def _check_window(window: Window, min_start: int = 0) -> Window:
@@ -285,6 +311,10 @@ def _tetration_e(k: int, bits: int) -> Interval:
     return x
 
 
+# default_shift(k) for k = 1, 2, 3, which tests/test_seqcore.py certifies
+_TOWER_SHIFTS = (3, 16, 3_814_280)
+
+
 def default_shift(k: int, cfg: ScalarConfig = DEFAULT_CONFIG) -> int:
     """Smallest integer exceeding the k-fold exponential tower of e,
     certified from interval enclosures."""
@@ -314,8 +344,8 @@ class IteratedLog(WeightSequence):
     The shift s defaults to the smallest integer above the k-fold exponential
     tower of e, which makes the sequence log-convex from the start; smaller
     shifts are accepted as long as L stays positive.  ``from_tower``, decided
-    here once, is True for the default shift and for an explicit offset
-    certified at or above it, the shifts ``global_family_rule`` covers.
+    here once, is True for the default shift and for an explicit offset at
+    or above it, the shifts ``global_family_rule`` covers.
     """
 
     def __init__(self, k: int, offset: Optional[int] = None, cfg: ScalarConfig = DEFAULT_CONFIG):
@@ -325,18 +355,13 @@ class IteratedLog(WeightSequence):
         self.k = k
         self._base_log = {}  # bits -> (enclosure of L(s), its powers' memo)
         if offset is None:
-            self.shift = default_shift(k, cfg)
-        else:
-            if offset < 0:
-                raise SequenceError("offset must be a nonnegative integer")
-            self.shift = offset
+            # the certified towers; default_shift refuses a deeper one
+            offset = _TOWER_SHIFTS[k - 1] if k <= 3 else default_shift(k)
+        elif offset < 0:
+            raise SequenceError("offset must be a nonnegative integer")
+        self.shift = offset
         self._validate_shift(cfg)
-        self.from_tower = offset is None
-        if offset is not None and k <= 3:
-            try:
-                self.from_tower = offset >= default_shift(k)
-            except SequenceError:  # an uncertified tower claims nothing
-                pass
+        self.from_tower = k <= 3 and offset >= _TOWER_SHIFTS[k - 1]
 
     def _validate_shift(self, cfg: ScalarConfig):
         def decide(bits: int) -> Optional[bool]:
@@ -665,10 +690,7 @@ def is_increasing(
     for n in range(a, b + 1):
         sign = compare_products([(seq, n, 1)], [(seq, n + 1, 1)], cfg)
         if sign is None:
-            return Verdict.inconclusive(
-                window,
-                Trend(note=f"comparison at n={n} unresolved at the precision cap"),
-            )
+            return Verdict.unresolved(window, f"comparison at n={n}")
         if sign > 0:
             vals = (
                 f"M_{n}={_display(seq, n, cfg)}",
@@ -715,10 +737,7 @@ def is_log_convex(
                 [(seq, n, 2)], [(seq, n - 1, 1), (seq, n + 1, 1)], cfg, ls, rs
             )
         if sign is None:
-            return Verdict.inconclusive(
-                window,
-                Trend(note=f"comparison at n={n} unresolved at the precision cap"),
-            )
+            return Verdict.unresolved(window, f"comparison at n={n}")
         if sign > 0:
             vals = tuple(
                 f"M_{m}={_display(seq, m, cfg)}" for m in (n - 1, n, n + 1)

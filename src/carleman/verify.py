@@ -50,10 +50,10 @@ from .scalar import (
     _int_fraction,
     decimal_str,
     display_float,
-    refine,
 )
 from .seqcore import (
     Analytic,
+    CheckOutcome,
     Custom,
     Gevrey,
     IteratedLog,
@@ -64,6 +64,7 @@ from .seqcore import (
     Witness,
     _int_roots,
     is_log_convex,
+    settle,
 )
 from .spec import Report, RunConfig, _mini_report, _record, parse_sequence_spec
 from .transforms import log_convex_regularization
@@ -72,8 +73,6 @@ from .transforms import log_convex_regularization
 # -- the check registry ------------------------------------------------------------
 
 
-# a check's Verdict, with the enclosure its report row prints, if any
-CheckOutcome = Union[Verdict, Tuple[Verdict, Interval]]
 CheckFn = Callable[[RunConfig], CheckOutcome]
 _REGISTRY: List[Tuple[str, str, CheckFn]] = []
 
@@ -259,11 +258,9 @@ def _cp_periodicity(config: RunConfig) -> CheckOutcome:
     window = (0, config.cp_p_max)
     width_cap = Fraction(1, 2 ** 64)
     grid = _unit_grid(config.cp_grid)
-    missed = ""  # the point that missed the width cap at the last rung
 
     # one ladder: a combined width above the cap escalates the whole grid
-    def decide(bits: int) -> Optional[CheckOutcome]:
-        nonlocal missed
+    def decide(bits: int) -> CheckOutcome:
         cfg = ScalarConfig(bits=bits)
         worst = Fraction(0)
         for p in range(1, config.cp_p_max + 1):
@@ -274,15 +271,13 @@ def _cp_periodicity(config: RunConfig) -> CheckOutcome:
                     return Verdict.fails(window, Witness(p, (f"x={x}",)))
                 combined = a.width + b.width
                 if combined > width_cap:
-                    missed = f"p={p}, x={x}: width {display_float(combined):.3g} at {bits} bits"
-                    return None
+                    width = display_float(combined)
+                    note = f"p={p}, x={x}: width {width:.3g} at {bits} bits, above 2**-64"
+                    return Verdict.inconclusive(window, Trend(note=note))
                 worst = max(worst, combined)
         return Verdict.holds(window), Interval.point(worst)
 
-    outcome = refine(decide, config.sweep_config())
-    if outcome is None:
-        return Verdict.inconclusive(window, Trend(note=f"{missed}, above 2**-64"))
-    return outcome
+    return settle(decide, config.sweep_config())
 
 
 # -- randomized identities ----------------------------------------------------------

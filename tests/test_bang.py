@@ -398,8 +398,36 @@ def test_envelope_grid_runs_only_for_undecided_orders(monkeypatch):
 
     monkeypatch.setattr(bang_module, "_bang_majorant", blind_at_3)
     orders = _spy_on_derivative(monkeypatch)
-    assert bang_envelope_check(B, 6, grid).ok
+    verdict = bang_envelope_check(B, 6, grid)
+    assert (verdict.outcome, verdict.trend.note) == (
+        "inconclusive", "n=3: the envelope holds at the grid points only"
+    )
     assert orders and set(orders) == {3}
+
+
+def test_an_envelope_held_only_at_grid_points_is_inconclusive():
+    # M'_k = 2**k, so the majorant equals the envelope and decides no order;
+    # every grid point holds, but the grid misses 0 and all of [-1, 1] between
+    seq = Custom(rule=lambda n: F(2 ** n, factorial(n)))
+    B = BangFunction(seq, p=2, max_order=6, cfg=ScalarConfig(bits=128))
+    verdict = bang_envelope_check(B, 6, [F(2 * i, 99) - 1 for i in range(100)])
+    assert verdict.outcome == "inconclusive" and verdict.provenance is None
+    assert str(verdict.trend) == "n=0, 1, 2, 3, 4, 5, 6: the envelope holds at the grid points only"
+
+
+def test_an_envelope_fails_after_a_grid_only_order_stays_a_fails(monkeypatch):
+    B = BangFunction(IteratedLog(2), p=2, max_order=6)
+    majorant, envelope = bang_module._bang_majorant, bang_module._envelope_bound
+    monkeypatch.setattr(
+        bang_module, "_bang_majorant",
+        lambda B, n, bits: Interval.point(F(10) ** 30) if n == 3 else majorant(B, n, bits),
+    )
+    monkeypatch.setattr(
+        bang_module, "_envelope_bound",
+        lambda B, n, bits: envelope(B, n, bits) * (F(1, 1000) if n == 5 else 1),
+    )
+    verdict = bang_envelope_check(B, 6, [F(i, 2) for i in range(-2, 3)])
+    assert verdict.outcome == "fails" and verdict.witness.index == 5
 
 
 def test_envelope_fails_name_the_first_grid_point(monkeypatch):

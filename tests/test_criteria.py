@@ -11,7 +11,7 @@ from carleman.criteria import (
     inclusion_estimate,
     quasianalytic_verdict,
 )
-from carleman.scalar import ScalarConfig
+from carleman.scalar import ScalarConfig, display_float
 from carleman.seqcore import (
     Analytic,
     Custom,
@@ -221,6 +221,29 @@ def test_quasianalytic_verdict_reads_only_inside_a_custom_table(p):
         assert [m for m, _ in v.trend.last] == sorted(
             {m for m in (max(1, top // 4), max(2, top // 2), top) if 0 <= m <= top}
         )
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_the_trend_reads_its_marks_from_one_partial_sum_pass(bits, monkeypatch):
+    passes = []
+    real = criteria._partial_sums
+    monkeypatch.setattr(
+        criteria, "_partial_sums", lambda seq, N: passes.append(N) or real(seq, N)
+    )
+    cases = {
+        Custom(rule=lambda n: F(n + 1), name="linear"):
+            "last (10, 2.10321), (20, 2.69081), (40, 3.32674); growth 0.917452",
+        IteratedLog(2): "last (10, 2.04228), (20, 2.4422), (40, 2.84592); growth 0.58244",
+    }
+    cfg = ScalarConfig(bits=bits)
+    for seq, text in cases.items():
+        passes.clear()
+        trend = criteria._dc_trend(seq, 40, cfg)
+        assert passes == [40]
+        assert str(trend) == text + "; partial-sum slope per log N"
+        # each mark is the partial sum up to it, as a pass of its own gives it
+        marks = tuple((m, display_float(dc_partial_sum(seq, m, cfg))) for m in (10, 20, 40))
+        assert trend.last == marks
 
 
 def test_running_partial_sums_stay_near_the_working_precision():

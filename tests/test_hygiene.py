@@ -2,7 +2,8 @@
 imports inside a function, no module but ``scalar`` builds an Interval
 without its order check or a Fraction without its gcd, compares two
 enclosures by hand, calls ``float`` or reads its guard bits, no class has
-a second exact hook, and every annotation resolves."""
+a second exact hook, every annotation resolves, and only ``seqcore``
+decides how an open precision ladder ends."""
 
 import ast
 from pathlib import Path
@@ -728,3 +729,88 @@ def test_the_check_flags_a_guard_import():
         "_SUM_GUARD_BITS = 64\n"
     )
     assert _guard_references(ast.parse(text)) == [1, 2, 4]
+
+
+# -- one ending for an open comparison ----------------------------------------------
+
+
+def _scoped(node: ast.AST, scope: str = ""):
+    """(node, dotted name of the classes and functions around it) for every
+    node under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield child, inner
+        yield from _scoped(child, inner)
+
+
+def _nonlocals(tree: ast.AST):
+    """(scope, line) of every ``nonlocal`` statement."""
+    return [
+        (scope, node.lineno) for node, scope in _scoped(tree) if isinstance(node, ast.Nonlocal)
+    ]
+
+
+CAP_NOTE = "unresolved at the precision cap"
+
+
+def _cap_notes(tree: ast.AST):
+    """(scope, line) of every string, docstrings aside, that says a
+    comparison stayed open at the precision cap."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        (scope, node.lineno)
+        for node, scope in _scoped(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and CAP_NOTE in node.value and id(node) not in docstrings
+    ]
+
+
+# seqcore.settle keeps the top rung's outcome; every other ladder's decider
+# returns the Inconclusive it would report
+NONLOCAL_ALLOWLIST = {("seqcore", "settle.rung")}
+# Verdict.unresolved writes every at-the-cap Inconclusive; a hull turn
+# that stays open raises instead
+CAP_NOTE_ALLOWLIST = {("seqcore", "Verdict.unresolved"), ("transforms", "_turn_sign")}
+
+
+@pytest.mark.parametrize(
+    "finder, allowlist",
+    [(_nonlocals, NONLOCAL_ALLOWLIST), (_cap_notes, CAP_NOTE_ALLOWLIST)],
+    ids=["nonlocal", "cap-note"],
+)
+def test_an_open_ladder_ends_in_one_place(finder, allowlist):
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for scope, line in finder(tree):
+            key = (path.stem, scope)
+            assert key in allowlist, f"{path.name}:{line} in {scope or '<module>'}"
+            found.add(key)
+    # a stale entry would let a new one of the same scope through
+    assert found == allowlist
+
+
+def test_the_checks_flag_a_nonlocal_and_a_cap_note():
+    text = (
+        '"""A module that is unresolved at the precision cap."""\n'
+        "def f():\n    n = 0\n    def g():\n        nonlocal n\n        n += 1\n"
+        "class A:\n"
+        '    """Docstrings may say unresolved at the precision cap."""\n'
+        "    def m(self, n):\n"
+        '        """So may this one: unresolved at the precision cap."""\n'
+        '        return f"n={n} unresolved at the precision cap"\n'
+        "def h():\n"
+        '    return "bound " "unresolved at the precision cap"\n'
+        'NOTE = "unresolved near the cap"\n'
+    )
+    tree = ast.parse(text)
+    assert _nonlocals(tree) == [("f.g", 5)]
+    assert _cap_notes(tree) == [("A.m", 11), ("h", 13)]

@@ -412,8 +412,8 @@ def test_the_global_family_rule_holds_on_every_member():
 
 def test_the_rule_check_flags_a_tower_from_the_wrong_depth(monkeypatch):
     # a rule that used depth 1's tower (3) at depth 2 would claim these
-    tower = seqcore.default_shift(1)
-    monkeypatch.setattr(seqcore, "default_shift", lambda k, cfg=None: tower)
+    tower = seqcore._TOWER_SHIFTS[0]
+    monkeypatch.setattr(seqcore, "_TOWER_SHIFTS", (tower,) * 3)
     for s in range(3, 9):
         seq = IteratedLog(2, s)
         assert seq.from_tower

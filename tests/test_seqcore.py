@@ -26,6 +26,7 @@ from carleman.seqcore import (
     Verdict,
     WeightSequence,
     Witness,
+    _TOWER_SHIFTS,
     _display,
     _int_roots,
     _three_point_sign,
@@ -35,6 +36,7 @@ from carleman.seqcore import (
     is_increasing,
     is_log_convex,
     ratio,
+    settle,
     value,
 )
 from carleman.transforms import Regularized, log_convex_regularization
@@ -152,11 +154,53 @@ def test_verdict_fails_requires_witness_or_global_provenance():
         Verdict.fails((0, 3), scope="global")
 
 
+def test_unresolved_writes_the_at_the_cap_note():
+    v = Verdict.unresolved((2, 5), "comparison at n=3")
+    assert (v.outcome, v.window, v.witness, v.provenance) == ("inconclusive", (2, 5), None, None)
+    assert str(v) == "inconclusive on [2, 5]; comparison at n=3 unresolved at the precision cap"
+
+
+def test_settle_climbs_while_open_and_keeps_the_top_rung():
+    cfg = ScalarConfig(bits=16, max_doublings=3)
+    rungs = []
+
+    def open_until(top):
+        def decide(bits):
+            rungs.append(bits)
+            if bits < top:
+                return Verdict.unresolved((0, 1), f"at {bits} bits")
+            return Verdict.holds((0, 1)), Interval.point(bits)
+        return decide
+
+    # a pair passes through once its Verdict decides
+    assert settle(open_until(64), cfg) == (Verdict.holds((0, 1)), Interval.point(64))
+    assert rungs == [16, 32, 64]
+    rungs.clear()
+    # at the cap the top rung's Inconclusive is the result
+    v = settle(open_until(256), cfg)
+    assert rungs == [16, 32, 64, 128]
+    assert str(v.trend) == "at 128 bits unresolved at the precision cap"
+    # a Fails ends the ladder as a Holds does
+    fails = Verdict.fails((0, 1), Witness(1))
+    assert settle(lambda bits: fails, cfg) is fails
+
+
 def test_iterated_log_default_shifts():
     assert IteratedLog(1).shift == 3
     assert IteratedLog(2).shift == 16
     with pytest.raises(SequenceError):
         IteratedLog(0)
+
+
+def test_default_shift_certifies_the_tower_table():
+    # IteratedLog reads its default shift and from_tower from the table
+    assert tuple(default_shift(k) for k in (1, 2, 3)) == _TOWER_SHIFTS
+    assert [IteratedLog(k).shift for k in (1, 2, 3)] == list(_TOWER_SHIFTS)
+    assert IteratedLog(2, 16).from_tower and not IteratedLog(2, 15).from_tower
+    for make in (lambda: default_shift(4), lambda: IteratedLog(4)):
+        with pytest.raises(SequenceError, match="millions of digits; pass an explicit offset"):
+            make()
+    assert not IteratedLog(4, 10 ** 7).from_tower
 
 
 def test_default_shift_k3_certified_against_mpmath():
